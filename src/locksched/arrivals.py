@@ -77,9 +77,15 @@ class MatchingInstance:
 
 
 def parse_arrivals(source: Union[TextIO, Iterable[str]]) -> ArrivalDataset:
-    """Parse the `timestamp,direction` CSV format into a sorted dataset."""
+    """Parse the `timestamp,direction` CSV format into a sorted dataset.
+
+    Timestamps keep their wall-clock minutes.  A file may use one UTC offset
+    throughout, or none; mixing offsets, or offset and naive timestamps,
+    raises ``MalformedRowError``.
+    """
     reader = csv.reader(source)
     records = []
+    first_offset = first_ts = None
     for line_number, row in enumerate(reader, start=1):
         if not row:
             continue
@@ -98,6 +104,14 @@ def parse_arrivals(source: Union[TextIO, Iterable[str]]) -> ArrivalDataset:
             direction = Direction(raw_dir)
         except ValueError:
             raise MalformedRowError(line_number, f"unknown direction token {raw_dir!r}") from None
+        # Minutes are wall-clock minutes, which order correctly only under
+        # one UTC offset (or none) for the whole file.
+        if first_ts is None:
+            first_offset, first_ts = ts.utcoffset(), raw_ts
+        elif ts.utcoffset() != first_offset:
+            raise MalformedRowError(
+                line_number, f"timestamp {raw_ts!r} has a different UTC offset from {first_ts!r}"
+            )
         records.append(ArrivalRecord(ts.replace(second=0, microsecond=0, tzinfo=None), direction))
     return ArrivalDataset(tuple(records))
 

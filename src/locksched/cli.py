@@ -150,15 +150,23 @@ def cmd_policy(args) -> int:
     return 0
 
 
+CONFIG_KEYS = ("k", "n", "period_minutes", "dp_cap", "jobs")
+
+
 def cmd_experiment(args) -> int:
     if args.config:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(raw, dict):
+            raise ValueError(f"--config {args.config} must hold a JSON object")
+        unknown = sorted(set(raw) - set(CONFIG_KEYS))
+        if unknown:
+            raise ValueError(
+                f"unknown --config keys: {', '.join(unknown)} (known: {', '.join(CONFIG_KEYS)})"
+            )
         config = ExperimentConfig(
             k_values=tuple(raw.get("k", [2, 3, 4])),
             n_values=tuple(raw.get("n", [20, 30, 40, 50])),
             period_minutes=raw.get("period_minutes", 21),
-            epsilon=raw.get("epsilon", 1.0),
-            seed=raw.get("seed", args.seed),
             dp_cap=raw.get("dp_cap", args.dp_cap),
             jobs=raw.get("jobs", args.jobs),
         )
@@ -167,7 +175,6 @@ def cmd_experiment(args) -> int:
             k_values=tuple(args.k_list),
             n_values=tuple(args.n_list),
             period_minutes=args.period_minutes,
-            seed=args.seed,
             dp_cap=args.dp_cap,
             jobs=args.jobs,
         )
@@ -252,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-list", type=_int_list, default=[2, 3, 4])
     p.add_argument("--n-list", type=_int_list, default=[20, 30, 40, 50])
     p.add_argument("--period-minutes", type=int, default=21)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--dp-cap", type=int, default=DEFAULT_PERIOD_CAP)
     p.add_argument("--out-dir", default="reports")

@@ -48,8 +48,6 @@ class ExperimentConfig:
     k_values: Tuple[int, ...] = (2, 3, 4)
     n_values: Tuple[int, ...] = (20, 30, 40, 50)
     period_minutes: int = 21
-    epsilon: float = 1.0
-    seed: int = 0
     dp_cap: int = DEFAULT_PERIOD_CAP
     best_of_two_fifo: bool = False
     jobs: int = 1

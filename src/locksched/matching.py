@@ -4,7 +4,8 @@ All arithmetic is exact: periodicities are rationals T/n_i, so costs are
 Fractions and ties are reproducible.  The solver enumerates vessel-count
 compositions and anchor vessels, scoring each candidate with the
 order-preserving (sorted-to-sorted) assignment, which is optimal for a fixed
-stream set.
+stream set.  The search scores candidates in integers: scaled by the lcm of
+a composition's counts, every anchored matching point is whole.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from operator import sub
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import json
@@ -23,10 +24,6 @@ from .schedule import Direction
 
 class CountMismatchError(ValueError):
     """Stream counts do not sum to the instance size."""
-
-
-class OracleSizeError(ValueError):
-    """Instance too large for the requested oracle mode."""
 
 
 @dataclass(frozen=True)
@@ -130,55 +127,84 @@ def _compositions_nondecreasing(total: int, parts: int, minimum: int = 1) -> Ite
             yield (first,) + rest
 
 
-def _compositions_all(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions_all(total - first, parts - 1):
-            yield (first,) + rest
+def _anchored_points(T: int, count: int, scale: int, arrivals: Sequence[int]) -> List[List[int]]:
+    """Matching points of the ``count``-stream anchored at each arrival, times ``scale``.
+
+    Uses the anchor rule of ``anchored_streams``; ``count`` must divide
+    ``scale`` so that every point is an integer.  Each list is sorted.
+    """
+    step = T * (scale // count)
+    rows = []
+    for t in arrivals:
+        j = max(-(-t * count // T) - 1, 0)  # largest j with j*lam < t, clamped at 0
+        first = t * scale - j * step
+        rows.append(list(range(first, first + count * step, step)))
+    return rows
 
 
-def _anchor_tuples(counts: Tuple[int, ...], n: int, pruned: bool) -> Iterator[Tuple[int, ...]]:
-    # For equal-count streams the candidate is symmetric under swapping the
-    # streams, so anchors within an equal-count run are taken non-decreasing.
-    def rec(i: int, prefix: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
-        if i == len(counts):
-            yield prefix
+def _least_anchors(
+    tables: Sequence[List[List[int]]], counts: Tuple[int, ...], target: List[int]
+) -> Tuple[int, Tuple[int, ...]]:
+    """Least scaled cost and the first anchor tuple reaching it, in visit order.
+
+    Anchors are visited lexicographically; within a run of equal counts they
+    are non-decreasing, since swapping equal-count streams gives the same
+    candidate.
+    """
+    n = len(target)
+    last = len(counts) - 1
+    best_cost = math.inf
+    best_anchors: Tuple[int, ...] = ()
+
+    def visit(i: int, points: List[int], anchors: Tuple[int, ...]) -> None:
+        nonlocal best_cost, best_anchors
+        start = anchors[-1] if i and counts[i] == counts[i - 1] else 0
+        rows = tables[i]
+        if i < last:
+            for a in range(start, n):
+                visit(i + 1, points + rows[a], anchors + (a,))
             return
-        start = 0
-        if pruned and i > 0 and counts[i] == counts[i - 1]:
-            start = prefix[-1]
         for a in range(start, n):
-            yield from rec(i + 1, prefix + (a,))
+            pts = points + rows[a]
+            pts.sort()
+            cost = sum(map(abs, map(sub, pts, target)))
+            if cost < best_cost:
+                best_cost, best_anchors = cost, anchors + (a,)
 
-    yield from rec(0, ())
+    visit(0, [], ())
+    return best_cost, best_anchors
 
 
-def solve_matching(instance: MatchingInstance, k: int, prune: bool = True) -> MatchingSolution:
+def solve_matching(instance: MatchingInstance, k: int) -> MatchingSolution:
     """Optimal k-stream fit by enumeration of compositions and anchors.
 
-    With ``prune`` the search visits only non-decreasing count tuples and
-    multiplicity-aware anchor tuples; the unpruned search is kept for
-    equivalence testing.  Ties break on the lexicographically smallest
-    (counts, anchors) visited.
+    The search visits non-decreasing count tuples and, within each, anchor
+    tuples that are non-decreasing over equal counts.  A candidate with
+    counts c is scored in integers scaled by L = lcm(c), where every
+    anchored point is whole; candidates of different compositions compare
+    by cross-multiplying.  Ties break on the first (counts, anchors) visited.
     """
     n = instance.n
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n={n}, got {k}")
-    comps = _compositions_nondecreasing(n, k) if prune else _compositions_all(n, k)
-    best: Optional[MatchingSolution] = None
-    for counts in comps:
-        for anchors in _anchor_tuples(counts, n, prune):
-            streams = anchored_streams(instance, counts, anchors)
-            solution = assignment_cost(instance, streams)
-            if best is None or solution.cost < best.cost:
-                best = solution
-    assert best is not None
-    return best
+    T, arrivals = instance.T, instance.arrival_minutes
+    best_cost, best_scale, best_counts, best_anchors = 0, 0, (), ()
+    for counts in _compositions_nondecreasing(n, k):
+        scale = math.lcm(*counts)
+        table = {c: _anchored_points(T, c, scale, arrivals) for c in set(counts)}
+        target = [a * scale for a in arrivals]
+        cost, anchors = _least_anchors([table[c] for c in counts], counts, target)
+        if not best_counts or cost * best_scale < best_cost * scale:
+            best_cost, best_scale, best_counts, best_anchors = cost, scale, counts, anchors
+    solution = assignment_cost(instance, anchored_streams(instance, best_counts, best_anchors))
+    if solution.cost != Fraction(best_cost, best_scale):
+        raise ArithmeticError(
+            f"scaled search cost {best_cost}/{best_scale} differs from exact cost {solution.cost}"
+        )
+    return solution
 
 
-def best_fit(instance: MatchingInstance, k: int, prune: bool = True) -> MatchingSolution:
+def best_fit(instance: MatchingInstance, k: int) -> MatchingSolution:
     """Minimum-cost fit using at most k streams.
 
     The exactly-k problem is not monotone in k (a perfectly periodic
@@ -191,50 +217,11 @@ def best_fit(instance: MatchingInstance, k: int, prune: bool = True) -> Matching
         raise ValueError(f"k must be >= 1, got {k}")
     best: Optional[MatchingSolution] = None
     for j in range(1, min(k, n) + 1):
-        solution = solve_matching(instance, j, prune)
+        solution = solve_matching(instance, j)
         if best is None or solution.cost < best.cost:
             best = solution
     assert best is not None
     return best
-
-
-def oracle_min_cost_bijection(
-    instance: MatchingInstance, streams: StreamSet, mode: str = "auto"
-) -> Fraction:
-    """Exact minimum L1 cost over all point-to-arrival bijections.
-
-    Independent of the sorted assignment: either factorial enumeration
-    (n <= 9) or an exact integer-scaled Hungarian assignment (n <= 50).
-    """
-    if streams.n != instance.n:
-        raise CountMismatchError(f"streams provide {streams.n} points for {instance.n} arrivals")
-    n = instance.n
-    times = [t for t, _ in matching_points(streams)]
-    if mode == "auto":
-        mode = "factorial" if n <= 9 else "hungarian"
-    if mode == "factorial":
-        if n > 9:
-            raise OracleSizeError(f"factorial oracle limited to n <= 9, got {n}")
-        best = None
-        for perm in permutations(range(n)):
-            cost = sum(abs(times[perm[j]] - instance.arrival_minutes[j]) for j in range(n))
-            if best is None or cost < best:
-                best = cost
-        return Fraction(best)
-    if mode == "hungarian":
-        if n > 50:
-            raise OracleSizeError(f"hungarian oracle limited to n <= 50, got {n}")
-        from scipy.optimize import linear_sum_assignment
-        import numpy as np
-
-        den = math.lcm(*(t.denominator for t in times))
-        scaled = [int(t * den) for t in times]
-        cost_matrix = np.array(
-            [[abs(p - a * den) for p in scaled] for a in instance.arrival_minutes], dtype=np.int64
-        )
-        rows, cols = linear_sum_assignment(cost_matrix)
-        return Fraction(int(cost_matrix[rows, cols].sum()), den)
-    raise ValueError(f"unknown oracle mode {mode!r}")
 
 
 def stream_set_to_json(streams: StreamSet, directions: Optional[Sequence[Direction]] = None) -> str:

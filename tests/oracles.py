@@ -1,0 +1,137 @@
+"""Slow, independent references that the fast fitter is tested against.
+
+``reference_solve_matching`` is the original Fraction enumerator: it builds
+every candidate stream set with ``anchored_streams`` and scores it with the
+sorted ``assignment_cost``.  ``oracle_min_cost_bijection`` does not use the
+sorted assignment at all.  Both are test-only, so scipy and numpy are test
+dependencies, not runtime ones.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from itertools import permutations
+from typing import Iterator, Optional, Tuple
+
+from locksched.arrivals import MatchingInstance
+from locksched.matching import (
+    CountMismatchError,
+    MatchingSolution,
+    StreamSet,
+    anchored_streams,
+    assignment_cost,
+    matching_points,
+)
+
+
+class OracleSizeError(ValueError):
+    """Instance too large for the requested oracle mode."""
+
+
+def _compositions_nondecreasing(total: int, parts: int, minimum: int = 1) -> Iterator[Tuple[int, ...]]:
+    if parts == 1:
+        if total >= minimum:
+            yield (total,)
+        return
+    for first in range(minimum, total // parts + 1):
+        for rest in _compositions_nondecreasing(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def _compositions_all(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions_all(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _anchor_tuples(counts: Tuple[int, ...], n: int, pruned: bool) -> Iterator[Tuple[int, ...]]:
+    # For equal-count streams the candidate is symmetric under swapping the
+    # streams, so anchors within an equal-count run are taken non-decreasing.
+    def rec(i: int, prefix: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
+        if i == len(counts):
+            yield prefix
+            return
+        start = 0
+        if pruned and i > 0 and counts[i] == counts[i - 1]:
+            start = prefix[-1]
+        for a in range(start, n):
+            yield from rec(i + 1, prefix + (a,))
+
+    yield from rec(0, ())
+
+
+def reference_solve_matching(instance: MatchingInstance, k: int, prune: bool = True) -> MatchingSolution:
+    """Optimal k-stream fit by enumeration of compositions and anchors.
+
+    With ``prune`` the search visits only non-decreasing count tuples and
+    multiplicity-aware anchor tuples; the unpruned search is kept for
+    equivalence testing.  Ties break on the lexicographically smallest
+    (counts, anchors) visited.
+    """
+    n = instance.n
+    if not 1 <= k <= n:
+        raise ValueError(f"k must satisfy 1 <= k <= n={n}, got {k}")
+    comps = _compositions_nondecreasing(n, k) if prune else _compositions_all(n, k)
+    best: Optional[MatchingSolution] = None
+    for counts in comps:
+        for anchors in _anchor_tuples(counts, n, prune):
+            streams = anchored_streams(instance, counts, anchors)
+            solution = assignment_cost(instance, streams)
+            if best is None or solution.cost < best.cost:
+                best = solution
+    assert best is not None
+    return best
+
+
+def reference_best_fit(instance: MatchingInstance, k: int) -> MatchingSolution:
+    """The at-most-k envelope of ``reference_solve_matching``; first minimum wins."""
+    best: Optional[MatchingSolution] = None
+    for j in range(1, min(k, instance.n) + 1):
+        solution = reference_solve_matching(instance, j)
+        if best is None or solution.cost < best.cost:
+            best = solution
+    assert best is not None
+    return best
+
+
+def oracle_min_cost_bijection(
+    instance: MatchingInstance, streams: StreamSet, mode: str = "auto"
+) -> Fraction:
+    """Exact minimum L1 cost over all point-to-arrival bijections.
+
+    Independent of the sorted assignment: either factorial enumeration
+    (n <= 9) or an exact integer-scaled Hungarian assignment (n <= 50).
+    """
+    if streams.n != instance.n:
+        raise CountMismatchError(f"streams provide {streams.n} points for {instance.n} arrivals")
+    n = instance.n
+    times = [t for t, _ in matching_points(streams)]
+    if mode == "auto":
+        mode = "factorial" if n <= 9 else "hungarian"
+    if mode == "factorial":
+        if n > 9:
+            raise OracleSizeError(f"factorial oracle limited to n <= 9, got {n}")
+        best = None
+        for perm in permutations(range(n)):
+            cost = sum(abs(times[perm[j]] - instance.arrival_minutes[j]) for j in range(n))
+            if best is None or cost < best:
+                best = cost
+        return Fraction(best)
+    if mode == "hungarian":
+        if n > 50:
+            raise OracleSizeError(f"hungarian oracle limited to n <= 50, got {n}")
+        from scipy.optimize import linear_sum_assignment
+        import numpy as np
+
+        den = math.lcm(*(t.denominator for t in times))
+        scaled = [int(t * den) for t in times]
+        cost_matrix = np.array(
+            [[abs(p - a * den) for p in scaled] for a in instance.arrival_minutes], dtype=np.int64
+        )
+        rows, cols = linear_sum_assignment(cost_matrix)
+        return Fraction(int(cost_matrix[rows, cols].sum()), den)
+    raise ValueError(f"unknown oracle mode {mode!r}")

@@ -11,6 +11,8 @@ import random
 import time
 from fractions import Fraction
 
+from oracles import _compositions_all, oracle_min_cost_bijection
+
 from locksched.arrivals import MatchingInstance
 from locksched.dp import brute_force_optimal, solve
 from locksched.experiment import (
@@ -25,13 +27,7 @@ from locksched.experiment import (
     schedule_report_csv,
     synth_dataset,
 )
-from locksched.matching import (
-    _compositions_all,
-    anchored_streams,
-    best_fit,
-    oracle_min_cost_bijection,
-    solve_matching,
-)
+from locksched.matching import anchored_streams, best_fit, solve_matching
 from locksched.policies import adv_fifo, alternating
 from locksched.rolling import CASE_FULL, generate
 from locksched.schedule import (

@@ -65,6 +65,25 @@ def test_parse_rejects_wrong_field_count():
         _parse("timestamp,direction\n2019-01-02T06:30:00,D,extra\n")
 
 
+def test_parse_rejects_mixed_utc_offsets():
+    # 10:00+02:00 is 08:00 UTC, before 09:30+00:00, yet its wall clock is later.
+    with pytest.raises(MalformedRowError, match="line 3"):
+        _parse("timestamp,direction\n2019-01-02T09:30:00+00:00,D\n2019-01-02T10:00:00+02:00,D\n")
+
+
+def test_parse_rejects_naive_and_offset_timestamps():
+    with pytest.raises(MalformedRowError, match="line 3"):
+        _parse("timestamp,direction\n2019-01-02T09:30:00,D\n2019-01-02T10:00:00+02:00,U\n")
+    with pytest.raises(MalformedRowError, match="line 3"):
+        _parse("timestamp,direction\n2019-01-02T09:30:00+02:00,D\n2019-01-02T10:00:00,U\n")
+
+
+def test_parse_single_offset_keeps_wall_clock_minutes():
+    ds = _parse("timestamp,direction\n2019-01-02T10:00:00+02:00,D\n2019-01-02T09:30:00+02:00,U\n")
+    assert [r.timestamp for r in ds.records] == [datetime(2019, 1, 2, 9, 30), datetime(2019, 1, 2, 10, 0)]
+    assert [r.minute_of_day for r in ds.records] == [571, 601]
+
+
 def test_serialize_round_trip():
     text = (
         "timestamp,direction\n"

@@ -107,3 +107,13 @@ def test_experiment_command(arrivals_csv, tmp_path):
 def test_fatal_error_exit_code(tmp_path):
     missing = tmp_path / "nope.csv"
     assert main(["fit", "--arrivals", str(missing), "--k-list", "2", "--n-list", "20"]) == 1
+
+
+def test_experiment_rejects_unknown_config_keys(arrivals_csv, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"k": [2], "n_vals": [20], "sead": 3}))
+    code = main(["experiment", "--arrivals", str(arrivals_csv), "--config", str(config),
+                 "--out-dir", str(tmp_path / "reports")])
+    assert code == 1
+    assert "unknown --config keys: n_vals, sead" in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()

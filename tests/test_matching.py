@@ -2,6 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    oracle_min_cost_bijection,
+    reference_best_fit,
+    reference_solve_matching,
+)
 
 from locksched.arrivals import MatchingInstance
 from locksched.matching import (
@@ -12,7 +19,6 @@ from locksched.matching import (
     anchored_streams,
     assignment_cost,
     matching_points,
-    oracle_min_cost_bijection,
     solve_matching,
     stream_set_from_json,
     stream_set_to_json,
@@ -119,6 +125,8 @@ def test_solve_matching_k_bounds():
 
 
 def test_pruned_equals_unpruned():
+    """The fast fitter equals the reference in both pruning modes: field for
+    field against the pruned search, in cost against the unpruned one."""
     rng = random.Random(7)
     for _ in range(40):
         n = rng.randint(2, 8)
@@ -127,9 +135,9 @@ def test_pruned_equals_unpruned():
         minutes = sorted(minutes)
         inst = _inst(tuple(minutes), T=T)
         for k in range(1, min(3, n) + 1):
-            a = solve_matching(inst, k, prune=True)
-            b = solve_matching(inst, k, prune=False)
-            assert a.cost == b.cost
+            fast = solve_matching(inst, k)
+            assert fast == reference_solve_matching(inst, k, prune=True)
+            assert fast.cost == reference_solve_matching(inst, k, prune=False).cost
 
 
 def test_best_fit_monotone_in_k():
@@ -151,6 +159,41 @@ def test_exactly_k_is_not_monotone_but_best_fit_is():
     assert solve_matching(inst, 1).cost == 0
     assert solve_matching(inst, 2).cost == Fraction(1, 2)
     assert best_fit(inst, 2).cost == 0
+
+
+@st.composite
+def _small_instances(draw):
+    """Instances with n <= 9 and T <= 200: random minutes, minutes drawn from
+    a pool of at most three (many repeats), or unions of integer-step
+    progressions, which fit several stream sets at equal cost."""
+    n = draw(st.integers(1, 9))
+    layout = draw(st.sampled_from(["random", "repeats", "progressions"]))
+    if layout == "random":
+        minutes = draw(st.lists(st.integers(1, 200), min_size=n, max_size=n))
+    elif layout == "repeats":
+        pool = draw(st.lists(st.integers(1, 200), min_size=1, max_size=3))
+        minutes = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    else:
+        minutes = []
+        while len(minutes) < n:
+            start, step = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+            length = draw(st.integers(1, n - len(minutes)))
+            minutes += [start + i * step for i in range(length)]
+    minutes.sort()
+    T = draw(st.sampled_from([minutes[-1], 200]))
+    return _inst(minutes, T=T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_instances(), st.integers(1, 3))
+def test_fast_fitter_equals_reference_property(inst, k):
+    k = min(k, inst.n)
+    fast = solve_matching(inst, k)
+    assert fast == reference_solve_matching(inst, k)
+    assert best_fit(inst, k) == reference_best_fit(inst, k)
+    # The factorial oracle enumerates n! bijections: about 1 s at n = 8.
+    if inst.n <= 7:
+        assert fast.cost == oracle_min_cost_bijection(inst, fast.streams, mode="factorial")
 
 
 def test_oracle_identity_and_example():
