@@ -7,6 +7,7 @@ day starts at 1.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date, datetime
 from typing import Dict, Iterable, List, TextIO, Tuple, Union
@@ -41,6 +42,10 @@ class ArrivalRecord:
         return self.timestamp.hour * 60 + self.timestamp.minute + 1
 
 
+def _record_day(record: ArrivalRecord) -> date:
+    return record.day
+
+
 @dataclass(frozen=True)
 class ArrivalDataset:
     records: Tuple[ArrivalRecord, ...]
@@ -53,7 +58,11 @@ class ArrivalDataset:
 
     def minutes_for(self, day: date, direction: Direction) -> List[int]:
         """Sorted 1-based arrival minutes for one day and direction."""
-        return [r.minute_of_day for r in self.records if r.day == day and r.direction is direction]
+        # Records are sorted by timestamp; under one UTC offset (or none), as
+        # parse_arrivals enforces, each day is one contiguous slice.
+        lo = bisect_left(self.records, day, key=_record_day)
+        hi = bisect_right(self.records, day, lo=lo, key=_record_day)
+        return [r.minute_of_day for r in self.records[lo:hi] if r.direction is direction]
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .experiment import (
 )
 from .matching import best_fit, stream_set_to_json
 from .policies import adv_fifo, alternating, fifo, realized_periodic
-from .rolling import ChunkRequest, chunk_to_json, default_window, next_chunk
+from .rolling import chunk_to_json, generate
 from .schedule import (
     Direction,
     instance_from_json,
@@ -102,16 +102,12 @@ def cmd_evaluate(args) -> int:
         runs = []
         if "alternating" in wanted:
             runs.append(alternating(counts, horizon))
-        if "fifo" in wanted:
-            run = fifo(counts, horizon)
+        for name, policy in (("fifo", fifo), ("advfifo", adv_fifo)):
+            if name not in wanted:
+                continue
+            run = policy(counts, horizon)
             if args.best_of_two:
-                other = fifo(counts, horizon, Direction.UP)
-                run = other if other.result.total_wait < run.result.total_wait else run
-            runs.append(run)
-        if "advfifo" in wanted:
-            run = adv_fifo(counts, horizon)
-            if args.best_of_two:
-                other = adv_fifo(counts, horizon, Direction.UP)
+                other = policy(counts, horizon, Direction.UP)
                 run = other if other.result.total_wait < run.result.total_wait else run
             runs.append(run)
         if "realized" in wanted:
@@ -124,18 +120,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_rolling(args) -> int:
     instance = instance_from_json(Path(args.instance).read_text(encoding="utf-8"))
-    window = args.window or default_window(instance.k, args.epsilon)
-    start = args.start
-    position = None
-    lines = []
-    for _ in range(args.chunks):
-        chunk = next_chunk(
-            instance, ChunkRequest(start=start, window=window, epsilon=args.epsilon, position=position)
-        )
-        lines.append(chunk_to_json(chunk))
-        start = chunk.next_start
-        position = chunk.next_position
-    _write(args.out, "\n".join(lines) + "\n")
+    plan = generate(instance, args.start, args.chunks, args.epsilon, window=args.window)
+    _write(args.out, "\n".join(chunk_to_json(chunk) for chunk in plan.chunks) + "\n")
     return 0
 
 

@@ -12,6 +12,9 @@ their own period cost nothing), which matches the per-period queue-length
 recurrence exactly; reconstructed schedules are verified against simulation.
 The paper-literal convention shifts the service window back by one period and
 is kept for comparison only.
+
+The forward pass (``lane``) runs over integer state ids and per-period slot
+costs; the rolling-horizon windows in ``rolling`` run through it too.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .schedule import (
     Action,
@@ -34,7 +37,7 @@ from .schedule import (
 
 CANONICAL = "canonical"
 PAPER_LITERAL = "paper-literal"
-_MODES = (CANONICAL, PAPER_LITERAL)
+_SHIFT = {CANONICAL: 0, PAPER_LITERAL: 1}  # periods the service window is shifted back
 
 DEFAULT_PERIOD_CAP = 1_000_000
 
@@ -64,9 +67,8 @@ ALL_STATES: Tuple[LockState, ...] = tuple(
     for own in (0, 1)
     for other in (0, 1)
 )
-_STATE_INDEX: Dict[LockState, int] = {s: i for i, s in enumerate(ALL_STATES)}
 
-_INF = float("inf")
+_INF = math.inf
 
 
 def predecessors(state: LockState) -> Tuple[LockState, ...]:
@@ -86,38 +88,117 @@ def predecessors(state: LockState) -> Tuple[LockState, ...]:
     return (LockState(state.alignment, state.own_waits - 1, state.other_waits),)
 
 
-class _ArrivalTable:
-    """Cyclic per-direction arrival counts with period Lambda."""
-
-    def __init__(self, instance: PeriodicInstance):
-        self.period = lcm_period(instance)
-        pattern = [arrival_at(instance, t) for t in range(1, self.period + 1)]
-        self.a_d = [p[0] for p in pattern]
-        self.a_u = [p[1] for p in pattern]
-
-    def get(self, direction: Direction, t: int) -> int:
-        idx = (t - 1) % self.period
-        return self.a_d[idx] if direction is Direction.DOWN else self.a_u[idx]
+def _slot(prev: LockState, state: LockState) -> int:
+    """-1 for a wait, else the (served side, window) index into slot_costs."""
+    if state.own_waits > 0:
+        return -1
+    side = 0 if prev.alignment is Direction.DOWN else 1
+    return 3 * side + prev.own_waits + prev.other_waits
 
 
-def _switch_cost(table: _ArrivalTable, side: Direction, t: int, window: int, mode: str) -> int:
-    if mode == CANONICAL:
-        return sum(i * table.get(side, t - i) for i in range(window))
-    return sum((i - 1) * table.get(side, t - i) for i in range(1, window + 1))
+# Every transition as (state_id, pred_id, slot), by state id and then in
+# predecessors() order; the lane keeps the first strict minimum, so this
+# order fixes the tie-breaking.
+_TRANSITIONS: Tuple[Tuple[int, int, int], ...] = tuple(
+    (s_id, ALL_STATES.index(prev), _slot(prev, state))
+    for s_id, state in enumerate(ALL_STATES)
+    for prev in predecessors(state)
+)
+
+ArrivalFn = Callable[[int], Tuple[int, int]]
+
+
+def slot_costs(arrivals: ArrivalFn, t: int, shift: int = 0) -> Tuple[int, ...]:
+    """Switch costs at period t for the six (side, window) slots.
+
+    Serving a side (0 = DOWN, 1 = UP) at t after a window of w in {2, 3, 4}
+    periods costs slot ``3 * side + w - 2``: each arrival i periods before
+    t - shift, for 1 <= i < w, is charged i.  ``shift`` is 0 in the
+    canonical convention and 1 in the paper-literal one.
+    """
+    earlier = [arrivals(t - shift - i) for i in (1, 2, 3)]
+    costs = []
+    for side in (0, 1):
+        cost = 0
+        for i, counts in enumerate(earlier, start=1):
+            cost += i * counts[side]
+            costs.append(cost)
+    return tuple(costs)
+
+
+def _cost(costs: Sequence[int], slot: int) -> int:
+    return costs[slot] if slot >= 0 else 0
+
+
+def lane(
+    start: int, steps: Iterable[Sequence[int]], keep_back: bool = False
+) -> Tuple[List[float], Optional[List[List[int]]]]:
+    """Forward DP from state id ``start``, one period per entry of ``steps``.
+
+    Each step holds that period's six slot costs.  Returns the minimum cost
+    of reaching each state after the last step (inf if unreachable) and, with
+    ``keep_back``, each step's chosen predecessor per state.
+    """
+    values: List[float] = [_INF] * 8
+    values[start] = 0
+    back: Optional[List[List[int]]] = [] if keep_back else None
+    for costs in steps:
+        new = [_INF] * 8
+        choice = [-1] * 8
+        for s_id, p_id, slot in _TRANSITIONS:
+            v = values[p_id]
+            if v == _INF:
+                continue
+            if slot >= 0:
+                v += costs[slot]
+            if v < new[s_id]:
+                new[s_id] = v
+                choice[s_id] = p_id
+        values = new
+        if back is not None:
+            back.append(choice)
+    return values, back
+
+
+def lane_path(back: List[List[int]], final: int) -> List[int]:
+    """State ids from the lane's start to ``final``, one per step plus the start."""
+    path = [final]
+    for choice in reversed(back):
+        path.append(choice[path[-1]])
+    path.reverse()
+    return path
+
+
+def path_actions(path: Sequence[int]) -> Tuple[Action, ...]:
+    """The action taken on each step of a state-id path."""
+    actions = []
+    for prev, state in zip(path, path[1:]):
+        if ALL_STATES[state].own_waits > 0:
+            actions.append(Action.WAIT)
+        else:
+            actions.append(Action.process(ALL_STATES[prev].alignment))
+    return tuple(actions)
+
+
+def _pattern(instance: PeriodicInstance) -> List[Tuple[int, int]]:
+    """Per-period (down, up) arrival counts over one hyper-period."""
+    return [arrival_at(instance, t) for t in range(1, lcm_period(instance) + 1)]
+
+
+def _cyclic(pattern: List[Tuple[int, int]]) -> ArrivalFn:
+    return lambda t: pattern[(t - 1) % len(pattern)]
 
 
 def transition_cost(
     instance: PeriodicInstance, t: int, prev: LockState, state: LockState, mode: str = CANONICAL
 ) -> int:
     """Waiting cost charged when moving from ``prev`` to ``state`` at period t."""
-    if mode not in _MODES:
+    if mode not in _SHIFT:
         raise ValueError(f"unknown mode {mode!r}")
     if prev not in predecessors(state):
         raise ValueError(f"{prev} is not a predecessor of {state}")
-    if state.own_waits > 0:
-        return 0
-    window = 2 + prev.own_waits + prev.other_waits
-    return _switch_cost(_ArrivalTable(instance), prev.alignment, t, window, mode)
+    costs = slot_costs(_cyclic(_pattern(instance)), t, _SHIFT[mode])
+    return _cost(costs, _slot(prev, state))
 
 
 @dataclass(frozen=True)
@@ -130,111 +211,46 @@ class OptimalResult:
     mode: str
 
 
-def _transition_lists(table: _ArrivalTable, mode: str):
-    """Per t-phase transitions: trans[phase] = [(state_id, pred_id, cost), ...].
-
-    Cost depends on t only through t mod Lambda; phases index t-1 mod Lambda.
-    """
-    lam = table.period
-    trans: List[List[Tuple[int, int, int]]] = []
-    for phase in range(lam):
-        t = phase + 1
-        entries = []
-        for s_id, state in enumerate(ALL_STATES):
-            for prev in predecessors(state):
-                if state.own_waits > 0:
-                    cost = 0
-                else:
-                    window = 2 + prev.own_waits + prev.other_waits
-                    cost = _switch_cost(table, prev.alignment, t, window, mode)
-                entries.append((s_id, _STATE_INDEX[prev], cost))
-        trans.append(entries)
-    return trans
-
-
-def _run_lane(
-    trans, T: int, lam: int, start_id: int, keep_back: bool
-) -> Tuple[List[float], Optional[List[List[int]]]]:
-    values: List[float] = [_INF] * 8
-    values[start_id] = 0
-    back: Optional[List[List[int]]] = [] if keep_back else None
-    for t in range(2, T + 1):
-        entries = trans[(t - 1) % lam]
-        new = [_INF] * 8
-        choice = [-1] * 8
-        for s_id, p_id, cost in entries:
-            v = values[p_id]
-            if v == _INF:
-                continue
-            v = v + cost
-            if v < new[s_id]:
-                new[s_id] = v
-                choice[s_id] = p_id
-        values = new
-        if back is not None:
-            back.append(choice)
-    return values, back
-
-
 def solve(
     instance: PeriodicInstance, mode: str = CANONICAL, period_cap: int = DEFAULT_PERIOD_CAP
 ) -> OptimalResult:
     """Minimum long-run average waiting time and an achieving cyclic schedule."""
-    if mode not in _MODES:
+    if mode not in _SHIFT:
         raise ValueError(f"unknown mode {mode!r}")
-    table = _ArrivalTable(instance)
-    T = 8 * table.period
+    pattern = _pattern(instance)
+    lam = len(pattern)
+    T = 8 * lam
     if T > period_cap:
         raise PeriodCapExceededError(T, period_cap)
-    trans = _transition_lists(table, mode)
-    lam = table.period
-
-    # Wrap-around costs of the period-1 transition S -> S0.
-    wrap: Dict[Tuple[int, int], int] = {}
-    for s0_id, s0 in enumerate(ALL_STATES):
-        for prev in predecessors(s0):
-            if s0.own_waits > 0:
-                cost = 0
-            else:
-                window = 2 + prev.own_waits + prev.other_waits
-                cost = _switch_cost(table, prev.alignment, 1, window, mode)
-            wrap[(_STATE_INDEX[prev], s0_id)] = cost
+    # Costs depend on t only through t mod Lambda.  Lanes start at t = 1 and
+    # step through t = 2..T; the wrap-around step S -> S0 is at t = 1 again.
+    arrivals = _cyclic(pattern)
+    phase_costs = [slot_costs(arrivals, t, _SHIFT[mode]) for t in range(1, lam + 1)]
+    steps = [phase_costs[(t - 1) % lam] for t in range(2, T + 1)]
+    wrap = phase_costs[0]
 
     best: Optional[Tuple[int, int, int]] = None  # (total, s0_id, s_final_id)
     for s0_id in range(8):
-        values, _ = _run_lane(trans, T, lam, s0_id, keep_back=False)
-        for prev in predecessors(ALL_STATES[s0_id]):
-            p_id = _STATE_INDEX[prev]
-            v = values[p_id]
-            if v == _INF:
+        values, _ = lane(s0_id, steps)
+        for s_id, p_id, slot in _TRANSITIONS:
+            if s_id != s0_id or values[p_id] == _INF:
                 continue
-            total = int(v) + wrap[(p_id, s0_id)]
+            total = int(values[p_id]) + _cost(wrap, slot)
             if best is None or total < best[0]:
                 best = (total, s0_id, p_id)
     assert best is not None, "DP found no feasible cyclic schedule"
     total, s0_id, final_id = best
 
-    # Re-run the winning lane with backpointers and rebuild the state path.
-    values, back = _run_lane(trans, T, lam, s0_id, keep_back=True)
+    # Re-run the winning lane with backpointers and rebuild the state path;
+    # the path's last state is the cyclic predecessor of its first.
+    _, back = lane(s0_id, steps, keep_back=True)
     assert back is not None
-    path_ids = [0] * T
-    path_ids[T - 1] = final_id
-    for t in range(T, 1, -1):
-        path_ids[t - 2] = back[t - 2][path_ids[t - 1]]
-    assert path_ids[0] == s0_id
-
-    states = [ALL_STATES[i] for i in path_ids]
-    actions: List[Action] = []
-    for t in range(1, T + 1):
-        state = states[t - 1]
-        prev = states[t - 2]  # t=1 wraps to states[T-1], the cyclic predecessor
-        if state.own_waits > 0:
-            actions.append(Action.WAIT)
-        else:
-            actions.append(Action.process(prev.alignment))
+    path = lane_path(back, final_id)
+    assert path[0] == s0_id
+    actions = path_actions(path[-1:] + path)
     first = actions[0]
-    initial_alignment = first.processes if first.processes is not None else states[0].alignment
-    schedule = Schedule(actions=tuple(actions), initial_alignment=initial_alignment)
+    initial_alignment = first.processes if first.processes is not None else ALL_STATES[s0_id].alignment
+    schedule = Schedule(actions=actions, initial_alignment=initial_alignment)
 
     avg = Fraction(total, T)
     if mode == CANONICAL:
@@ -270,9 +286,10 @@ def brute_force_optimal(instance: PeriodicInstance, period: int) -> Fraction:
         raise ValueError(f"period must be >= 1, got {period}")
     if period > 14:
         raise BruteForcePeriodError(f"period {period} too large for 2^p enumeration")
-    table = _ArrivalTable(instance)
-    lam = table.period
-    a_d, a_u = table.a_d, table.a_u
+    pattern = _pattern(instance)
+    lam = len(pattern)
+    a_d = [p[0] for p in pattern]
+    a_u = [p[1] for p in pattern]
     any_arrivals = any(a_d) or any(a_u)
     cycle = math.lcm(lam, period)
     horizon = 2 * cycle

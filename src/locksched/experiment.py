@@ -49,7 +49,6 @@ class ExperimentConfig:
     n_values: Tuple[int, ...] = (20, 30, 40, 50)
     period_minutes: int = 21
     dp_cap: int = DEFAULT_PERIOD_CAP
-    best_of_two_fifo: bool = False
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -241,13 +240,6 @@ def evaluate_day(
     alt = alternating(counts, horizon)
     fifo_run = fifo(counts, horizon)
     adv_run = adv_fifo(counts, horizon)
-    if config.best_of_two_fifo:
-        fifo_alt = fifo(counts, horizon, Direction.UP)
-        if fifo_alt.result.total_wait < fifo_run.result.total_wait:
-            fifo_run = fifo_alt
-        adv_alt = adv_fifo(counts, horizon, Direction.UP)
-        if adv_alt.result.total_wait < adv_run.result.total_wait:
-            adv_run = adv_alt
     realised = realized_periodic(optimal.schedule, counts, horizon)
     return DayEvaluation(
         day=day,

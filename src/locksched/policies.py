@@ -54,48 +54,16 @@ def _get(arrivals: Arrivals, t: int) -> Tuple[int, int]:
     return arrivals[t - 1] if 1 <= t <= len(arrivals) else (0, 0)
 
 
-def fifo(arrivals: Arrivals, horizon: int, initial_alignment: Direction = Direction.DOWN) -> PolicyRun:
-    """Operate whenever any vessel is waiting or arriving, else wait.
-
-    The lockage always runs from the current alignment; an empty lockage is
-    the only way to reach vessels stuck on the opposite side.
-    """
-    alignment = initial_alignment
-    n_d = n_u = 0
-    actions: List[Action] = []
-    for t in range(1, horizon + 1):
-        a_d, a_u = _get(arrivals, t)
-        if n_d + n_u + a_d + a_u > 0:
-            actions.append(Action.process(alignment))
-            if alignment is Direction.DOWN:
-                n_d = 0
-                n_u += a_u
-            else:
-                n_u = 0
-                n_d += a_d
-            alignment = alignment.flip()
-        else:
-            actions.append(Action.WAIT)
-    return _run("fifo", arrivals, actions, horizon, initial_alignment)
-
-
-def adv_fifo(arrivals: Arrivals, horizon: int, initial_alignment: Direction = Direction.DOWN) -> PolicyRun:
-    """FIFO plus a one-period lookahead.
-
-    When idle and the next period brings an arrival on the side opposite the
-    current alignment, run an empty lockage now so that arrival is served on
-    arrival.
-    """
-    alignment = initial_alignment
+def _fifo_actions(arrivals: Arrivals, horizon: int, alignment: Direction, lookahead: bool) -> List[Action]:
+    """The action trace of ``fifo``, or of ``adv_fifo`` with ``lookahead``."""
     n_d = n_u = 0
     actions: List[Action] = []
     for t in range(1, horizon + 1):
         a_d, a_u = _get(arrivals, t)
         operate = n_d + n_u + a_d + a_u > 0
-        if not operate:
+        if not operate and lookahead:
             next_d, next_u = _get(arrivals, t + 1)
-            opposite = next_u if alignment is Direction.DOWN else next_d
-            operate = opposite > 0
+            operate = (next_u if alignment is Direction.DOWN else next_d) > 0
         if operate:
             actions.append(Action.process(alignment))
             if alignment is Direction.DOWN:
@@ -107,6 +75,27 @@ def adv_fifo(arrivals: Arrivals, horizon: int, initial_alignment: Direction = Di
             alignment = alignment.flip()
         else:
             actions.append(Action.WAIT)
+    return actions
+
+
+def fifo(arrivals: Arrivals, horizon: int, initial_alignment: Direction = Direction.DOWN) -> PolicyRun:
+    """Operate whenever any vessel is waiting or arriving, else wait.
+
+    The lockage always runs from the current alignment; an empty lockage is
+    the only way to reach vessels stuck on the opposite side.
+    """
+    actions = _fifo_actions(arrivals, horizon, initial_alignment, lookahead=False)
+    return _run("fifo", arrivals, actions, horizon, initial_alignment)
+
+
+def adv_fifo(arrivals: Arrivals, horizon: int, initial_alignment: Direction = Direction.DOWN) -> PolicyRun:
+    """FIFO plus a one-period lookahead.
+
+    When idle and the next period brings an arrival on the side opposite the
+    current alignment, run an empty lockage now so that arrival is served on
+    arrival.
+    """
+    actions = _fifo_actions(arrivals, horizon, initial_alignment, lookahead=True)
     return _run("advfifo", arrivals, actions, horizon, initial_alignment)
 
 

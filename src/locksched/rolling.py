@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .dp import ALL_STATES, LockState, _STATE_INDEX, predecessors
+from .dp import ALL_STATES, ArrivalFn, LockState, lane, lane_path, path_actions, slot_costs
 from .schedule import (
     Action,
     Direction,
@@ -22,8 +21,6 @@ from .schedule import (
     arrival_at,
     simulate,
 )
-
-_INF = float("inf")
 
 DEFAULT_WINDOW_CAP = 200_000
 
@@ -83,81 +80,20 @@ class WindowSolution:
     entry_alignment: Direction
 
 
-def _windowed_lane(
-    instance: PeriodicInstance, t_start: int, t_end: int, entry: Direction
-) -> WindowSolution:
-    # Arrivals clipped to the window: periods before t_start contribute nothing,
-    # so costs count exactly the in-window waits of in-window arrivals.
-    arr = {Direction.DOWN: {}, Direction.UP: {}}
-    for t in range(t_start, t_end + 1):
-        a_d, a_u = arrival_at(instance, t)
-        arr[Direction.DOWN][t] = a_d
-        arr[Direction.UP][t] = a_u
-
-    def a(side: Direction, t: int) -> int:
-        return arr[side].get(t, 0)
-
-    virtual = LockState(entry, 0, 0)  # lock position entering t_start, counters fresh
-
-    def step_cost(t: int, prev: LockState, state: LockState) -> int:
-        if state.own_waits > 0:
-            return 0
-        w = 2 + prev.own_waits + prev.other_waits
-        return sum(i * a(prev.alignment, t - i) for i in range(w))
-
-    def terminal_cost(state: LockState) -> int:
-        # Arrivals still queued when the window closes have accrued
-        # t_end - s + 1 waits each; the state's counters say which arrivals
-        # are unserved: the current side since its service before the last
-        # switch, the opposite side since the switch itself.
-        own_from = t_end - state.own_waits - state.other_waits
-        other_from = t_end - state.own_waits + 1
-        total = 0
-        for s in range(own_from, t_end + 1):
-            total += a(state.alignment, s) * (t_end - s + 1)
-        opposite = state.alignment.flip()
-        for s in range(other_from, t_end + 1):
-            total += a(opposite, s) * (t_end - s + 1)
-        return total
-
-    values = {}
-    back: List[dict] = []
-    for state in ALL_STATES:
-        if virtual in predecessors(state):
-            values[state] = step_cost(t_start, virtual, state)
-    choices = {s: None for s in values}
-    back.append(choices)
-    for t in range(t_start + 1, t_end + 1):
-        new = {}
-        choice = {}
-        for state in ALL_STATES:
-            for prev in predecessors(state):
-                if prev not in values:
-                    continue
-                v = values[prev] + step_cost(t, prev, state)
-                if state not in new or v < new[state]:
-                    new[state] = v
-                    choice[state] = prev
-        values = new
-        back.append(choice)
-
-    totals = {s: values[s] + terminal_cost(s) for s in values}
-    final = min(totals, key=lambda s: (totals[s], _STATE_INDEX[s]))
-    states = [final]
-    for idx in range(t_end - t_start, 0, -1):
-        states.append(back[idx][states[-1]])
-    states.reverse()
-    actions = []
-    prev = virtual
-    for state in states:
-        if state.own_waits > 0:
-            actions.append(Action.WAIT)
-        else:
-            actions.append(Action.process(prev.alignment))
-        prev = state
-    return WindowSolution(
-        cost=totals[final], actions=tuple(actions), states=tuple(states), entry_alignment=entry
-    )
+def _terminal_cost(arrivals: ArrivalFn, t_end: int, state: LockState) -> int:
+    # Arrivals still queued when the window closes have accrued t_end - s + 1
+    # waits each; the state's counters say which arrivals are unserved: the
+    # current side since its service before the last switch, the opposite
+    # side since the switch itself.
+    own_from = t_end - state.own_waits - state.other_waits
+    other_from = t_end - state.own_waits + 1
+    own_side = 0 if state.alignment is Direction.DOWN else 1
+    total = 0
+    for s in range(own_from, t_end + 1):
+        total += arrivals(s)[own_side] * (t_end - s + 1)
+    for s in range(other_from, t_end + 1):
+        total += arrivals(s)[1 - own_side] * (t_end - s + 1)
+    return total
 
 
 def windowed_optimum(
@@ -176,10 +112,37 @@ def windowed_optimum(
         raise ValueError(f"empty window [{t_start}, {t_end}]")
     if t_end - t_start + 1 > window_cap:
         raise WindowCapExceededError(f"window of {t_end - t_start + 1} periods exceeds cap {window_cap}")
+    # Arrivals clipped to the window: periods before t_start contribute nothing,
+    # so costs count exactly the in-window waits of in-window arrivals.
+    clipped = [arrival_at(instance, t) for t in range(t_start, t_end + 1)]
+
+    def arrivals(t: int) -> Tuple[int, int]:
+        return clipped[t - t_start] if t_start <= t <= t_end else (0, 0)
+
+    steps = [slot_costs(arrivals, t) for t in range(t_start, t_end + 1)]
+
+    def solve_from(entry: Direction) -> WindowSolution:
+        # The lane starts in the virtual state (entry, 0, 0): the lock
+        # position entering t_start, with fresh wait counters.
+        values, back = lane(ALL_STATES.index(LockState(entry, 0, 0)), steps, keep_back=True)
+        totals = {
+            s_id: v + _terminal_cost(arrivals, t_end, ALL_STATES[s_id])
+            for s_id, v in enumerate(values)
+            if v != math.inf
+        }
+        final = min(totals, key=lambda s_id: (totals[s_id], s_id))
+        path = lane_path(back, final)
+        return WindowSolution(
+            cost=totals[final],
+            actions=path_actions(path),
+            states=tuple(ALL_STATES[s_id] for s_id in path[1:]),
+            entry_alignment=entry,
+        )
+
     if position is not None:
-        return _windowed_lane(instance, t_start, t_end, position)
-    down = _windowed_lane(instance, t_start, t_end, Direction.DOWN)
-    up = _windowed_lane(instance, t_start, t_end, Direction.UP)
+        return solve_from(position)
+    down = solve_from(Direction.DOWN)
+    up = solve_from(Direction.UP)
     return down if down.cost <= up.cost else up
 
 
@@ -198,7 +161,6 @@ def next_chunk(instance: PeriodicInstance, request: ChunkRequest) -> Chunk:
     t = request.start
     t_end = t + request.window
     k = instance.k
-    sol = windowed_optimum(instance, t, t_end, request.position)
 
     # Case: a 2-period no-arrival gap lets the next chunk start free of charge.
     gap = None
@@ -245,6 +207,7 @@ def next_chunk(instance: PeriodicInstance, request: ChunkRequest) -> Chunk:
             next_position=next_position,
         )
 
+    sol = windowed_optimum(instance, t, t_end, request.position)
     # Case: cheap window; keep the first half and hand off the lock position.
     if sol.cost <= 2 * k / request.epsilon:
         t_prime = t + request.window // 2 + 1

@@ -4,14 +4,15 @@
 every candidate stream set with ``anchored_streams`` and scores it with the
 sorted ``assignment_cost``.  ``oracle_min_cost_bijection`` does not use the
 sorted assignment at all.  Both are test-only, so scipy and numpy are test
-dependencies, not runtime ones.
+dependencies, not runtime ones.  ``oracle_windowed_cost`` checks the rolling
+windows by simulating every process/wait sequence.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterator, Optional, Tuple
 
 from locksched.arrivals import MatchingInstance
@@ -23,6 +24,7 @@ from locksched.matching import (
     assignment_cost,
     matching_points,
 )
+from locksched.schedule import Action, Direction, PeriodicInstance, arrival_at, simulate
 
 
 class OracleSizeError(ValueError):
@@ -135,3 +137,27 @@ def oracle_min_cost_bijection(
         rows, cols = linear_sum_assignment(cost_matrix)
         return Fraction(int(cost_matrix[rows, cols].sum()), den)
     raise ValueError(f"unknown oracle mode {mode!r}")
+
+
+def oracle_windowed_cost(instance: PeriodicInstance, t_start: int, t_end: int, entry: Direction) -> int:
+    """Minimum simulated waiting in [t_start, t_end], queues empty at t_start,
+    over all 2^n process/wait sequences from lock position ``entry``
+    (n <= 10).  Unlike the DP, waits may repeat freely."""
+    n = t_end - t_start + 1
+    if not 1 <= n <= 10:
+        raise OracleSizeError(f"window oracle limited to 1 <= n <= 10 periods, got {n}")
+    best: Optional[int] = None
+    for processes in product((False, True), repeat=n):
+        alignment = entry
+        actions = []
+        for process in processes:
+            if process:
+                actions.append(Action.process(alignment))
+                alignment = alignment.flip()
+            else:
+                actions.append(Action.WAIT)
+        run = simulate(lambda u: arrival_at(instance, t_start + u - 1), actions, n, initial_alignment=entry)
+        if best is None or run.total_wait < best:
+            best = run.total_wait
+    assert best is not None
+    return best

@@ -100,6 +100,23 @@ def test_minute_of_day_is_one_based():
     assert ds.records[0].minute_of_day == 1
 
 
+def test_minutes_for_matches_full_scan():
+    # Four days with the middle one empty, arrivals at 00:00 and 23:59.
+    text = ["timestamp,direction"]
+    for day in ("2019-01-02", "2019-01-03", "2019-01-05"):
+        for clock, direction in (("00:00", "D"), ("23:59", "U"), ("12:30", "D"), ("23:59", "D"), ("00:00", "U")):
+            text.append(f"{day}T{clock}:00,{direction}")
+    ds = _parse("\n".join(text) + "\n")
+    for offset in range(6):
+        day = date(2019, 1, 1 + offset)
+        for direction in Direction:
+            expected = [r.minute_of_day for r in ds.records if r.day == day and r.direction is direction]
+            assert ds.minutes_for(day, direction) == expected
+    assert ds.minutes_for(date(2019, 1, 4), Direction.DOWN) == []
+    assert ds.minutes_for(date(2019, 1, 5), Direction.DOWN) == [1, 751, 1440]
+    assert ds.minutes_for(date(2019, 1, 5), Direction.UP) == [1, 1440]
+
+
 def test_extract_instance_prefix_selection():
     """First min(n, available) arrivals; T is the last selected minute."""
     recs = tuple(

@@ -73,6 +73,15 @@ def test_rolling_command_emits_json_lines(tmp_path, capsys):
         assert cur["start"] == prev["next_start"]
 
 
+@pytest.mark.parametrize("flag", ["--chunks", "--window"])
+def test_rolling_command_rejects_zero(tmp_path, capsys, flag):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"streams": [{"direction": "D", "lambda": 2, "mu": 1}]}))
+    code = main(["rolling", "--instance", str(inst), "--epsilon", "1.0", flag, "0"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_policy_command(capsys):
     code = main(["policy", "two-stream", "--lambda-d", "2", "--lambda-u", "4",
                  "--mu-d", "1", "--mu-u", "2", "--t", "1"])
@@ -91,6 +100,25 @@ def test_evaluate_command(arrivals_csv, capsys):
 
 def test_evaluate_realized_requires_schedule(arrivals_csv):
     assert main(["evaluate", "--arrivals", str(arrivals_csv), "--policies", "realized"]) == 1
+
+
+def test_evaluate_best_of_two_reports_up_first_run(tmp_path, capsys):
+    # One upstream vessel in period 1: starting aligned Down, both FIFO
+    # variants spend period 1 on an empty Down lockage, so it waits one
+    # period (21 minutes); starting aligned Up serves it on arrival.
+    arrivals = tmp_path / "arrivals.csv"
+    arrivals.write_text("timestamp,direction\n2019-01-02T00:00:00,U\n")
+    args = ["evaluate", "--arrivals", str(arrivals), "--policies", "fifo,advfifo"]
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "2019-01-02,fifo,21.00",
+        "2019-01-02,advfifo,21.00",
+    ]
+    assert main(args + ["--best-of-two"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "2019-01-02,fifo,0.00",
+        "2019-01-02,advfifo,0.00",
+    ]
 
 
 def test_experiment_command(arrivals_csv, tmp_path):

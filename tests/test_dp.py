@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locksched.dp import (
     ALL_STATES,
@@ -156,3 +158,48 @@ def test_result_json_shape():
     assert d["mode"] == CANONICAL
     assert d["avg_cost"] == {"num": 0, "den": 1}
     assert len(d["schedule"]["actions"]) == d["schedule"]["period"]
+
+
+# Paper-literal solve() results: (streams as direction lambda/mu, avg_cost,
+# initial_state, actions, initial_alignment).  No other test checks this
+# convention's schedules, only its transition costs.
+PAPER_LITERAL_RECORDED = [
+    ('U2/1 U6/6', '1/6', '(U,0,0)', 'DUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDU', 'D'),
+    ('D5/3 U5/5 D1/1', '7/10', '(D,0,0)', 'UDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUD', 'U'),
+    ('D6/5 U2/1 U3/2', '1/3', '(U,0,0)', 'DUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDU', 'D'),
+    ('D6/3', '0/1', '(D,0,0)', 'UDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUD', 'U'),
+    ('U3/1 U3/2', '1/3', '(D,0,0)', 'UDUDUDUDUDUDUDUDUDUDUDUD', 'U'),
+    ('D3/1', '0/1', '(D,0,1)', 'UDWUDWUDWUDWUDWUDWUDWUDW', 'U'),
+    ('D3/1 U3/3', '0/1', '(D,0,1)', 'UDWUDWUDWUDWUDWUDWUDWUDW', 'U'),
+    ('D6/3 D2/1 D2/1', '0/1', '(D,0,0)', 'UDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUD', 'U'),
+    ('D6/3 D2/1', '0/1', '(D,0,0)', 'UDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUD', 'U'),
+    ('U2/2 U4/4', '0/1', '(D,0,0)', 'UDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUD', 'U'),
+    ('U1/1', '1/2', '(D,0,0)', 'UDUDUDUD', 'U'),
+    ('U2/1 D4/2', '0/1', '(U,0,0)', 'DUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDU', 'D'),
+    ('D2/2 D3/3', '1/6', '(U,0,0)', 'DUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDU', 'D'),
+    ('U5/1 D1/1 D5/2', '7/10', '(D,0,0)', 'UDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUD', 'U'),
+    ('D2/1', '0/1', '(D,0,0)', 'UDUDUDUDUDUDUDUD', 'U'),
+    ('D1/1 D1/1 D1/1', '3/2', '(D,0,0)', 'UDUDUDUD', 'U'),
+    ('D6/5', '0/1', '(D,0,0)', 'UDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUD', 'U'),
+    ('D6/4', '0/1', '(D,0,1)', 'UWDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDW', 'U'),
+    ('U4/3', '0/1', '(D,1,0)', 'WDWUDUDUDUDUDUDUDUDUDUDUDUDUDUDU', 'D'),
+    ('U3/1', '0/1', '(U,0,1)', 'DUWDUWDUWDUWDUWDUWDUWDUW', 'D'),
+    ('U3/3', '0/1', '(D,0,0)', 'UWDUWDUWDUWDUWDUWDUWDUWD', 'U'),
+    ('U5/1', '0/1', '(U,0,0)', 'DUWDUDUWDUDUWDUDUWDUDUWDUDUWDUDUWDUDUWDU', 'D'),
+    ('U5/5', '0/1', '(D,0,0)', 'UWDUDUWDUDUWDUDUWDUDUWDUDUWDUDUWDUDUWDUD', 'U'),
+    ('U3/2 U2/2', '1/6', '(D,0,0)', 'UDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUDUD', 'U'),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PAPER_LITERAL_RECORDED), st.data())
+def test_paper_literal_solve_matches_recorded(record, data):
+    streams, avg, initial_state, actions, initial_alignment = record
+    specs = [(Direction(s[0]), *map(int, s[1:].split("/"))) for s in streams.split()]
+    # The arrival pattern, and so the result, does not depend on stream order.
+    result = solve(_inst(*data.draw(st.permutations(specs))), mode=PAPER_LITERAL)
+    assert result.avg_cost == Fraction(avg)
+    assert result.total_cost == result.avg_cost * result.period
+    assert str(result.initial_state) == initial_state
+    assert "".join(a.value for a in result.schedule.actions) == actions
+    assert result.schedule.initial_alignment.value == initial_alignment

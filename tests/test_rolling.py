@@ -2,6 +2,9 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import oracle_windowed_cost
 
 from locksched.rolling import (
     CASE_CHEAP,
@@ -86,6 +89,29 @@ def test_windowed_optimum_matches_simulation():
             initial_alignment=sol.entry_alignment,
         )
         assert res.total_wait == sol.cost
+
+
+@st.composite
+def _small_instances(draw):
+    specs = []
+    for _ in range(draw(st.integers(1, 3))):
+        lam = draw(st.integers(1, 8))
+        specs.append((draw(st.sampled_from(Direction)), lam, draw(st.integers(1, lam))))
+    return _inst(*specs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_instances(), st.integers(1, 20), st.integers(1, 10))
+def test_windowed_optimum_equals_exhaustive_oracle(inst, t_start, n):
+    t_end = t_start + n - 1
+    costs = {}
+    for entry in Direction:
+        costs[entry] = oracle_windowed_cost(inst, t_start, t_end, entry)
+        assert windowed_optimum(inst, t_start, t_end, entry).cost == costs[entry]
+    # A free entry takes DOWN unless UP is strictly cheaper.
+    expected = Direction.UP if costs[Direction.UP] < costs[Direction.DOWN] else Direction.DOWN
+    free = windowed_optimum(inst, t_start, t_end)
+    assert (free.cost, free.entry_alignment) == (costs[expected], expected)
 
 
 def test_windowed_optimum_cap():
