@@ -3,8 +3,12 @@
 The search space is the cyclic single-wait schedules of period T = 8 * Lambda
 (Lambda = hyper-period of the arrivals).  A lock state records the current
 alignment plus the 0/1 wait counters of both sides since their last service,
-giving 8 states; the table is solved once per candidate initial state with a
-cyclic wrap-around term.
+giving 8 states.  Costs repeat every Lambda periods, so ``solve`` runs the
+lane over one hyper-period from each of the 8 states to get a Lambda-step
+transfer matrix, takes min-plus powers of it for the whole horizon (the
+transfer-matrix view of the cyclic optimum, as in Karp 1978), closes the
+cycle with a wrap-around term, and re-runs only the winning lane to rebuild
+the schedule.
 
 Two transition-cost conventions are provided.  The canonical convention
 weights an arrival i periods before its service by i (so arrivals served in
@@ -22,7 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, cycle, islice
+from operator import add
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .schedule import (
@@ -31,6 +36,7 @@ from .schedule import (
     PeriodicInstance,
     Schedule,
     arrival_at,
+    arrival_pattern,
     cyclic_average,
     lcm_period,
 )
@@ -180,11 +186,6 @@ def path_actions(path: Sequence[int]) -> Tuple[Action, ...]:
     return tuple(actions)
 
 
-def _pattern(instance: PeriodicInstance) -> List[Tuple[int, int]]:
-    """Per-period (down, up) arrival counts over one hyper-period."""
-    return [arrival_at(instance, t) for t in range(1, lcm_period(instance) + 1)]
-
-
 def _cyclic(pattern: List[Tuple[int, int]]) -> ArrivalFn:
     return lambda t: pattern[(t - 1) % len(pattern)]
 
@@ -197,8 +198,15 @@ def transition_cost(
         raise ValueError(f"unknown mode {mode!r}")
     if prev not in predecessors(state):
         raise ValueError(f"{prev} is not a predecessor of {state}")
-    costs = slot_costs(_cyclic(_pattern(instance)), t, _SHIFT[mode])
+    lam = lcm_period(instance)
+    costs = slot_costs(lambda u: arrival_at(instance, (u - 1) % lam + 1), t, _SHIFT[mode])
     return _cost(costs, _slot(prev, state))
+
+
+def _min_plus(x: List[List[float]], y: List[List[float]]) -> List[List[float]]:
+    """Min-plus matrix product: entry (i, j) is min over k of x[i][k] + y[k][j]."""
+    columns = list(zip(*y))
+    return [[min(map(add, row, col)) for col in columns] for row in x]
 
 
 @dataclass(frozen=True)
@@ -217,7 +225,7 @@ def solve(
     """Minimum long-run average waiting time and an achieving cyclic schedule."""
     if mode not in _SHIFT:
         raise ValueError(f"unknown mode {mode!r}")
-    pattern = _pattern(instance)
+    pattern = arrival_pattern(instance)
     lam = len(pattern)
     T = 8 * lam
     if T > period_cap:
@@ -226,12 +234,24 @@ def solve(
     # step through t = 2..T; the wrap-around step S -> S0 is at t = 1 again.
     arrivals = _cyclic(pattern)
     phase_costs = [slot_costs(arrivals, t, _SHIFT[mode]) for t in range(1, lam + 1)]
-    steps = [phase_costs[(t - 1) % lam] for t in range(2, T + 1)]
     wrap = phase_costs[0]
+
+    # Min-plus transfer matrices: A covers t = 2..Lambda from each start, B is
+    # the phase-1 step.  The 8*Lambda - 1 steps t = 2..T are A (B A)^7, so
+    # lane s0 ends at row s0 of M^7 A with M = A B.
+    a = [lane(s_id, phase_costs[1:])[0] for s_id in range(8)]
+    b = [[_INF] * 8 for _ in range(8)]
+    for s_id, p_id, slot in _TRANSITIONS:
+        b[p_id][s_id] = _cost(wrap, slot)
+    m = _min_plus(a, b)
+    m2 = _min_plus(m, m)
+    m4 = _min_plus(m2, m2)
+    m7 = _min_plus(_min_plus(m4, m2), m)
+    lanes = _min_plus(m7, a)
 
     best: Optional[Tuple[int, int, int]] = None  # (total, s0_id, s_final_id)
     for s0_id in range(8):
-        values, _ = lane(s0_id, steps)
+        values = lanes[s0_id]
         for s_id, p_id, slot in _TRANSITIONS:
             if s_id != s0_id or values[p_id] == _INF:
                 continue
@@ -241,9 +261,9 @@ def solve(
     assert best is not None, "DP found no feasible cyclic schedule"
     total, s0_id, final_id = best
 
-    # Re-run the winning lane with backpointers and rebuild the state path;
-    # the path's last state is the cyclic predecessor of its first.
-    _, back = lane(s0_id, steps, keep_back=True)
+    # Run the winning lane with backpointers and rebuild the state path; the
+    # path's last state is the cyclic predecessor of its first.
+    _, back = lane(s0_id, islice(cycle(phase_costs), 1, T), keep_back=True)
     assert back is not None
     path = lane_path(back, final_id)
     assert path[0] == s0_id
@@ -286,7 +306,7 @@ def brute_force_optimal(instance: PeriodicInstance, period: int) -> Fraction:
         raise ValueError(f"period must be >= 1, got {period}")
     if period > 14:
         raise BruteForcePeriodError(f"period {period} too large for 2^p enumeration")
-    pattern = _pattern(instance)
+    pattern = arrival_pattern(instance)
     lam = len(pattern)
     a_d = [p[0] for p in pattern]
     a_u = [p[1] for p in pattern]

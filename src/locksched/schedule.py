@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
 
 class Direction(Enum):
@@ -97,6 +97,11 @@ def lcm_period(instance: PeriodicInstance) -> int:
     return math.lcm(*(s.lam for s in instance.streams))
 
 
+def arrival_pattern(instance: PeriodicInstance) -> List[Tuple[int, int]]:
+    """Per-period (down, up) arrival counts over one hyper-period."""
+    return [arrival_at(instance, t) for t in range(1, lcm_period(instance) + 1)]
+
+
 @dataclass(frozen=True)
 class Schedule:
     """A finite action sequence interpreted cyclically."""
@@ -177,47 +182,42 @@ def simulate(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     arrive = _arrival_fn(arrivals)
     if isinstance(actions, Schedule):
-        action_at = actions.action_at
+        # One period of sides, replayed cyclically.
+        sides = [a.processes for a in actions.actions]
         alignment = actions.initial_alignment if initial_alignment is None else initial_alignment
     else:
         if len(actions) < horizon:
             raise ValueError(f"action sequence of length {len(actions)} does not cover horizon {horizon}")
-        seq = list(actions)
-
-        def action_at(t: int) -> Action:
-            return seq[t - 1]
-
+        sides = [a.processes for a in actions]
         alignment = initial_alignment
         if alignment is None:
-            alignment = next((a.processes for a in seq if a.processes is not None), Direction.DOWN)
+            alignment = next((side for side in sides if side is not None), Direction.DOWN)
+    period = len(sides)
 
     n_d = n_u = 0
-    total = 0
     n_arrivals = 0
     costs = []
     for t in range(1, horizon + 1):
         a_d, a_u = arrive(t)
         n_arrivals += a_d + a_u
-        action = action_at(t)
-        side = action.processes
+        side = sides[(t - 1) % period]
         if side is None:
             n_d += a_d
             n_u += a_u
+        elif side is not alignment:
+            raise InfeasibleScheduleError(
+                f"period {t}: action processes {side.value} but lock is aligned {alignment.value}"
+            )
+        elif side is Direction.DOWN:
+            alignment = Direction.UP
+            n_d = 0
+            n_u += a_u
         else:
-            if side is not alignment:
-                raise InfeasibleScheduleError(
-                    f"period {t}: action processes {side.value} but lock is aligned {alignment.value}"
-                )
-            alignment = alignment.flip()
-            if side is Direction.DOWN:
-                n_d = 0
-                n_u += a_u
-            else:
-                n_u = 0
-                n_d += a_d
-        cost = n_d + n_u
-        costs.append(cost)
-        total += cost
+            alignment = Direction.DOWN
+            n_u = 0
+            n_d += a_d
+        costs.append(n_d + n_u)
+    total = sum(costs)
     per_vessel = Fraction(total, n_arrivals) if n_arrivals else Fraction(0)
     return SimulationResult(
         horizon=horizon,
@@ -234,10 +234,16 @@ def cyclic_average(instance: PeriodicInstance, schedule: Schedule) -> Fraction:
 
     Simulates two joint cycles of the arrival pattern and the schedule and
     measures the second, by which point the queues have reached the cyclic
-    regime (every side served at least once in the warm-up cycle).
+    regime (every side served at least once in the warm-up cycle).  Raises
+    ValueError for an all-wait schedule: every instance has arrivals, so its
+    queues grow without bound.
     """
-    cycle = math.lcm(lcm_period(instance), schedule.period)
-    result = simulate(lambda t: arrival_at(instance, t), schedule, 2 * cycle)
+    if all(a is Action.WAIT for a in schedule.actions):
+        raise ValueError("an all-wait schedule never serves a vessel; its average waiting cost is unbounded")
+    pattern = arrival_pattern(instance)
+    lam = len(pattern)
+    cycle = math.lcm(lam, schedule.period)
+    result = simulate(lambda t: pattern[(t - 1) % lam], schedule, 2 * cycle)
     second = sum(result.per_period_cost[cycle:])
     return Fraction(second, cycle)
 

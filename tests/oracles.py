@@ -5,7 +5,9 @@ every candidate stream set with ``anchored_streams`` and scores it with the
 sorted ``assignment_cost``.  ``oracle_min_cost_bijection`` does not use the
 sorted assignment at all.  Both are test-only, so scipy and numpy are test
 dependencies, not runtime ones.  ``oracle_windowed_cost`` checks the rolling
-windows by simulating every process/wait sequence.
+windows by simulating every process/wait sequence.  ``reference_solve`` is the
+cyclic DP as nine lanes over the whole horizon, which the min-plus
+``dp.solve`` must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -16,6 +18,22 @@ from itertools import permutations, product
 from typing import Iterator, Optional, Tuple
 
 from locksched.arrivals import MatchingInstance
+from locksched.dp import (
+    _INF,
+    _SHIFT,
+    _TRANSITIONS,
+    ALL_STATES,
+    CANONICAL,
+    DEFAULT_PERIOD_CAP,
+    OptimalResult,
+    PeriodCapExceededError,
+    _cost,
+    _cyclic,
+    lane,
+    lane_path,
+    path_actions,
+    slot_costs,
+)
 from locksched.matching import (
     CountMismatchError,
     MatchingSolution,
@@ -24,7 +42,16 @@ from locksched.matching import (
     assignment_cost,
     matching_points,
 )
-from locksched.schedule import Action, Direction, PeriodicInstance, arrival_at, simulate
+from locksched.schedule import (
+    Action,
+    Direction,
+    PeriodicInstance,
+    Schedule,
+    arrival_at,
+    arrival_pattern,
+    cyclic_average,
+    simulate,
+)
 
 
 class OracleSizeError(ValueError):
@@ -161,3 +188,62 @@ def oracle_windowed_cost(instance: PeriodicInstance, t_start: int, t_end: int, e
             best = run.total_wait
     assert best is not None
     return best
+
+
+def reference_solve(
+    instance: PeriodicInstance, mode: str = CANONICAL, period_cap: int = DEFAULT_PERIOD_CAP
+) -> OptimalResult:
+    """The nine-lane ``solve``: eight full lanes of 8 * Lambda - 1 steps, one
+    per initial state, then the winning lane again with backpointers."""
+    if mode not in _SHIFT:
+        raise ValueError(f"unknown mode {mode!r}")
+    pattern = arrival_pattern(instance)
+    lam = len(pattern)
+    T = 8 * lam
+    if T > period_cap:
+        raise PeriodCapExceededError(T, period_cap)
+    # Costs depend on t only through t mod Lambda.  Lanes start at t = 1 and
+    # step through t = 2..T; the wrap-around step S -> S0 is at t = 1 again.
+    arrivals = _cyclic(pattern)
+    phase_costs = [slot_costs(arrivals, t, _SHIFT[mode]) for t in range(1, lam + 1)]
+    steps = [phase_costs[(t - 1) % lam] for t in range(2, T + 1)]
+    wrap = phase_costs[0]
+
+    best: Optional[Tuple[int, int, int]] = None  # (total, s0_id, s_final_id)
+    for s0_id in range(8):
+        values, _ = lane(s0_id, steps)
+        for s_id, p_id, slot in _TRANSITIONS:
+            if s_id != s0_id or values[p_id] == _INF:
+                continue
+            total = int(values[p_id]) + _cost(wrap, slot)
+            if best is None or total < best[0]:
+                best = (total, s0_id, p_id)
+    assert best is not None, "DP found no feasible cyclic schedule"
+    total, s0_id, final_id = best
+
+    # Re-run the winning lane with backpointers and rebuild the state path;
+    # the path's last state is the cyclic predecessor of its first.
+    _, back = lane(s0_id, steps, keep_back=True)
+    assert back is not None
+    path = lane_path(back, final_id)
+    assert path[0] == s0_id
+    actions = path_actions(path[-1:] + path)
+    first = actions[0]
+    initial_alignment = first.processes if first.processes is not None else ALL_STATES[s0_id].alignment
+    schedule = Schedule(actions=actions, initial_alignment=initial_alignment)
+
+    avg = Fraction(total, T)
+    if mode == CANONICAL:
+        simulated = cyclic_average(instance, schedule)
+        if simulated != avg:
+            raise AssertionError(
+                f"reconstructed schedule simulates to {simulated}, DP value is {avg}"
+            )
+    return OptimalResult(
+        avg_cost=avg,
+        total_cost=total,
+        period=T,
+        schedule=schedule,
+        initial_state=ALL_STATES[s0_id],
+        mode=mode,
+    )

@@ -1,7 +1,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from oracles import reference_solve
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from locksched.dp import (
@@ -14,6 +15,7 @@ from locksched.dp import (
     brute_force_optimal,
     predecessors,
     result_to_json_dict,
+    slot_costs,
     solve,
     transition_cost,
 )
@@ -21,8 +23,10 @@ from locksched.schedule import (
     Direction,
     PeriodicInstance,
     StreamSpec,
+    arrival_pattern,
     cyclic_average,
     is_feasible,
+    lcm_period,
 )
 
 
@@ -70,6 +74,23 @@ def test_transition_cost_rejects_non_predecessor():
     inst = _inst((Direction.DOWN, 2, 1))
     with pytest.raises(ValueError):
         transition_cost(inst, 2, LockState(Direction.DOWN, 0, 0), LockState(Direction.DOWN, 0, 0))
+
+
+def test_transition_cost_matches_full_pattern_at_large_lcm():
+    inst = _inst((Direction.DOWN, 5, 3), (Direction.DOWN, 7, 4), (Direction.UP, 11, 7), (Direction.UP, 13, 2))
+    pattern = arrival_pattern(inst)
+    lam = len(pattern)
+    assert lam == 5005
+    cyclic = lambda t: pattern[(t - 1) % lam]  # noqa: E731
+    for mode, shift in ((CANONICAL, 0), (PAPER_LITERAL, 1)):
+        for t in (1, 2, 3, 4, 7, 2503, lam - 1, lam, lam + 1, lam + 3, 3 * lam + 2):
+            costs = slot_costs(cyclic, t, shift)
+            for state in ALL_STATES:
+                for prev in predecessors(state):
+                    expected = costs[3 * (prev.alignment is Direction.UP) + prev.own_waits + prev.other_waits]
+                    if state.own_waits > 0:
+                        expected = 0
+                    assert transition_cost(inst, t, prev, state, mode=mode) == expected
 
 
 def test_paper_literal_window_is_shifted():
@@ -203,3 +224,43 @@ def test_paper_literal_solve_matches_recorded(record, data):
     assert str(result.initial_state) == initial_state
     assert "".join(a.value for a in result.schedule.actions) == actions
     assert result.schedule.initial_alignment.value == initial_alignment
+
+
+def _assert_same_result(result, reference):
+    assert result.avg_cost == reference.avg_cost
+    assert result.total_cost == reference.total_cost
+    assert result.period == reference.period
+    assert "".join(a.value for a in result.schedule.actions) == "".join(a.value for a in reference.schedule.actions)
+    assert result.schedule.initial_alignment is reference.schedule.initial_alignment
+    assert result.initial_state == reference.initial_state
+    assert result.mode == reference.mode
+
+
+_streams = st.lists(
+    st.integers(1, 14).flatmap(
+        lambda lam: st.tuples(st.sampled_from(list(Direction)), st.just(lam), st.integers(1, lam))
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_streams, st.sampled_from([CANONICAL, PAPER_LITERAL]))
+def test_solve_equals_nine_lane_reference(specs, mode):
+    inst = _inst(*specs)
+    # Keep each example cheap; lambda <= 14 alone allows lcm up to 18018.
+    assume(lcm_period(inst) <= 840)
+    _assert_same_result(solve(inst, mode), reference_solve(inst, mode))
+
+
+@pytest.mark.parametrize("mode", [CANONICAL, PAPER_LITERAL])
+def test_solve_equals_nine_lane_reference_fixed(mode):
+    for specs in [
+        ((Direction.UP, 1, 1),),  # Lambda = 1
+        ((Direction.DOWN, 1, 1), (Direction.UP, 1, 1)),
+        # The benchmark's Lambda = 693 instance.
+        ((Direction.DOWN, 7, 3), (Direction.DOWN, 9, 4), (Direction.UP, 11, 7)),
+    ]:
+        inst = _inst(*specs)
+        _assert_same_result(solve(inst, mode), reference_solve(inst, mode))

@@ -121,6 +121,37 @@ def test_cyclic_average_steady_state():
     assert cyclic_average(inst, Schedule((U, D), Direction.UP)) == 1
 
 
+def test_simulate_schedule_misaligned_on_second_cycle():
+    # (D, U, D) closes on UP, so the second cycle's first D is misaligned.
+    sched = Schedule((D, U, D), Direction.DOWN)
+    with pytest.raises(InfeasibleScheduleError, match="period 4:"):
+        simulate([(0, 0)] * 6, sched, 6)
+
+
+def test_simulate_initial_alignment_overrides_schedule():
+    sched = Schedule((U, D), Direction.DOWN)
+    with pytest.raises(InfeasibleScheduleError, match="period 1:"):
+        simulate([(1, 1)], sched, 4)
+    result = simulate([(1, 1)], sched, 4, initial_alignment=Direction.UP)
+    assert result.per_period_cost == (1, 0, 0, 0)
+
+
+def test_simulate_schedule_partial_cycle_matches_per_step_replay():
+    inst = _inst((Direction.DOWN, 3, 1), (Direction.UP, 4, 2))
+    sched = Schedule((W, D, U, D, W, U, W), Direction.DOWN)
+    horizon = 3 * sched.period + 4
+    cyclic = simulate(lambda t: arrival_at(inst, t), sched, horizon)
+    steps = [sched.action_at(t) for t in range(1, horizon + 1)]
+    replay = simulate(lambda t: arrival_at(inst, t), steps, horizon, initial_alignment=Direction.DOWN)
+    assert cyclic.per_period_cost == replay.per_period_cost
+    assert cyclic == replay
+
+
+def test_cyclic_average_rejects_all_wait_schedule():
+    with pytest.raises(ValueError, match="all-wait"):
+        cyclic_average(_inst((Direction.DOWN, 2, 1)), Schedule((W, W), Direction.DOWN))
+
+
 def test_schedule_json_round_trip():
     sched = Schedule((D, W, U), Direction.DOWN)
     assert schedule_from_json(schedule_to_json(sched)) == sched
