@@ -19,8 +19,8 @@ from .experiment import (
     DAY_MINUTES,
     ExperimentConfig,
     fit_report_csv,
+    run_experiment,
     run_fit_experiment,
-    run_schedule_experiment,
     schedule_report_csv,
     synth_dataset,
 )
@@ -167,11 +167,9 @@ def cmd_experiment(args) -> int:
     dataset = _load_dataset(args.arrivals)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fit_rows, fit_skipped = run_fit_experiment(dataset, config)
+    fit_rows, sched_rows, skipped = run_experiment(dataset, config)
     (out_dir / "fit.csv").write_text(fit_report_csv(fit_rows), encoding="utf-8")
-    sched_rows, sched_skipped = run_schedule_experiment(dataset, config)
     (out_dir / "schedule.csv").write_text(schedule_report_csv(sched_rows), encoding="utf-8")
-    skipped = fit_skipped + sched_skipped
     if skipped:
         print(f"warning: {skipped} per-instance computations skipped", file=sys.stderr)
     return 2 if skipped else 0

@@ -15,6 +15,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from fractions import Fraction
+from functools import partial
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arrivals import (
@@ -38,6 +40,7 @@ from .schedule import (
 )
 
 DAY_MINUTES = 1440
+DIRECTIONS = (Direction.DOWN, Direction.UP)
 
 FIT_HEADER = ("k", "n", "Runtime", "Fit")
 SCHEDULE_HEADER = ("k", "n", "periodicOpt", "alternating", "FIFO", "advFIFO", "realisedPeriodic")
@@ -56,6 +59,10 @@ class ExperimentConfig:
             raise ValueError("k and n value lists must be non-empty")
         if self.period_minutes < 1:
             raise ValueError("period_minutes must be >= 1")
+        if self.dp_cap < 1:
+            raise ValueError(f"dp_cap must be >= 1, got {self.dp_cap}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
 def _round_half_up(x: Fraction) -> int:
@@ -144,20 +151,82 @@ def fit_day_direction(
     return FitResult(day=day, direction=direction, instance=instance, solution=solution, runtime_seconds=elapsed)
 
 
-def _map_ordered(jobs: int, fn, tasks):
+_dataset: Optional[ArrivalDataset] = None  # a pool worker's copy of the dataset
+
+
+def _share_dataset(dataset: ArrivalDataset) -> None:
+    global _dataset
+    _dataset = dataset
+
+
+def _on_shared_dataset(fn, task):
+    return fn(_dataset, task)
+
+
+def _map_ordered(jobs: int, fn, dataset: ArrivalDataset, tasks):
+    """``fn(dataset, task)`` for each task, in order.
+
+    With more than one job the tasks run in a process pool whose workers
+    each receive the dataset once, rather than with every task.
+    """
     if jobs <= 1:
-        return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks))
+        return [fn(dataset, task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_share_dataset, initargs=(dataset,)) as pool:
+        return list(pool.map(partial(_on_shared_dataset, fn), tasks))
 
 
-def _fit_task(args):
-    dataset, day, direction, k, n = args
+def _fit_task(dataset: ArrivalDataset, task) -> Optional[FitResult]:
+    k, n, day, direction = task
     try:
-        fit = fit_day_direction(dataset, day, direction, k, n)
+        return fit_day_direction(dataset, day, direction, k, n)
     except NoArrivalsError:
         return None
-    return fit.runtime_seconds, float(fit.solution.cost / fit.instance.n)
+
+
+def _fit_all(
+    dataset: ArrivalDataset, config: ExperimentConfig
+) -> Dict[Tuple[int, int, date, Direction], Optional[FitResult]]:
+    """The fit of every (k, n, day, direction), mapping all fits over one pool.
+
+    Cells whose n reaches past the day's arrivals in a direction hold the
+    same instance, so each distinct instance is fitted once and shared.  A
+    fit is None when the day has no arrivals in that direction.
+    """
+    cells = {
+        (k, n, day, direction): (k, min(n, len(dataset.minutes_for(day, direction)) or 1), day, direction)
+        for k in config.k_values
+        for n in config.n_values
+        for day in dataset.days()
+        for direction in DIRECTIONS
+    }
+    tasks = list(dict.fromkeys(cells.values()))
+    done = dict(zip(tasks, _map_ordered(config.jobs, _fit_task, dataset, tasks)))
+    return {cell: done[task] for cell, task in cells.items()}
+
+
+def _fit_rows(
+    dataset: ArrivalDataset,
+    config: ExperimentConfig,
+    fits: Dict[Tuple[int, int, date, Direction], Optional[FitResult]],
+) -> Tuple[List[FitRow], int]:
+    rows = []
+    skipped = 0
+    days = dataset.days()
+    for k in config.k_values:
+        for n in config.n_values:
+            outcomes = [fits[k, n, day, direction] for day in days for direction in DIRECTIONS]
+            done = [fit for fit in outcomes if fit is not None]
+            skipped += len(outcomes) - len(done)
+            if done:
+                rows.append(
+                    FitRow(
+                        k=k,
+                        n=n,
+                        runtime_seconds=sum(fit.runtime_seconds for fit in done) / len(done),
+                        fit_minutes=sum(float(fit.solution.cost / fit.instance.n) for fit in done) / len(done),
+                    )
+                )
+    return rows, skipped
 
 
 def run_fit_experiment(
@@ -168,29 +237,7 @@ def run_fit_experiment(
     Returns the report rows and the number of skipped instances (days with
     no arrivals in a direction).
     """
-    rows = []
-    skipped = 0
-    days = dataset.days()
-    for k in config.k_values:
-        for n in config.n_values:
-            tasks = [
-                (dataset, day, direction, k, n)
-                for day in days
-                for direction in (Direction.DOWN, Direction.UP)
-            ]
-            outcomes = _map_ordered(config.jobs, _fit_task, tasks)
-            skipped += sum(1 for o in outcomes if o is None)
-            done = [o for o in outcomes if o is not None]
-            if done:
-                rows.append(
-                    FitRow(
-                        k=k,
-                        n=n,
-                        runtime_seconds=sum(o[0] for o in done) / len(done),
-                        fit_minutes=sum(o[1] for o in done) / len(done),
-                    )
-                )
-    return rows, skipped
+    return _fit_rows(dataset, config, _fit_all(dataset, config))
 
 
 def _per_vessel_minutes_from_total(total_wait: int, n_arrivals: int, period_minutes: int) -> Fraction:
@@ -223,12 +270,19 @@ def evaluate_day(
     instance; the day is evaluated over ceil(1440 / period_minutes) periods
     with per-vessel waiting converted to minutes.
     """
+    fits = [fit_day_direction(dataset, day, direction, k, n) for direction in DIRECTIONS]
+    return _evaluate_fits(dataset, day, fits, config)
+
+
+def _evaluate_fits(
+    dataset: ArrivalDataset, day: date, fits: Sequence[FitResult], config: ExperimentConfig
+) -> DayEvaluation:
+    """``evaluate_day`` on the day's fits, one per direction in ``DIRECTIONS`` order."""
     period = config.period_minutes
     horizon = -(-DAY_MINUTES // period)
-    tagged: List[Tuple[Direction, Stream]] = []
-    for direction in (Direction.DOWN, Direction.UP):
-        fit = fit_day_direction(dataset, day, direction, k, n)
-        tagged.extend((direction, s) for s in fit.solution.streams.streams)
+    tagged: List[Tuple[Direction, Stream]] = [
+        (fit.direction, s) for fit in fits for s in fit.solution.streams.streams
+    ]
     instance = rescale_streams(tagged, period)
     optimal = dp_solve(instance, period_cap=config.dp_cap)
 
@@ -252,42 +306,78 @@ def evaluate_day(
     )
 
 
-def _eval_task(args):
-    dataset, day, k, n, config = args
-    try:
-        return evaluate_day(dataset, day, k, n, config)
-    except (NoArrivalsError, PeriodCapExceededError):
+def _eval_task(dataset: ArrivalDataset, task) -> Optional[DayEvaluation]:
+    day, fits, config = task
+    if None in fits:
         return None
+    try:
+        return _evaluate_fits(dataset, day, fits, config)
+    except PeriodCapExceededError:
+        return None
+
+
+def _schedule_rows(
+    dataset: ArrivalDataset,
+    config: ExperimentConfig,
+    fits: Dict[Tuple[int, int, date, Direction], Optional[FitResult]],
+) -> Tuple[List[ScheduleRow], int]:
+    rows = []
+    skipped = 0
+    days = dataset.days()
+    cells = [(k, n) for k in config.k_values for n in config.n_values]
+    inputs = [
+        (day, tuple(fits[k, n, day, direction] for direction in DIRECTIONS))
+        for k, n in cells
+        for day in days
+    ]
+    # Cells that share a day's fits share its evaluation.
+    distinct = list(dict.fromkeys(inputs))
+    tasks = [(day, day_fits, config) for day, day_fits in distinct]
+    done = dict(zip(distinct, _map_ordered(config.jobs, _eval_task, dataset, tasks)))
+    outcomes = map(done.__getitem__, inputs)
+    for k, n in cells:
+        evaluations = [o for o in islice(outcomes, len(days)) if o is not None]
+        skipped += len(days) - len(evaluations)
+        if not evaluations:
+            continue
+        m = len(evaluations)
+        rows.append(
+            ScheduleRow(
+                k=k,
+                n=n,
+                periodic_opt=float(sum(e.periodic_opt for e in evaluations) / m),
+                alternating=float(sum(e.alternating for e in evaluations) / m),
+                fifo=float(sum(e.fifo for e in evaluations) / m),
+                adv_fifo=float(sum(e.adv_fifo for e in evaluations) / m),
+                realised_periodic=float(sum(e.realised_periodic for e in evaluations) / m),
+            )
+        )
+    return rows, skipped
 
 
 def run_schedule_experiment(
     dataset: ArrivalDataset, config: ExperimentConfig
 ) -> Tuple[List[ScheduleRow], int]:
-    """Per-(k, n) averages of all policy columns; returns (rows, skipped)."""
-    rows = []
-    skipped = 0
-    days = dataset.days()
-    for k in config.k_values:
-        for n in config.n_values:
-            tasks = [(dataset, day, k, n, config) for day in days]
-            outcomes = _map_ordered(config.jobs, _eval_task, tasks)
-            skipped += sum(1 for o in outcomes if o is None)
-            evaluations = [o for o in outcomes if o is not None]
-            if not evaluations:
-                continue
-            m = len(evaluations)
-            rows.append(
-                ScheduleRow(
-                    k=k,
-                    n=n,
-                    periodic_opt=float(sum(e.periodic_opt for e in evaluations) / m),
-                    alternating=float(sum(e.alternating for e in evaluations) / m),
-                    fifo=float(sum(e.fifo for e in evaluations) / m),
-                    adv_fifo=float(sum(e.adv_fifo for e in evaluations) / m),
-                    realised_periodic=float(sum(e.realised_periodic for e in evaluations) / m),
-                )
-            )
-    return rows, skipped
+    """Per-(k, n) averages of all policy columns; returns (rows, skipped).
+
+    A day is skipped when either direction has no arrivals or the fitted
+    instance's hyper-period exceeds ``config.dp_cap``.
+    """
+    return _schedule_rows(dataset, config, _fit_all(dataset, config))
+
+
+def run_experiment(
+    dataset: ArrivalDataset, config: ExperimentConfig
+) -> Tuple[List[FitRow], List[ScheduleRow], int]:
+    """Both reports from one set of fits, so no cell is fitted twice.
+
+    Returns the rows of ``run_fit_experiment`` and ``run_schedule_experiment``
+    and the sum of their skipped counts.
+    """
+    fits = _fit_all(dataset, config)
+    fit_rows, fit_skipped = _fit_rows(dataset, config, fits)
+    schedule_rows, schedule_skipped = _schedule_rows(dataset, config, fits)
+    return fit_rows, schedule_rows, fit_skipped + schedule_skipped
 
 
 def fit_report_csv(rows: Sequence[FitRow]) -> str:

@@ -1,25 +1,47 @@
 """Exact L1 fitting of anchored periodic streams to irregular arrivals.
 
 All arithmetic is exact: periodicities are rationals T/n_i, so costs are
-Fractions and ties are reproducible.  The solver enumerates vessel-count
+Fractions and ties are reproducible.  The solver searches vessel-count
 compositions and anchor vessels, scoring each candidate with the
 order-preserving (sorted-to-sorted) assignment, which is optimal for a fixed
 stream set.  The search scores candidates in integers: scaled by the lcm of
 a composition's counts, every anchored matching point is whole.
+
+The search is a depth-first branch-and-bound over the anchors.  Every
+matching point pays at least its distance to the nearest arrival, so each
+anchored row carries that sum as a lower bound, and a prefix of anchors (or
+a whole composition) whose bound reaches the best cost so far is pruned.
+Anchors that repeat an earlier anchor's mu give the same row and are
+skipped.  The rows of one count are translates of each other, and moving a
+row's c points by d changes the cost by at most c*d; so once a row of the
+last stream is scored, rows whose mu lies within (cost - best) / c of it are
+skipped too.  ``best_fit`` starts each stream budget's search from the best
+cost of the smaller budgets.  Only candidates that strictly beat the best are
+kept, so the first minimum in visit order wins, as in a full enumeration.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import json
+import logging
 
 from .arrivals import MatchingInstance
 from .schedule import Direction
+
+
+_log = logging.getLogger(__name__)
+
+# An anchored row at scale ``count``: (anchor, first point, lower bound).
+_Rows = List[Tuple[int, int, int]]
+# A search result: (scaled cost, scale, counts, anchors).
+_Found = Tuple[int, int, Tuple[int, ...], Tuple[int, ...]]
 
 
 class CountMismatchError(ValueError):
@@ -127,81 +149,180 @@ def _compositions_nondecreasing(total: int, parts: int, minimum: int = 1) -> Ite
             yield (first,) + rest
 
 
-def _anchored_points(T: int, count: int, scale: int, arrivals: Sequence[int]) -> List[List[int]]:
-    """Matching points of the ``count``-stream anchored at each arrival, times ``scale``.
+def _anchor_rows(T: int, count: int, arrivals: Sequence[int]) -> _Rows:
+    """Each distinct anchored row of the ``count``-stream, at scale ``count``.
 
-    Uses the anchor rule of ``anchored_streams``; ``count`` must divide
-    ``scale`` so that every point is an integer.  Each list is sorted.
+    Uses the anchor rule of ``anchored_streams``.  At scale ``count`` the
+    period is T and every point is whole.  An anchor whose first point (so
+    whose mu) equals an earlier anchor's gives the same row; it is left out,
+    since every candidate using it was already visited with the earlier one.
+    Each kept anchor carries its row's lower bound: the summed distance from
+    each point to the nearest scaled arrival.
     """
-    step = T * (scale // count)
+    target = [t * count for t in arrivals]
+    last = len(target) - 1
+    seen = set()
     rows = []
-    for t in arrivals:
+    for a, t in enumerate(arrivals):
         j = max(-(-t * count // T) - 1, 0)  # largest j with j*lam < t, clamped at 0
-        first = t * scale - j * step
-        rows.append(list(range(first, first + count * step, step)))
+        first = t * count - j * T
+        if first in seen:
+            continue
+        seen.add(first)
+        bound = 0
+        for p in range(first, first + count * T, T):
+            i = bisect_left(target, p)
+            if i > last:
+                bound += p - target[last]
+            elif i and p - target[i - 1] < target[i] - p:
+                bound += p - target[i - 1]
+            else:
+                bound += target[i] - p
+        rows.append((a, first, bound))
     return rows
 
 
-def _least_anchors(
-    tables: Sequence[List[List[int]]], counts: Tuple[int, ...], target: List[int]
-) -> Tuple[int, Tuple[int, ...]]:
-    """Least scaled cost and the first anchor tuple reaching it, in visit order.
+def _search(
+    instance: MatchingInstance,
+    k: int,
+    cache: Dict[int, _Rows],
+    incumbent: Optional[_Found] = None,
+) -> Optional[_Found]:
+    """The first (counts, anchors) of least cost that strictly beats ``incumbent``.
 
-    Anchors are visited lexicographically; within a run of equal counts they
-    are non-decreasing, since swapping equal-count streams gives the same
-    candidate.
+    Returns (scaled cost, scale, counts, anchors), or None when no k-stream
+    candidate costs less than the incumbent.  Compositions and anchors are
+    visited lexicographically, anchors non-decreasing within a run of equal
+    counts (swapping equal-count streams gives the same candidate).  A
+    prefix of anchors is pruned when its rows' bounds plus the least bound of
+    each unplaced stream's count reach the limit: the best cost so far, which
+    a composition takes from earlier ones (or the incumbent) at its own
+    scale, rounded up.  A row of the last stream is also skipped when a
+    scored row of that prefix proves it costs at least the limit (see
+    ``leaf``).  Replacing needs a strictly smaller cost, so pruning keeps the
+    first minimum.  ``cache`` holds ``_anchor_rows`` per count.
     """
-    n = len(target)
-    last = len(counts) - 1
-    best_cost = math.inf
-    best_anchors: Tuple[int, ...] = ()
+    T, arrivals = instance.T, instance.arrival_minutes
+    best = incumbent
+    compositions_pruned = prefixes_pruned = scored = 0
+    for counts in _compositions_nondecreasing(instance.n, k):
+        scale = math.lcm(*counts)
+        limit = math.inf if best is None else -(-best[0] * scale // best[1])
+        for c in counts:
+            if c not in cache:
+                cache[c] = _anchor_rows(T, c, arrivals)
+        least = [min(bound for _, _, bound in cache[c]) * (scale // c) for c in counts]
+        if sum(least) >= limit:
+            compositions_pruned += 1
+            continue
+        rest = [sum(least[i + 1:]) for i in range(k)]
+        table = {}
+        for c in set(counts):
+            m = scale // c
+            step = T * m
+            table[c] = [
+                (a, bound * m, list(range(first * m, first * m + c * step, step)))
+                for a, first, bound in cache[c]
+            ]
+        options = [table[c] for c in counts]
+        target = [t * scale for t in arrivals]
+        last = k - 1
+        found: Tuple[int, ...] = ()
+        # The last stream's rows in the order of their first points.
+        leaves = options[last]
+        c_last, n_leaves = counts[last], len(leaves)
+        by_first = sorted(range(n_leaves), key=lambda q: leaves[q][2][0])
+        firsts = [leaves[q][2][0] for q in by_first]
+        rank = [0] * n_leaves
+        for r, q in enumerate(by_first):
+            rank[q] = r
 
-    def visit(i: int, points: List[int], anchors: Tuple[int, ...]) -> None:
-        nonlocal best_cost, best_anchors
-        start = anchors[-1] if i and counts[i] == counts[i - 1] else 0
-        rows = tables[i]
-        if i < last:
-            for a in range(start, n):
-                visit(i + 1, points + rows[a], anchors + (a,))
-            return
-        for a in range(start, n):
-            pts = points + rows[a]
-            pts.sort()
-            cost = sum(map(abs, map(sub, pts, target)))
-            if cost < best_cost:
-                best_cost, best_anchors = cost, anchors + (a,)
+        def leaf(start: int, partial: int, points: List[int], anchors: Tuple[int, ...]) -> None:
+            nonlocal limit, found, prefixes_pruned, scored
+            dominated = [False] * n_leaves
+            for pos in range(start, n_leaves):
+                a, bound, row = leaves[pos]
+                if dominated[pos] or partial + bound >= limit:
+                    prefixes_pruned += 1
+                    continue
+                scored += 1
+                pts = points + row
+                pts.sort()
+                cost = sum(map(abs, map(sub, pts, target)))
+                if cost < limit:
+                    limit, found = cost, anchors + (a,)
+                    continue
+                # Rows of one count are translates of each other, and moving
+                # a row's c points by d changes the cost by at most c*d.  So
+                # a row whose first point lies within (cost - limit) / c of
+                # this one's costs at least the limit.
+                r = rank[pos]
+                reach = (cost - limit) // c_last
+                up = r + 1
+                while up < n_leaves and firsts[up] - firsts[r] <= reach:
+                    dominated[by_first[up]] = True
+                    up += 1
+                down = r - 1
+                while down >= 0 and firsts[r] - firsts[down] <= reach:
+                    dominated[by_first[down]] = True
+                    down -= 1
 
-    visit(0, [], ())
-    return best_cost, best_anchors
+        def visit(i: int, start: int, partial: int, points: List[int], anchors: Tuple[int, ...]) -> None:
+            nonlocal prefixes_pruned
+            if i == last:
+                return leaf(start, partial, points, anchors)
+            same_run = counts[i + 1] == counts[i]
+            for pos in range(start, len(options[i])):
+                a, bound, row = options[i][pos]
+                lower = partial + bound
+                if lower + rest[i] >= limit:
+                    prefixes_pruned += 1
+                    continue
+                visit(i + 1, pos if same_run else 0, lower, points + row, anchors + (a,))
+
+        visit(0, 0, 0, [], ())
+        # The closure refers to itself; dropping the name frees this
+        # composition's tables now rather than at the next cycle collection.
+        del visit
+        if found:
+            best = (limit, scale, counts, found)
+    _log.debug(
+        "k=%d, n=%d: %d compositions pruned, %d anchor prefixes pruned, %d candidates scored",
+        k, instance.n, compositions_pruned, prefixes_pruned, scored,
+        extra={
+            "compositions_pruned": compositions_pruned,
+            "prefixes_pruned": prefixes_pruned,
+            "candidates_scored": scored,
+        },
+    )
+    return None if best is incumbent else best
+
+
+def _solution(instance: MatchingInstance, found: _Found) -> MatchingSolution:
+    """Build the found candidate with ``Fraction`` arithmetic and check its cost."""
+    cost, scale, counts, anchors = found
+    solution = assignment_cost(instance, anchored_streams(instance, counts, anchors))
+    if solution.cost != Fraction(cost, scale):
+        raise ArithmeticError(
+            f"scaled search cost {cost}/{scale} differs from exact cost {solution.cost}"
+        )
+    return solution
 
 
 def solve_matching(instance: MatchingInstance, k: int) -> MatchingSolution:
-    """Optimal k-stream fit by enumeration of compositions and anchors.
+    """Optimal k-stream fit: branch-and-bound over compositions and anchors.
 
-    The search visits non-decreasing count tuples and, within each, anchor
-    tuples that are non-decreasing over equal counts.  A candidate with
-    counts c is scored in integers scaled by L = lcm(c), where every
-    anchored point is whole; candidates of different compositions compare
-    by cross-multiplying.  Ties break on the first (counts, anchors) visited.
+    A candidate with counts c is scored in integers scaled by L = lcm(c),
+    where every anchored point is whole; the best cost so far is carried to
+    each composition's scale.  Ties break on the first (counts, anchors)
+    visited, as in a full enumeration.
     """
     n = instance.n
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n={n}, got {k}")
-    T, arrivals = instance.T, instance.arrival_minutes
-    best_cost, best_scale, best_counts, best_anchors = 0, 0, (), ()
-    for counts in _compositions_nondecreasing(n, k):
-        scale = math.lcm(*counts)
-        table = {c: _anchored_points(T, c, scale, arrivals) for c in set(counts)}
-        target = [a * scale for a in arrivals]
-        cost, anchors = _least_anchors([table[c] for c in counts], counts, target)
-        if not best_counts or cost * best_scale < best_cost * scale:
-            best_cost, best_scale, best_counts, best_anchors = cost, scale, counts, anchors
-    solution = assignment_cost(instance, anchored_streams(instance, best_counts, best_anchors))
-    if solution.cost != Fraction(best_cost, best_scale):
-        raise ArithmeticError(
-            f"scaled search cost {best_cost}/{best_scale} differs from exact cost {solution.cost}"
-        )
-    return solution
+    found = _search(instance, k, {})
+    assert found is not None
+    return _solution(instance, found)
 
 
 def best_fit(instance: MatchingInstance, k: int) -> MatchingSolution:
@@ -210,18 +331,18 @@ def best_fit(instance: MatchingInstance, k: int) -> MatchingSolution:
     The exactly-k problem is not monotone in k (a perfectly periodic
     3-arrival day fits one stream at cost 0 but any two-stream decomposition
     pays for the mismatched periodicities), so reported fit quality uses the
-    non-increasing envelope over stream budgets 1..k.
+    non-increasing envelope over stream budgets 1..k.  Each budget's search
+    starts from the best cost so far and must beat it strictly, so the first
+    budget reaching the least cost wins.
     """
-    n = instance.n
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    best: Optional[MatchingSolution] = None
-    for j in range(1, min(k, n) + 1):
-        solution = solve_matching(instance, j)
-        if best is None or solution.cost < best.cost:
-            best = solution
+    cache: Dict[int, _Rows] = {}
+    best: Optional[_Found] = None
+    for j in range(1, min(k, instance.n) + 1):
+        best = _search(instance, j, cache, best) or best
     assert best is not None
-    return best
+    return _solution(instance, best)
 
 
 def stream_set_to_json(streams: StreamSet, directions: Optional[Sequence[Direction]] = None) -> str:

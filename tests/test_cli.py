@@ -145,3 +145,37 @@ def test_experiment_rejects_unknown_config_keys(arrivals_csv, tmp_path, capsys):
     assert code == 1
     assert "unknown --config keys: n_vals, sead" in capsys.readouterr().err
     assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--jobs", "0", "jobs must be >= 1, got 0"),
+     ("--jobs", "-3", "jobs must be >= 1, got -3"),
+     ("--dp-cap", "0", "dp_cap must be >= 1, got 0")],
+)
+def test_experiment_rejects_non_positive_jobs_and_dp_cap(arrivals_csv, tmp_path, capsys, flag, value, message):
+    out_dir = tmp_path / "reports"
+    code = main(["experiment", "--arrivals", str(arrivals_csv), "--k-list", "2",
+                 "--n-list", "6", "--out-dir", str(out_dir), flag, value])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+def test_experiment_config_rejects_zero_jobs(arrivals_csv, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"k": [2], "n": [6], "jobs": 0}))
+    code = main(["experiment", "--arrivals", str(arrivals_csv), "--config", str(config),
+                 "--out-dir", str(tmp_path / "reports")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_fit_report_rejects_non_positive_jobs(arrivals_csv, tmp_path, capsys, jobs):
+    out = tmp_path / "fit.csv"
+    code = main(["fit", "--arrivals", str(arrivals_csv), "--k-list", "2", "--n-list", "6",
+                 "--jobs", jobs, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+    assert not out.exists()

@@ -1,8 +1,12 @@
+from collections import Counter
 from datetime import date
 from fractions import Fraction
 
 import pytest
 
+from locksched import experiment
+from locksched.arrivals import serialize_arrivals
+from locksched.cli import main
 from locksched.experiment import (
     FIT_HEADER,
     SCHEDULE_HEADER,
@@ -32,6 +36,11 @@ def test_config_validation():
         ExperimentConfig(k_values=())
     with pytest.raises(ValueError):
         ExperimentConfig(period_minutes=0)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            ExperimentConfig(jobs=bad)
+        with pytest.raises(ValueError, match="dp_cap must be >= 1"):
+            ExperimentConfig(dp_cap=bad)
 
 
 def test_rescale_exact_multiple():
@@ -160,3 +169,58 @@ def test_schedule_report_csv_format():
     lines = text.splitlines()
     assert lines[0] == ",".join(SCHEDULE_HEADER)
     assert lines[1] == "2,20,1.00,2.50,3.25,4.00,1.00"
+
+
+def _write_csv(tmp_path, dataset, drop=lambda line: False):
+    path = tmp_path / "arrivals.csv"
+    lines = serialize_arrivals(dataset).splitlines()
+    path.write_text("\n".join(line for line in lines if not drop(line)) + "\n")
+    return path
+
+
+def test_experiment_fits_each_cell_once(tmp_path, monkeypatch):
+    """``locksched experiment`` calls ``best_fit`` once per (k, n, day,
+    direction), and both reports read those fits.  Cells whose n reaches past
+    the day's 23 arrivals per direction hold the same instance and share one
+    fit, so their rows are equal."""
+    calls = Counter()
+    fit = experiment.best_fit
+
+    def counting_fit(instance, k):
+        calls[(instance.arrival_minutes, k)] += 1
+        return fit(instance, k)
+
+    monkeypatch.setattr(experiment, "best_fit", counting_fit)
+    arrivals = _write_csv(tmp_path, synth_dataset(1, 2, TWO_STREAM_SPEC, 3.0))
+    out_dir = tmp_path / "out"
+    code = main(["experiment", "--arrivals", str(arrivals), "--k-list", "1,2",
+                 "--n-list", "6,8,30,40", "--out-dir", str(out_dir)])
+    assert code == 0
+    # 2 k values x 3 instances (n = 6, 8, and all 23 arrivals) x 2 days x 2 directions.
+    assert len(calls) == 24 and set(calls.values()) == {1}
+    fit_rows = [line.split(",") for line in (out_dir / "fit.csv").read_text().splitlines()[1:]]
+    sched_rows = [line.split(",") for line in (out_dir / "schedule.csv").read_text().splitlines()[1:]]
+    for rows, skip in ((fit_rows, 3), (sched_rows, 2)):
+        by_cell = {(r[0], r[1]): r[skip:] for r in rows}
+        assert len(by_cell) == 8
+        for k in ("1", "2"):
+            assert by_cell[k, "30"] == by_cell[k, "40"]
+
+
+def test_experiment_skips_day_without_up_arrivals(tmp_path, capsys):
+    """A day with no Up arrivals skips that fit and that day's evaluation:
+    2 skips per grid cell, exit code 2.  The reports and the skipped count
+    match those of the experiment before it fitted each cell once."""
+    dataset = synth_dataset(1, 2, TWO_STREAM_SPEC, 3.0)
+    arrivals = _write_csv(tmp_path, dataset, lambda line: line.startswith("2019-01-03") and line.endswith(",U"))
+    out_dir = tmp_path / "out"
+    code = main(["experiment", "--arrivals", str(arrivals), "--k-list", "2",
+                 "--n-list", "6", "--out-dir", str(out_dir)])
+    assert code == 2
+    assert capsys.readouterr().err == "warning: 2 per-instance computations skipped\n"
+    fit = (out_dir / "fit.csv").read_text().splitlines()
+    assert [line.split(",")[::3] for line in fit] == [["k", "Fit"], ["2", "1.59"]]
+    assert (out_dir / "schedule.csv").read_text().splitlines() == [
+        ",".join(SCHEDULE_HEADER),
+        "2,6,5.02,10.04,11.87,9.13,10.96",
+    ]

@@ -1,5 +1,8 @@
+import json
+import logging
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from oracles import (
 from locksched.arrivals import MatchingInstance
 from locksched.matching import (
     CountMismatchError,
+    MatchingSolution,
     Stream,
     best_fit,
     StreamSet,
@@ -194,6 +198,72 @@ def test_fast_fitter_equals_reference_property(inst, k):
     # The factorial oracle enumerates n! bijections: about 1 s at n = 8.
     if inst.n <= 7:
         assert fast.cost == oracle_min_cost_bijection(inst, fast.streams, mode="factorial")
+
+
+@st.composite
+def _shared_mu_instances(draw):
+    """Instances where many anchors give the same row: with T = c * L, every
+    arrival is b + m * L for a base b drawn from a pool of at most three, so
+    the c-stream anchored at any two arrivals with the same base shares mu."""
+    c, step = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    pool = draw(st.lists(st.integers(1, step), min_size=1, max_size=3))
+    n = draw(st.integers(1, 9))
+    minutes = sorted(
+        draw(st.sampled_from(pool)) + draw(st.integers(0, c - 1)) * step for _ in range(n)
+    )
+    return _inst(minutes, T=c * step)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_shared_mu_instances(), st.integers(1, 3))
+def test_fast_fitter_equals_reference_on_shared_mu(inst, k):
+    k = min(k, inst.n)
+    assert solve_matching(inst, k) == reference_solve_matching(inst, k)
+    assert best_fit(inst, k) == reference_best_fit(inst, k)
+
+
+PINNED_FITS = json.loads((Path(__file__).parent / "pinned_fits.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", PINNED_FITS, ids=lambda c: f"{c['fit']}-k{c['k']}-{c['source']}")
+def test_pinned_fits(case):
+    """Fits too large for the Fraction reference, recorded with the exhaustive
+    integer fitter (no bound) on ``synth_dataset(0, 2, {D: [(63, 126),
+    (126, 126), (40, 90)], U: [(21, 126), (126, 126)]}, 5.0)``: the
+    benchmark's seed-0 pipeline fits and, on its first day in direction D,
+    the larger (k, n) cells.  The assignment is pinned as the stream index
+    of each arrival; occurrences count up per stream."""
+    inst = _inst(case["minutes"], T=case["T"])
+    streams = _set(*((Fraction(mu), Fraction(lam), c) for mu, lam, c in case["streams"]), T=case["T"])
+    seen = [0] * len(streams.streams)
+    assignment = []
+    for i in map(int, case["assignment"]):
+        assignment.append((i, seen[i]))
+        seen[i] += 1
+    expected = MatchingSolution(streams, tuple(assignment), Fraction(case["cost"]))
+    fit = best_fit if case["fit"] == "best_fit" else solve_matching
+    assert fit(inst, case["k"]) == expected
+
+
+def test_search_counters_logged(caplog):
+    """One DEBUG record per search, with its counters as record attributes."""
+    inst = _inst([1, 2, 3], T=3)
+    caplog.set_level(logging.DEBUG, logger="locksched.matching")
+    assert solve_matching(inst, 2).cost == Fraction(1, 2)
+    (record,) = caplog.records
+    assert record.levelno == logging.DEBUG and record.name == "locksched.matching"
+    # One composition, (1, 2), scored at scale 2 against arrivals 2, 4, 6.
+    # The 1-stream row anchored at 1 (point 2) is tried with all three
+    # 2-stream rows (points 2,5 / 1,4 / 3,6; each 1 from the nearest
+    # arrival), and the last costs 1.  The 1-stream rows at 2 and 3 are
+    # pruned, since the 2-stream row's bound of 1 already reaches it.
+    assert (record.compositions_pruned, record.prefixes_pruned, record.candidates_scored) == (0, 2, 3)
+    assert "2 anchor prefixes pruned, 3 candidates scored" in record.getMessage()
+    caplog.clear()
+    # best_fit searches each budget once; the 2-stream search cannot beat
+    # the 1-stream fit at cost 0, so its only composition is pruned.
+    assert best_fit(inst, 2).cost == 0
+    assert [r.compositions_pruned for r in caplog.records] == [0, 1]
 
 
 def test_oracle_identity_and_example():
