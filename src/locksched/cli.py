@@ -16,8 +16,8 @@ from . import __version__
 from .arrivals import bucket_to_periods, extract_instance, parse_arrivals, serialize_arrivals
 from .dp import CANONICAL, PAPER_LITERAL, result_to_json_dict, solve as dp_solve, DEFAULT_PERIOD_CAP
 from .experiment import (
-    DAY_MINUTES,
     ExperimentConfig,
+    day_periods,
     fit_report_csv,
     run_experiment,
     run_fit_experiment,
@@ -45,7 +45,10 @@ def _write(path: str | None, text: str) -> None:
 
 def _load_dataset(path: str):
     with open(path, encoding="utf-8", newline="") as fh:
-        return parse_arrivals(fh)
+        dataset = parse_arrivals(fh)
+    if not dataset.records:
+        raise ValueError(f"{path} holds no arrival records")
+    return dataset
 
 
 def cmd_synth(args) -> int:
@@ -88,7 +91,7 @@ def cmd_schedule(args) -> int:
 def cmd_evaluate(args) -> int:
     dataset = _load_dataset(args.arrivals)
     period = args.period_minutes
-    horizon = -(-DAY_MINUTES // period)
+    horizon = day_periods(period)
     schedule = None
     wanted = args.policies.split(",")
     if "realized" in wanted:
@@ -136,34 +139,21 @@ def cmd_policy(args) -> int:
     return 0
 
 
-CONFIG_KEYS = ("k", "n", "period_minutes", "dp_cap", "jobs")
-
-
 def cmd_experiment(args) -> int:
+    # The flags' values, by --config key; the file's keys override them.
+    settings = {"k": args.k_list, "n": args.n_list, "period_minutes": args.period_minutes,
+                "dp_cap": args.dp_cap, "jobs": args.jobs}
     if args.config:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ValueError(f"--config {args.config} must hold a JSON object")
-        unknown = sorted(set(raw) - set(CONFIG_KEYS))
+        unknown = sorted(set(raw) - set(settings))
         if unknown:
             raise ValueError(
-                f"unknown --config keys: {', '.join(unknown)} (known: {', '.join(CONFIG_KEYS)})"
+                f"unknown --config keys: {', '.join(unknown)} (known: {', '.join(settings)})"
             )
-        config = ExperimentConfig(
-            k_values=tuple(raw.get("k", [2, 3, 4])),
-            n_values=tuple(raw.get("n", [20, 30, 40, 50])),
-            period_minutes=raw.get("period_minutes", 21),
-            dp_cap=raw.get("dp_cap", args.dp_cap),
-            jobs=raw.get("jobs", args.jobs),
-        )
-    else:
-        config = ExperimentConfig(
-            k_values=tuple(args.k_list),
-            n_values=tuple(args.n_list),
-            period_minutes=args.period_minutes,
-            dp_cap=args.dp_cap,
-            jobs=args.jobs,
-        )
+        settings.update(raw)
+    config = ExperimentConfig(k_values=tuple(settings.pop("k")), n_values=tuple(settings.pop("n")), **settings)
     dataset = _load_dataset(args.arrivals)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -182,6 +172,7 @@ def _int_list(text: str):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="locksched", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    grid = ExperimentConfig()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic arrival CSV")
@@ -198,9 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=["D", "U"], default="D")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--n", type=int, default=20)
-    p.add_argument("--k-list", type=_int_list, default=[2, 3, 4])
-    p.add_argument("--n-list", type=_int_list, default=[20, 30, 40, 50])
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--k-list", type=_int_list, default=grid.k_values)
+    p.add_argument("--n-list", type=_int_list, default=grid.n_values)
+    p.add_argument("--jobs", type=int, default=grid.jobs)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_fit)
 
@@ -214,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policies", default="alternating,fifo,advfifo")
     p.add_argument("--arrivals", required=True)
     p.add_argument("--schedule", help="schedule JSON for the realized policy")
-    p.add_argument("--period-minutes", type=int, default=21)
+    p.add_argument("--period-minutes", type=int, default=grid.period_minutes)
     p.add_argument("--best-of-two", action="store_true")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_evaluate)
@@ -239,12 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="full fit + schedule pipeline with CSV reports")
     p.add_argument("--arrivals", required=True)
-    p.add_argument("--config", help="JSON config overriding the defaults")
-    p.add_argument("--k-list", type=_int_list, default=[2, 3, 4])
-    p.add_argument("--n-list", type=_int_list, default=[20, 30, 40, 50])
-    p.add_argument("--period-minutes", type=int, default=21)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--dp-cap", type=int, default=DEFAULT_PERIOD_CAP)
+    p.add_argument("--config", help="JSON config whose keys override the flags")
+    p.add_argument("--k-list", type=_int_list, default=grid.k_values)
+    p.add_argument("--n-list", type=_int_list, default=grid.n_values)
+    p.add_argument("--period-minutes", type=int, default=grid.period_minutes)
+    p.add_argument("--jobs", type=int, default=grid.jobs)
+    p.add_argument("--dp-cap", type=int, default=grid.dp_cap)
     p.add_argument("--out-dir", default="reports")
     p.set_defaults(func=cmd_experiment)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, cycle, islice
+from itertools import cycle, islice
 from operator import add
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -225,11 +225,11 @@ def solve(
     """Minimum long-run average waiting time and an achieving cyclic schedule."""
     if mode not in _SHIFT:
         raise ValueError(f"unknown mode {mode!r}")
-    pattern = arrival_pattern(instance)
-    lam = len(pattern)
+    lam = lcm_period(instance)
     T = 8 * lam
     if T > period_cap:
         raise PeriodCapExceededError(T, period_cap)
+    pattern = arrival_pattern(instance)
     # Costs depend on t only through t mod Lambda.  Lanes start at t = 1 and
     # step through t = 2..T; the wrap-around step S -> S0 is at t = 1 again.
     arrivals = _cyclic(pattern)
@@ -287,65 +287,6 @@ def solve(
         initial_state=ALL_STATES[s0_id],
         mode=mode,
     )
-
-
-class BruteForcePeriodError(ValueError):
-    """Requested period too large for exhaustive enumeration."""
-
-
-def brute_force_optimal(instance: PeriodicInstance, period: int) -> Fraction:
-    """Exact minimum steady-state average cost over all feasible cyclic
-    action sequences of the given period, by exhaustive enumeration.
-
-    Feasible sequences have an even number of processing actions alternating
-    between the sides; each candidate is simulated for two joint cycles and
-    the second cycle is measured.  Independent of the DP (no single-wait
-    restriction: extra waits are enumerated freely).
-    """
-    if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
-    if period > 14:
-        raise BruteForcePeriodError(f"period {period} too large for 2^p enumeration")
-    pattern = arrival_pattern(instance)
-    lam = len(pattern)
-    a_d = [p[0] for p in pattern]
-    a_u = [p[1] for p in pattern]
-    any_arrivals = any(a_d) or any(a_u)
-    cycle = math.lcm(lam, period)
-    horizon = 2 * cycle
-
-    best: Optional[Fraction] = None
-    if not any_arrivals:
-        return Fraction(0)
-    for size in range(2, period + 1, 2):
-        for positions in combinations(range(period), size):
-            for first_dir in (Direction.DOWN, Direction.UP):
-                serve = {}
-                d = first_dir
-                for pos in positions:
-                    serve[pos] = d
-                    d = d.flip()
-                total = 0
-                n_d = n_u = 0
-                for t in range(1, horizon + 1):
-                    idx = (t - 1) % lam
-                    n_d += a_d[idx]
-                    n_u += a_u[idx]
-                    side = serve.get((t - 1) % period)
-                    if side is Direction.DOWN:
-                        n_d = 0
-                    elif side is Direction.UP:
-                        n_u = 0
-                    if t > cycle:
-                        total += n_d + n_u
-                avg = Fraction(total, cycle)
-                if best is None or avg < best:
-                    best = avg
-    if best is None:
-        raise BruteForcePeriodError(
-            f"no feasible processing sequence of period {period} for a non-empty pattern"
-        )
-    return best
 
 
 def result_to_json_dict(result: OptimalResult) -> dict:

@@ -33,7 +33,6 @@ from .policies import adv_fifo, alternating, fifo, realized_periodic
 from .schedule import (
     Direction,
     PeriodicInstance,
-    Schedule,
     StreamSpec,
     arrival_at,
     simulate,
@@ -57,12 +56,18 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.k_values or not self.n_values:
             raise ValueError("k and n value lists must be non-empty")
-        if self.period_minutes < 1:
-            raise ValueError("period_minutes must be >= 1")
+        day_periods(self.period_minutes)  # rejects periods below one minute
         if self.dp_cap < 1:
             raise ValueError(f"dp_cap must be >= 1, got {self.dp_cap}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+
+
+def day_periods(period_minutes: int) -> int:
+    """The number of periods of ``period_minutes`` that cover one day."""
+    if period_minutes < 1:
+        raise ValueError(f"period_minutes must be >= 1, got {period_minutes}")
+    return -(-DAY_MINUTES // period_minutes)
 
 
 def _round_half_up(x: Fraction) -> int:
@@ -134,7 +139,6 @@ class ScheduleRow:
 
 @dataclass(frozen=True)
 class FitResult:
-    day: date
     direction: Direction
     instance: MatchingInstance
     solution: MatchingSolution
@@ -148,7 +152,7 @@ def fit_day_direction(
     started = time.perf_counter()
     solution = best_fit(instance, k)
     elapsed = time.perf_counter() - started
-    return FitResult(day=day, direction=direction, instance=instance, solution=solution, runtime_seconds=elapsed)
+    return FitResult(direction=direction, instance=instance, solution=solution, runtime_seconds=elapsed)
 
 
 _dataset: Optional[ArrivalDataset] = None  # a pool worker's copy of the dataset
@@ -240,21 +244,13 @@ def run_fit_experiment(
     return _fit_rows(dataset, config, _fit_all(dataset, config))
 
 
-def _per_vessel_minutes_from_total(total_wait: int, n_arrivals: int, period_minutes: int) -> Fraction:
-    if n_arrivals == 0:
-        return Fraction(0)
-    return Fraction(total_wait, n_arrivals) * period_minutes
-
-
 @dataclass(frozen=True)
 class DayEvaluation:
-    day: date
     periodic_opt: Fraction
     alternating: Fraction
     fifo: Fraction
     adv_fifo: Fraction
     realised_periodic: Fraction
-    schedule: Schedule
 
 
 def evaluate_day(
@@ -279,7 +275,7 @@ def _evaluate_fits(
 ) -> DayEvaluation:
     """``evaluate_day`` on the day's fits, one per direction in ``DIRECTIONS`` order."""
     period = config.period_minutes
-    horizon = -(-DAY_MINUTES // period)
+    horizon = day_periods(period)
     tagged: List[Tuple[Direction, Stream]] = [
         (fit.direction, s) for fit in fits for s in fit.solution.streams.streams
     ]
@@ -288,7 +284,6 @@ def _evaluate_fits(
 
     pattern = [arrival_at(instance, t) for t in range(1, horizon + 1)]
     opt_run = simulate(pattern, optimal.schedule, horizon)
-    periodic_opt = _per_vessel_minutes_from_total(opt_run.total_wait, opt_run.n_arrivals, period)
 
     counts = bucket_to_periods(dataset, day, period, horizon)
     alt = alternating(counts, horizon)
@@ -296,13 +291,11 @@ def _evaluate_fits(
     adv_run = adv_fifo(counts, horizon)
     realised = realized_periodic(optimal.schedule, counts, horizon)
     return DayEvaluation(
-        day=day,
-        periodic_opt=periodic_opt,
+        periodic_opt=opt_run.avg_wait_per_vessel * period,
         alternating=alt.per_vessel_minutes(period),
         fifo=fifo_run.per_vessel_minutes(period),
         adv_fifo=adv_run.per_vessel_minutes(period),
         realised_periodic=realised.per_vessel_minutes(period),
-        schedule=optimal.schedule,
     )
 
 

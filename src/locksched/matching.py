@@ -345,32 +345,14 @@ def best_fit(instance: MatchingInstance, k: int) -> MatchingSolution:
     return _solution(instance, best)
 
 
-def stream_set_to_json(streams: StreamSet, directions: Optional[Sequence[Direction]] = None) -> str:
-    entries = []
-    for i, s in enumerate(streams.streams):
-        entry = {
+def stream_set_to_json(streams: StreamSet, directions: Sequence[Direction]) -> str:
+    entries = [
+        {
             "mu": {"num": s.mu.numerator, "den": s.mu.denominator},
             "lambda": {"num": s.lam.numerator, "den": s.lam.denominator},
             "count": s.count,
+            "direction": direction.value,
         }
-        if directions is not None:
-            entry["direction"] = directions[i].value
-        entries.append(entry)
+        for s, direction in zip(streams.streams, directions, strict=True)
+    ]
     return json.dumps({"T": streams.T, "streams": entries})
-
-
-def stream_set_from_json(text: str) -> Tuple[StreamSet, Optional[List[Direction]]]:
-    data = json.loads(text)
-    streams = []
-    directions: Optional[List[Direction]] = [] if data["streams"] and "direction" in data["streams"][0] else None
-    for entry in data["streams"]:
-        streams.append(
-            Stream(
-                mu=Fraction(entry["mu"]["num"], entry["mu"]["den"]),
-                lam=Fraction(entry["lambda"]["num"], entry["lambda"]["den"]),
-                count=int(entry["count"]),
-            )
-        )
-        if directions is not None:
-            directions.append(Direction(entry["direction"]))
-    return StreamSet(streams=tuple(streams), T=int(data["T"])), directions

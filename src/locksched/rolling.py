@@ -101,7 +101,6 @@ def windowed_optimum(
     t_start: int,
     t_end: int,
     position: Optional[Direction] = None,
-    window_cap: int = DEFAULT_WINDOW_CAP,
 ) -> WindowSolution:
     """Exact minimum in-window waiting over single-wait action sequences.
 
@@ -110,8 +109,8 @@ def windowed_optimum(
     """
     if t_start > t_end:
         raise ValueError(f"empty window [{t_start}, {t_end}]")
-    if t_end - t_start + 1 > window_cap:
-        raise WindowCapExceededError(f"window of {t_end - t_start + 1} periods exceeds cap {window_cap}")
+    if t_end - t_start + 1 > DEFAULT_WINDOW_CAP:
+        raise WindowCapExceededError(f"window of {t_end - t_start + 1} periods exceeds cap {DEFAULT_WINDOW_CAP}")
     # Arrivals clipped to the window: periods before t_start contribute nothing,
     # so costs count exactly the in-window waits of in-window arrivals.
     clipped = [arrival_at(instance, t) for t in range(t_start, t_end + 1)]

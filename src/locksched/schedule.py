@@ -266,12 +266,6 @@ def schedule_from_json(text: str) -> Schedule:
     )
 
 
-def instance_to_json(instance: PeriodicInstance) -> str:
-    return json.dumps(
-        {"streams": [{"direction": s.direction.value, "lambda": s.lam, "mu": s.mu} for s in instance.streams]}
-    )
-
-
 def instance_from_json(text: str) -> PeriodicInstance:
     data = json.loads(text)
     return PeriodicInstance(

@@ -1,4 +1,4 @@
-"""Slow, independent references that the fast fitter is tested against.
+"""Slow, independent references that the fast code is tested against.
 
 ``reference_solve_matching`` is the original Fraction enumerator: it builds
 every candidate stream set with ``anchored_streams`` and scores it with the
@@ -7,14 +7,16 @@ sorted assignment at all.  Both are test-only, so scipy and numpy are test
 dependencies, not runtime ones.  ``oracle_windowed_cost`` checks the rolling
 windows by simulating every process/wait sequence.  ``reference_solve`` is the
 cyclic DP as nine lanes over the whole horizon, which the min-plus
-``dp.solve`` must reproduce exactly.
+``dp.solve`` must reproduce exactly.  ``brute_force_optimal`` enumerates
+every cyclic action sequence of a given period and simulates each one; it
+reads only the arrival pattern, so it is independent of ``dp``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Iterator, Optional, Tuple
 
 from locksched.arrivals import MatchingInstance
@@ -247,3 +249,62 @@ def reference_solve(
         initial_state=ALL_STATES[s0_id],
         mode=mode,
     )
+
+
+class BruteForcePeriodError(ValueError):
+    """Requested period too large for exhaustive enumeration."""
+
+
+def brute_force_optimal(instance: PeriodicInstance, period: int) -> Fraction:
+    """Exact minimum steady-state average cost over all feasible cyclic
+    action sequences of the given period, by exhaustive enumeration.
+
+    Feasible sequences have an even number of processing actions alternating
+    between the sides; each candidate is simulated for two joint cycles and
+    the second cycle is measured.  Independent of the DP (no single-wait
+    restriction: extra waits are enumerated freely).
+    """
+    if period < 1:
+        raise ValueError(f"period must be >= 1, got {period}")
+    if period > 14:
+        raise BruteForcePeriodError(f"period {period} too large for 2^p enumeration")
+    pattern = arrival_pattern(instance)
+    lam = len(pattern)
+    a_d = [p[0] for p in pattern]
+    a_u = [p[1] for p in pattern]
+    any_arrivals = any(a_d) or any(a_u)
+    cycle = math.lcm(lam, period)
+    horizon = 2 * cycle
+
+    best: Optional[Fraction] = None
+    if not any_arrivals:
+        return Fraction(0)
+    for size in range(2, period + 1, 2):
+        for positions in combinations(range(period), size):
+            for first_dir in (Direction.DOWN, Direction.UP):
+                serve = {}
+                d = first_dir
+                for pos in positions:
+                    serve[pos] = d
+                    d = d.flip()
+                total = 0
+                n_d = n_u = 0
+                for t in range(1, horizon + 1):
+                    idx = (t - 1) % lam
+                    n_d += a_d[idx]
+                    n_u += a_u[idx]
+                    side = serve.get((t - 1) % period)
+                    if side is Direction.DOWN:
+                        n_d = 0
+                    elif side is Direction.UP:
+                        n_u = 0
+                    if t > cycle:
+                        total += n_d + n_u
+                avg = Fraction(total, cycle)
+                if best is None or avg < best:
+                    best = avg
+    if best is None:
+        raise BruteForcePeriodError(
+            f"no feasible processing sequence of period {period} for a non-empty pattern"
+        )
+    return best

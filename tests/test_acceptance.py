@@ -11,10 +11,10 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import _compositions_all, oracle_min_cost_bijection
+from oracles import _compositions_all, brute_force_optimal, oracle_min_cost_bijection
 
 from locksched.arrivals import MatchingInstance
-from locksched.dp import brute_force_optimal, solve
+from locksched.dp import solve
 from locksched.experiment import (
     FIT_HEADER,
     SCHEDULE_HEADER,

@@ -98,6 +98,24 @@ def test_evaluate_command(arrivals_csv, capsys):
     assert len(lines) == 1 + 2 * 3  # two days, three policies
 
 
+def test_evaluate_rejects_zero_period(arrivals_csv, tmp_path, capsys):
+    out = tmp_path / "eval.csv"
+    code = main(["evaluate", "--arrivals", str(arrivals_csv), "--period-minutes", "0", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: period_minutes must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, out_flag", [("experiment", "--out-dir"), ("fit", "--out"), ("evaluate", "--out")])
+def test_arrivals_without_records_is_an_error(tmp_path, capsys, command, out_flag):
+    arrivals = tmp_path / "arrivals.csv"
+    arrivals.write_text("timestamp,direction\n")
+    out = tmp_path / "out"
+    assert main([command, "--arrivals", str(arrivals), out_flag, str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {arrivals} holds no arrival records\n"
+    assert not out.exists()
+
+
 def test_evaluate_realized_requires_schedule(arrivals_csv):
     assert main(["evaluate", "--arrivals", str(arrivals_csv), "--policies", "realized"]) == 1
 
@@ -145,6 +163,19 @@ def test_experiment_rejects_unknown_config_keys(arrivals_csv, tmp_path, capsys):
     assert code == 1
     assert "unknown --config keys: n_vals, sead" in capsys.readouterr().err
     assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize("config, row", [({"jobs": 1}, ["2", "6"]), ({"n": [8]}, ["2", "8"])])
+def test_experiment_config_keys_override_flags(arrivals_csv, tmp_path, config, row):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out_dir = tmp_path / "reports"
+    code = main(["experiment", "--arrivals", str(arrivals_csv), "--config", str(path),
+                 "--k-list", "2", "--n-list", "6", "--out-dir", str(out_dir)])
+    assert code == 0
+    for name in ("fit.csv", "schedule.csv"):
+        rows = (out_dir / name).read_text().splitlines()[1:]
+        assert [line.split(",")[:2] for line in rows] == [row]
 
 
 @pytest.mark.parametrize(

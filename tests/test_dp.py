@@ -1,18 +1,18 @@
 from fractions import Fraction
 
 import pytest
-from oracles import reference_solve
+from oracles import BruteForcePeriodError, brute_force_optimal, reference_solve
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from locksched import dp
 from locksched.dp import (
     ALL_STATES,
     CANONICAL,
+    DEFAULT_PERIOD_CAP,
     PAPER_LITERAL,
-    BruteForcePeriodError,
     LockState,
     PeriodCapExceededError,
-    brute_force_optimal,
     predecessors,
     result_to_json_dict,
     slot_costs,
@@ -143,6 +143,20 @@ def test_solve_deterministic():
 def test_solve_period_cap():
     with pytest.raises(PeriodCapExceededError):
         solve(_inst((Direction.DOWN, 7, 1), (Direction.UP, 11, 1)), period_cap=100)
+
+
+def test_solve_period_cap_checked_before_the_pattern(monkeypatch):
+    # lcm(997, 991, 983) is about 9.7e8: building its arrival pattern alone
+    # takes over a minute, so the cap must be checked from the lcm first.
+    def no_pattern(instance):
+        raise AssertionError("arrival pattern built before the period cap check")
+
+    monkeypatch.setattr(dp, "arrival_pattern", no_pattern)
+    inst = _inst((Direction.DOWN, 997, 1), (Direction.UP, 991, 1), (Direction.DOWN, 983, 2))
+    with pytest.raises(PeriodCapExceededError) as exc:
+        solve(inst)
+    assert exc.value.required == 8 * 997 * 991 * 983
+    assert exc.value.cap == DEFAULT_PERIOD_CAP
 
 
 def test_solve_rejects_unknown_mode():

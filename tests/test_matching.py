@@ -24,7 +24,6 @@ from locksched.matching import (
     assignment_cost,
     matching_points,
     solve_matching,
-    stream_set_from_json,
     stream_set_to_json,
 )
 from locksched.schedule import Direction
@@ -296,17 +295,21 @@ def test_oracle_modes_agree():
 
 def test_stream_set_json_round_trip():
     ss = _set((1, 4, 3), (2, 4, 3), T=12)
-    dirs = [Direction.DOWN, Direction.UP]
-    text = stream_set_to_json(ss, dirs)
-    back, back_dirs = stream_set_from_json(text)
-    assert back == ss
-    assert back_dirs == dirs
+    assert json.loads(stream_set_to_json(ss, [Direction.DOWN, Direction.UP])) == {
+        "T": 12,
+        "streams": [
+            {"mu": {"num": 1, "den": 1}, "lambda": {"num": 4, "den": 1}, "count": 3, "direction": "D"},
+            {"mu": {"num": 2, "den": 1}, "lambda": {"num": 4, "den": 1}, "count": 3, "direction": "U"},
+        ],
+    }
 
 
 def test_stream_set_json_fractional_lambda():
     ss = StreamSet(streams=(Stream(Fraction(5, 3), Fraction(10, 3), 3),), T=10)
-    back, dirs = stream_set_from_json(stream_set_to_json(ss))
-    assert back == ss and dirs is None
+    assert json.loads(stream_set_to_json(ss, [Direction.UP])) == {
+        "T": 10,
+        "streams": [{"mu": {"num": 5, "den": 3}, "lambda": {"num": 10, "den": 3}, "count": 3, "direction": "U"}],
+    }
 
 
 def test_stream_validation():

@@ -10,6 +10,7 @@ from locksched.rolling import (
     CASE_CHEAP,
     CASE_FULL,
     CASE_GAP,
+    DEFAULT_WINDOW_CAP,
     Chunk,
     ChunkRequest,
     WindowCapExceededError,
@@ -115,8 +116,9 @@ def test_windowed_optimum_equals_exhaustive_oracle(inst, t_start, n):
 
 
 def test_windowed_optimum_cap():
+    # Rejected before the window's arrivals are built.
     with pytest.raises(WindowCapExceededError):
-        windowed_optimum(ALTERNATING, 1, 10, window_cap=5)
+        windowed_optimum(ALTERNATING, 1, DEFAULT_WINDOW_CAP + 1)
 
 
 def test_gap_case_ends_at_gap_with_free_handoff():

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from locksched.dp import solve
 from locksched.schedule import Action, Direction, cyclic_average, is_feasible
 from locksched.two_stream import (
     LambdaOneError,
@@ -126,3 +129,24 @@ def test_lambda_one_both_one_ties():
 def test_lambda_one_requires_a_unit_period():
     with pytest.raises(LambdaOneError):
         lambda_one_schedule(TwoStreamParams(1, 1, 2, 2))
+
+
+_two_streams = st.tuples(st.integers(2, 30), st.integers(2, 30)).flatmap(
+    lambda lams: st.builds(
+        TwoStreamParams,
+        mu_d=st.integers(1, lams[0]),
+        mu_u=st.integers(1, lams[1]),
+        lambda_d=st.just(lams[0]),
+        lambda_u=st.just(lams[1]),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_two_streams)
+def test_closed_form_equals_lower_bound_equals_dp(params):
+    """The simulated closed form, the congruence bound and the cyclic DP agree
+    exactly for periodicities up to 30 (criterion 3 covers the grid up to 8)."""
+    bound = lower_bound(params)
+    assert cyclic_average(params.instance(), closed_form_schedule(params)) == bound
+    assert solve(params.instance()).avg_cost == bound
