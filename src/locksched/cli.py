@@ -88,12 +88,20 @@ def cmd_schedule(args) -> int:
     return 0
 
 
+POLICY_NAMES = ("alternating", "fifo", "advfifo", "realized")
+
+
 def cmd_evaluate(args) -> int:
+    wanted = [name for name in args.policies.split(",") if name]
+    unknown = [name for name in wanted if name not in POLICY_NAMES]
+    if unknown:
+        raise ValueError(f"unknown policies: {', '.join(unknown)} (known: {', '.join(POLICY_NAMES)})")
+    if not wanted:
+        raise ValueError(f"no policies given (known: {', '.join(POLICY_NAMES)})")
     dataset = _load_dataset(args.arrivals)
     period = args.period_minutes
     horizon = day_periods(period)
     schedule = None
-    wanted = args.policies.split(",")
     if "realized" in wanted:
         if not args.schedule:
             print("error: --schedule is required for the realized policy", file=sys.stderr)
@@ -139,6 +147,19 @@ def cmd_policy(args) -> int:
     return 0
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_config_value(key: str, value) -> None:
+    """Reject a --config value of the wrong type, naming its key."""
+    if key in ("k", "n"):
+        if not (isinstance(value, list) and value and all(_is_int(v) and v >= 1 for v in value)):
+            raise ValueError(f"--config key {key} must be a non-empty list of positive ints, got {json.dumps(value)}")
+    elif not _is_int(value):
+        raise ValueError(f"--config key {key} must be an int, got {json.dumps(value)}")
+
+
 def cmd_experiment(args) -> int:
     # The flags' values, by --config key; the file's keys override them.
     settings = {"k": args.k_list, "n": args.n_list, "period_minutes": args.period_minutes,
@@ -152,6 +173,8 @@ def cmd_experiment(args) -> int:
             raise ValueError(
                 f"unknown --config keys: {', '.join(unknown)} (known: {', '.join(settings)})"
             )
+        for key, value in raw.items():
+            _check_config_value(key, value)
         settings.update(raw)
     config = ExperimentConfig(k_values=tuple(settings.pop("k")), n_values=tuple(settings.pop("n")), **settings)
     dataset = _load_dataset(args.arrivals)

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from itertools import cycle, islice
+from typing import List, Sequence, Tuple
 
 from .schedule import (
     Action,
@@ -32,8 +33,8 @@ class PolicyRun:
         return self.result.avg_wait_per_vessel * period_minutes
 
 
-def _run(policy: str, arrivals: Arrivals, actions: Sequence[Action], horizon: int, alignment: Direction) -> PolicyRun:
-    result = simulate(arrivals, list(actions), horizon, initial_alignment=alignment)
+def _run(policy: str, arrivals: Arrivals, actions: List[Action], horizon: int, alignment: Direction) -> PolicyRun:
+    result = simulate(arrivals, actions, horizon, initial_alignment=alignment)
     return PolicyRun(policy=policy, actions=tuple(actions), initial_alignment=alignment, result=result)
 
 
@@ -44,37 +45,38 @@ def alternating(arrivals: Arrivals, horizon: int) -> PolicyRun:
     """
     candidates = []
     for first in (Direction.DOWN, Direction.UP):
-        actions = [Action.process(first if t % 2 == 1 else first.flip()) for t in range(1, horizon + 1)]
+        actions = [Action.process(first), Action.process(first.flip())] * (horizon // 2 + 1)
+        del actions[horizon:]
         candidates.append(_run("alternating", arrivals, actions, horizon, first))
     down_first, up_first = candidates
     return down_first if down_first.result.total_wait <= up_first.result.total_wait else up_first
 
 
-def _get(arrivals: Arrivals, t: int) -> Tuple[int, int]:
-    return arrivals[t - 1] if 1 <= t <= len(arrivals) else (0, 0)
-
-
 def _fifo_actions(arrivals: Arrivals, horizon: int, alignment: Direction, lookahead: bool) -> List[Action]:
     """The action trace of ``fifo``, or of ``adv_fifo`` with ``lookahead``."""
+    # Periods 1..horizon+1, so the lookahead can read one period past the end.
+    padded = list(arrivals[: horizon + 1])
+    padded += [(0, 0)] * (horizon + 1 - len(padded))
+    wait, serve_down, serve_up = Action.WAIT, Action.PROCESS_DOWN, Action.PROCESS_UP
+    down = alignment is Direction.DOWN
     n_d = n_u = 0
     actions: List[Action] = []
-    for t in range(1, horizon + 1):
-        a_d, a_u = _get(arrivals, t)
-        operate = n_d + n_u + a_d + a_u > 0
-        if not operate and lookahead:
-            next_d, next_u = _get(arrivals, t + 1)
-            operate = (next_u if alignment is Direction.DOWN else next_d) > 0
-        if operate:
-            actions.append(Action.process(alignment))
-            if alignment is Direction.DOWN:
+    for t in range(horizon):
+        a_d, a_u = padded[t]
+        # Idle lookahead: the next period's arrival on the side opposite the
+        # alignment, which is index 1 (up) when aligned down and 0 otherwise.
+        if n_d + n_u + a_d + a_u > 0 or (lookahead and padded[t + 1][down] > 0):
+            if down:
+                actions.append(serve_down)
                 n_d = 0
                 n_u += a_u
             else:
+                actions.append(serve_up)
                 n_u = 0
                 n_d += a_d
-            alignment = alignment.flip()
+            down = not down
         else:
-            actions.append(Action.WAIT)
+            actions.append(wait)
     return actions
 
 
@@ -107,5 +109,5 @@ def realized_periodic(
     The schedule is applied exactly as produced, anchored at period 1; no
     rotation or alignment search is performed.
     """
-    actions = [schedule.action_at(t) for t in range(1, horizon + 1)]
+    actions = list(islice(cycle(schedule.actions), horizon))
     return _run("realizedPeriodic", arrivals, actions, horizon, schedule.initial_alignment)

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, cycle, islice, repeat
 from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
 
@@ -153,17 +154,6 @@ class SimulationResult:
 ArrivalSource = Union[Callable[[int], Tuple[int, int]], Sequence[Tuple[int, int]]]
 
 
-def _arrival_fn(arrivals: ArrivalSource) -> Callable[[int], Tuple[int, int]]:
-    if callable(arrivals):
-        return arrivals
-    seq = arrivals
-
-    def fn(t: int) -> Tuple[int, int]:
-        return seq[t - 1] if 1 <= t <= len(seq) else (0, 0)
-
-    return fn
-
-
 def simulate(
     arrivals: ArrivalSource,
     actions: Union[Schedule, Sequence[Action]],
@@ -177,43 +167,54 @@ def simulate(
     ``actions`` is a Schedule (replayed cyclically) or a finite sequence
     covering the horizon.  Raises InfeasibleScheduleError if a processing
     action does not match the lock's alignment.
+
+    This is the only queue recurrence: every policy trace is scored here.
+    The loop zips the periods with an arrivals iterator (the callable mapped
+    over the periods, or the sequence padded with empty periods) and an
+    actions iterator (cycled only when shorter than the horizon), and tests
+    each action by identity against a boolean alignment.  It deliberately
+    avoids hashing ``Action`` members, whose ``__hash__`` is Python code.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    arrive = _arrival_fn(arrivals)
+    periods = range(1, horizon + 1)
+    if callable(arrivals):
+        arriving: Iterable[Tuple[int, int]] = map(arrivals, periods)
+    else:
+        arriving = chain(islice(arrivals, horizon), repeat((0, 0)))
     if isinstance(actions, Schedule):
-        # One period of sides, replayed cyclically.
-        sides = [a.processes for a in actions.actions]
+        trace: Sequence[Action] = actions.actions
         alignment = actions.initial_alignment if initial_alignment is None else initial_alignment
     else:
         if len(actions) < horizon:
             raise ValueError(f"action sequence of length {len(actions)} does not cover horizon {horizon}")
-        sides = [a.processes for a in actions]
+        trace = actions
         alignment = initial_alignment
         if alignment is None:
-            alignment = next((side for side in sides if side is not None), Direction.DOWN)
-    period = len(sides)
+            first = next((a for a in actions if a is not Action.WAIT), Action.PROCESS_DOWN)
+            alignment = first.processes
+    steps: Iterable[Action] = trace if len(trace) >= horizon else islice(cycle(trace), horizon)
 
+    wait, serve_down = Action.WAIT, Action.PROCESS_DOWN
+    down = alignment is Direction.DOWN
     n_d = n_u = 0
     n_arrivals = 0
-    costs = []
-    for t in range(1, horizon + 1):
-        a_d, a_u = arrive(t)
+    costs: List[int] = []
+    for t, (a_d, a_u), action in zip(periods, arriving, steps):
         n_arrivals += a_d + a_u
-        side = sides[(t - 1) % period]
-        if side is None:
+        if action is wait:
             n_d += a_d
             n_u += a_u
-        elif side is not alignment:
+        elif (action is serve_down) is not down:
             raise InfeasibleScheduleError(
-                f"period {t}: action processes {side.value} but lock is aligned {alignment.value}"
+                f"period {t}: action processes {action.value} but lock is aligned {'D' if down else 'U'}"
             )
-        elif side is Direction.DOWN:
-            alignment = Direction.UP
+        elif down:
+            down = False
             n_d = 0
             n_u += a_u
         else:
-            alignment = Direction.DOWN
+            down = True
             n_u = 0
             n_d += a_d
         costs.append(n_d + n_u)

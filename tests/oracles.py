@@ -10,6 +10,11 @@ cyclic DP as nine lanes over the whole horizon, which the min-plus
 ``dp.solve`` must reproduce exactly.  ``brute_force_optimal`` enumerates
 every cyclic action sequence of a given period and simulates each one; it
 reads only the arrival pattern, so it is independent of ``dp``.
+``reference_simulate`` is the per-period simulator loop as it was before the
+fast replay: a closure per arrival lookup and a cyclic index per period.
+``reference_alternating``, ``reference_fifo``, ``reference_adv_fifo`` and
+``reference_realized_periodic`` are the policies as they were, scored by
+``reference_simulate``.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Iterator, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from locksched.arrivals import MatchingInstance
 from locksched.dp import (
@@ -44,11 +49,15 @@ from locksched.matching import (
     assignment_cost,
     matching_points,
 )
+from locksched.policies import Arrivals, PolicyRun
 from locksched.schedule import (
     Action,
+    ArrivalSource,
     Direction,
+    InfeasibleScheduleError,
     PeriodicInstance,
     Schedule,
+    SimulationResult,
     arrival_at,
     arrival_pattern,
     cyclic_average,
@@ -308,3 +317,161 @@ def brute_force_optimal(instance: PeriodicInstance, period: int) -> Fraction:
             f"no feasible processing sequence of period {period} for a non-empty pattern"
         )
     return best
+
+
+# The simulator and policies as they were before the fast replay loop.
+
+
+def _reference_arrival_fn(arrivals: ArrivalSource) -> Callable[[int], Tuple[int, int]]:
+    if callable(arrivals):
+        return arrivals
+    seq = arrivals
+
+    def fn(t: int) -> Tuple[int, int]:
+        return seq[t - 1] if 1 <= t <= len(seq) else (0, 0)
+
+    return fn
+
+
+def reference_simulate(
+    arrivals: ArrivalSource,
+    actions: Union[Schedule, Sequence[Action]],
+    horizon: int,
+    initial_alignment: Direction | None = None,
+) -> SimulationResult:
+    """The original ``simulate``: the per-period queue recurrence over [1, horizon].
+
+    ``arrivals`` is either a callable t -> (a_D, a_U) or a sequence indexed
+    from period 1; periods past the end of a sequence contribute no arrivals.
+    ``actions`` is a Schedule (replayed cyclically) or a finite sequence
+    covering the horizon.  Raises InfeasibleScheduleError if a processing
+    action does not match the lock's alignment.
+    """
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    arrive = _reference_arrival_fn(arrivals)
+    if isinstance(actions, Schedule):
+        # One period of sides, replayed cyclically.
+        sides = [a.processes for a in actions.actions]
+        alignment = actions.initial_alignment if initial_alignment is None else initial_alignment
+    else:
+        if len(actions) < horizon:
+            raise ValueError(f"action sequence of length {len(actions)} does not cover horizon {horizon}")
+        sides = [a.processes for a in actions]
+        alignment = initial_alignment
+        if alignment is None:
+            alignment = next((side for side in sides if side is not None), Direction.DOWN)
+    period = len(sides)
+
+    n_d = n_u = 0
+    n_arrivals = 0
+    costs = []
+    for t in range(1, horizon + 1):
+        a_d, a_u = arrive(t)
+        n_arrivals += a_d + a_u
+        side = sides[(t - 1) % period]
+        if side is None:
+            n_d += a_d
+            n_u += a_u
+        elif side is not alignment:
+            raise InfeasibleScheduleError(
+                f"period {t}: action processes {side.value} but lock is aligned {alignment.value}"
+            )
+        elif side is Direction.DOWN:
+            alignment = Direction.UP
+            n_d = 0
+            n_u += a_u
+        else:
+            alignment = Direction.DOWN
+            n_u = 0
+            n_d += a_d
+        costs.append(n_d + n_u)
+    total = sum(costs)
+    per_vessel = Fraction(total, n_arrivals) if n_arrivals else Fraction(0)
+    return SimulationResult(
+        horizon=horizon,
+        per_period_cost=tuple(costs),
+        total_wait=total,
+        n_arrivals=n_arrivals,
+        avg_wait_per_period=Fraction(total, horizon),
+        avg_wait_per_vessel=per_vessel,
+    )
+
+
+def _reference_run(policy: str, arrivals: Arrivals, actions: Sequence[Action], horizon: int, alignment: Direction) -> PolicyRun:
+    result = reference_simulate(arrivals, list(actions), horizon, initial_alignment=alignment)
+    return PolicyRun(policy=policy, actions=tuple(actions), initial_alignment=alignment, result=result)
+
+
+def reference_alternating(arrivals: Arrivals, horizon: int) -> PolicyRun:
+    """Strict alternation with no waits; the better of the two phases wins.
+
+    Ties go to the downstream-first phase.
+    """
+    candidates = []
+    for first in (Direction.DOWN, Direction.UP):
+        actions = [Action.process(first if t % 2 == 1 else first.flip()) for t in range(1, horizon + 1)]
+        candidates.append(_reference_run("alternating", arrivals, actions, horizon, first))
+    down_first, up_first = candidates
+    return down_first if down_first.result.total_wait <= up_first.result.total_wait else up_first
+
+
+def _reference_get(arrivals: Arrivals, t: int) -> Tuple[int, int]:
+    return arrivals[t - 1] if 1 <= t <= len(arrivals) else (0, 0)
+
+
+def _reference_fifo_actions(arrivals: Arrivals, horizon: int, alignment: Direction, lookahead: bool) -> List[Action]:
+    """The action trace of ``fifo``, or of ``adv_fifo`` with ``lookahead``."""
+    n_d = n_u = 0
+    actions: List[Action] = []
+    for t in range(1, horizon + 1):
+        a_d, a_u = _reference_get(arrivals, t)
+        operate = n_d + n_u + a_d + a_u > 0
+        if not operate and lookahead:
+            next_d, next_u = _reference_get(arrivals, t + 1)
+            operate = (next_u if alignment is Direction.DOWN else next_d) > 0
+        if operate:
+            actions.append(Action.process(alignment))
+            if alignment is Direction.DOWN:
+                n_d = 0
+                n_u += a_u
+            else:
+                n_u = 0
+                n_d += a_d
+            alignment = alignment.flip()
+        else:
+            actions.append(Action.WAIT)
+    return actions
+
+
+def reference_fifo(arrivals: Arrivals, horizon: int, initial_alignment: Direction = Direction.DOWN) -> PolicyRun:
+    """Operate whenever any vessel is waiting or arriving, else wait.
+
+    The lockage always runs from the current alignment; an empty lockage is
+    the only way to reach vessels stuck on the opposite side.
+    """
+    actions = _reference_fifo_actions(arrivals, horizon, initial_alignment, lookahead=False)
+    return _reference_run("fifo", arrivals, actions, horizon, initial_alignment)
+
+
+def reference_adv_fifo(arrivals: Arrivals, horizon: int, initial_alignment: Direction = Direction.DOWN) -> PolicyRun:
+    """FIFO plus a one-period lookahead.
+
+    When idle and the next period brings an arrival on the side opposite the
+    current alignment, run an empty lockage now so that arrival is served on
+    arrival.
+    """
+    actions = _reference_fifo_actions(arrivals, horizon, initial_alignment, lookahead=True)
+    return _reference_run("advfifo", arrivals, actions, horizon, initial_alignment)
+
+
+def reference_realized_periodic(
+    schedule: Schedule, arrivals: Arrivals, horizon: int
+) -> PolicyRun:
+    """Replay a precomputed periodic schedule against raw arrival counts.
+
+    The schedule is applied exactly as produced, anchored at period 1; no
+    rotation or alignment search is performed.
+    """
+    actions = [schedule.action_at(t) for t in range(1, horizon + 1)]
+    return _reference_run("realizedPeriodic", arrivals, actions, horizon, schedule.initial_alignment)

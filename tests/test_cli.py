@@ -116,6 +116,24 @@ def test_arrivals_without_records_is_an_error(tmp_path, capsys, command, out_fla
     assert not out.exists()
 
 
+@pytest.mark.parametrize("policies, bad", [("bogus", "bogus"), ("fifo,advFIFO", "advFIFO"), ("x,fifo,y", "x, y")])
+def test_evaluate_rejects_unknown_policies(arrivals_csv, tmp_path, capsys, policies, bad):
+    out = tmp_path / "eval.csv"
+    code = main(["evaluate", "--arrivals", str(arrivals_csv), "--policies", policies, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: unknown policies: {bad} (known: alternating, fifo, advfifo, realized)\n"
+    )
+    assert not out.exists()
+
+
+def test_evaluate_rejects_empty_policies(arrivals_csv, tmp_path, capsys):
+    out = tmp_path / "eval.csv"
+    assert main(["evaluate", "--arrivals", str(arrivals_csv), "--policies", ",", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: no policies given (known: alternating, fifo, advfifo, realized)\n"
+    assert not out.exists()
+
+
 def test_evaluate_realized_requires_schedule(arrivals_csv):
     assert main(["evaluate", "--arrivals", str(arrivals_csv), "--policies", "realized"]) == 1
 
@@ -200,6 +218,29 @@ def test_experiment_config_rejects_zero_jobs(arrivals_csv, tmp_path, capsys):
                  "--out-dir", str(tmp_path / "reports")])
     assert code == 1
     assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [({"k": 2}, "k must be a non-empty list of positive ints, got 2"),
+     ({"k": []}, "k must be a non-empty list of positive ints, got []"),
+     ({"n": [20, 0]}, "n must be a non-empty list of positive ints, got [20, 0]"),
+     ({"n": ["20"]}, 'n must be a non-empty list of positive ints, got ["20"]'),
+     ({"k": [True]}, "k must be a non-empty list of positive ints, got [true]"),
+     ({"period_minutes": "21"}, 'period_minutes must be an int, got "21"'),
+     ({"dp_cap": 1.5}, "dp_cap must be an int, got 1.5"),
+     ({"jobs": None}, "jobs must be an int, got null")],
+    ids=["k-int", "k-empty", "n-zero", "n-str", "k-bool", "period-str", "dp-cap-float", "jobs-null"],
+)
+def test_experiment_config_rejects_wrong_value_types(arrivals_csv, tmp_path, capsys, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out_dir = tmp_path / "reports"
+    code = main(["experiment", "--arrivals", str(arrivals_csv), "--config", str(path),
+                 "--k-list", "2", "--n-list", "6", "--out-dir", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --config key {message}\n"
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

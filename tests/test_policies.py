@@ -1,7 +1,16 @@
 from fractions import Fraction
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from locksched.policies import adv_fifo, alternating, fifo, realized_periodic
-from locksched.schedule import Action, Direction, Schedule, simulate
+from locksched.schedule import Action, Direction, InfeasibleScheduleError, Schedule, simulate
+from oracles import (
+    reference_adv_fifo,
+    reference_alternating,
+    reference_fifo,
+    reference_realized_periodic,
+)
 
 D, U, W = Action.PROCESS_DOWN, Action.PROCESS_UP, Action.WAIT
 
@@ -112,3 +121,38 @@ def test_policy_runs_are_re_simulable():
     for run in (alternating(arrivals, 4), fifo(arrivals, 4), adv_fifo(arrivals, 4)):
         res = simulate(arrivals, list(run.actions), 4, initial_alignment=run.initial_alignment)
         assert res.total_wait == run.result.total_wait
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InfeasibleScheduleError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    horizon=st.integers(1, 30),
+    arrivals=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=35),
+    start=st.sampled_from(Direction),
+    processes=st.lists(st.booleans(), min_size=1, max_size=40),
+    schedule_start=st.sampled_from(Direction),
+)
+@example(horizon=1, arrivals=[], start=Direction.UP, processes=[True], schedule_start=Direction.DOWN)
+@example(horizon=7, arrivals=[(0, 1)], start=Direction.DOWN, processes=[False, True, True], schedule_start=Direction.UP)
+def test_fast_policies_equal_references(horizon, arrivals, start, processes, schedule_start):
+    """Every policy gives the reference's policy name, actions, initial
+    alignment and simulation result; schedules (period 1 to 40 against
+    horizons 1 to 30) alternate sides, so an odd number of lockages makes
+    the replay infeasible after one cycle, for both."""
+    assert alternating(arrivals, horizon) == reference_alternating(arrivals, horizon)
+    assert fifo(arrivals, horizon, start) == reference_fifo(arrivals, horizon, start)
+    assert adv_fifo(arrivals, horizon, start) == reference_adv_fifo(arrivals, horizon, start)
+    side, actions = schedule_start, []
+    for process in processes:
+        actions.append(Action.process(side) if process else W)
+        side = side.flip() if process else side
+    schedule = Schedule(tuple(actions), schedule_start)
+    assert _outcome(realized_periodic, schedule, arrivals, horizon) == _outcome(
+        reference_realized_periodic, schedule, arrivals, horizon
+    )

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locksched.schedule import (
     Action,
@@ -18,6 +20,7 @@ from locksched.schedule import (
     schedule_to_json,
     simulate,
 )
+from oracles import reference_simulate
 
 D, U, W = Action.PROCESS_DOWN, Action.PROCESS_UP, Action.WAIT
 
@@ -167,3 +170,54 @@ def test_action_helpers():
     assert U.processes is Direction.UP
     assert W.processes is None
     assert Direction.DOWN.flip() is Direction.UP
+
+
+_pairs = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+@st.composite
+def _simulations(draw):
+    """Arguments for ``simulate``: arrivals as a sequence shorter than, equal
+    to or longer than the horizon, or as a callable; actions as a cyclic
+    Schedule (period up to twice the horizon) or as a list (some too short).
+    Actions alternate sides from a drawn start, and one of them is sometimes
+    overwritten, so infeasible traces are drawn too."""
+    horizon = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(["shorter", "equal", "longer", "callable"]))
+    sizes = {"shorter": (0, horizon - 1), "equal": (horizon, horizon)}.get(shape, (horizon + 1, horizon + 10))
+    seq = draw(st.lists(_pairs, min_size=sizes[0], max_size=sizes[1]))
+    arrivals = (lambda t: seq[t - 1]) if shape == "callable" else seq
+
+    as_schedule = draw(st.booleans())
+    length = draw(st.integers(1, 2 * horizon) if as_schedule else st.integers(max(0, horizon - 2), horizon + 5))
+    start = draw(st.sampled_from(Direction))
+    side, actions = start, []
+    for process in draw(st.lists(st.booleans(), min_size=length, max_size=length)):
+        actions.append(Action.process(side) if process else W)
+        side = side.flip() if process else side
+    if actions and draw(st.booleans()):
+        actions[draw(st.integers(0, length - 1))] = draw(st.sampled_from(Action))
+    trace = Schedule(tuple(actions), start) if as_schedule else actions
+    alignment = draw(st.none() | st.sampled_from(Direction))
+    return arrivals, trace, horizon, alignment, seq
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:  # InfeasibleScheduleError included
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_simulations())
+def test_simulate_equals_reference_and_keeps_invariants(case):
+    arrivals, actions, horizon, alignment, seq = case
+    fast = _outcome(simulate, arrivals, actions, horizon, alignment)
+    assert fast == _outcome(reference_simulate, arrivals, actions, horizon, alignment)
+    if isinstance(fast, tuple):
+        return
+    assert len(fast.per_period_cost) == horizon
+    assert min(fast.per_period_cost) >= 0
+    assert fast.total_wait == sum(fast.per_period_cost)
+    assert fast.n_arrivals == sum(a_d + a_u for a_d, a_u in seq[:horizon])
