@@ -17,12 +17,18 @@ recurrence exactly; reconstructed schedules are verified against simulation.
 The paper-literal convention shifts the service window back by one period and
 is kept for comparison only.
 
-The forward pass (``lane``) runs over integer state ids and per-period slot
-costs; the rolling-horizon windows in ``rolling`` run through it too.
+The forward pass (``lane``) is one straight-line step per period over the
+eight state values and the period's six slot costs: four copies for the
+wait states and four two-way minimums for the switch states.  Each step keeps
+one int of four choice bits as its backpointers, so the winning lane's
+8 * Lambda - 1 steps cost one small int each.  The rolling-horizon windows in
+``rolling`` run through the same lane.  ``_TRANSITIONS`` remains the table
+form of the step, for the wrap-around matrix and ``transition_cost``.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +52,8 @@ PAPER_LITERAL = "paper-literal"
 _SHIFT = {CANONICAL: 0, PAPER_LITERAL: 1}  # periods the service window is shifted back
 
 DEFAULT_PERIOD_CAP = 1_000_000
+
+_log = logging.getLogger(__name__)
 
 
 class PeriodCapExceededError(ValueError):
@@ -103,8 +111,9 @@ def _slot(prev: LockState, state: LockState) -> int:
 
 
 # Every transition as (state_id, pred_id, slot), by state id and then in
-# predecessors() order; the lane keeps the first strict minimum, so this
-# order fixes the tie-breaking.
+# predecessors() order.  ``lane`` hard-codes this table as its step and, like
+# the wrap-around pick in ``solve``, keeps the first strict minimum in this
+# order, which fixes the tie-breaking.
 _TRANSITIONS: Tuple[Tuple[int, int, int], ...] = tuple(
     (s_id, ALL_STATES.index(prev), _slot(prev, state))
     for s_id, state in enumerate(ALL_STATES)
@@ -136,54 +145,75 @@ def _cost(costs: Sequence[int], slot: int) -> int:
     return costs[slot] if slot >= 0 else 0
 
 
-def lane(
-    start: int, steps: Iterable[Sequence[int]], keep_back: bool = False
-) -> Tuple[List[float], Optional[List[List[int]]]]:
+def lane(start: int, steps: Iterable[Sequence[int]]) -> Tuple[List[float], List[int]]:
     """Forward DP from state id ``start``, one period per entry of ``steps``.
 
-    Each step holds that period's six slot costs.  Returns the minimum cost
-    of reaching each state after the last step (inf if unreachable) and, with
-    ``keep_back``, each step's chosen predecessor per state.
+    Each step holds that period's six slot costs c0..c5, and ``_TRANSITIONS``
+    reduces to one straight-line step over the eight state values v0..v7.
+    The wait states copy their one predecessor (v2, v3, v6, v7 become v0, v1,
+    v4, v5).  Each switch state takes the first strict minimum of its two
+    predecessors: v0 of v4+c3 and v5+c4, v1 of v6+c4 and v7+c5, v4 of v0+c0
+    and v1+c1, v5 of v2+c1 and v3+c2, the first operand winning a tie.
+    Returns the minimum cost of reaching each state after the last step (inf
+    if unreachable) and, per step, an int of choice bits: bit s is set when
+    switch state s took its second predecessor (decoded by ``lane_path``).
     """
-    values: List[float] = [_INF] * 8
-    values[start] = 0
-    back: Optional[List[List[int]]] = [] if keep_back else None
-    for costs in steps:
-        new = [_INF] * 8
-        choice = [-1] * 8
-        for s_id, p_id, slot in _TRANSITIONS:
-            v = values[p_id]
-            if v == _INF:
-                continue
-            if slot >= 0:
-                v += costs[slot]
-            if v < new[s_id]:
-                new[s_id] = v
-                choice[s_id] = p_id
-        values = new
-        if back is not None:
-            back.append(choice)
-    return values, back
+    v0, v1, v2, v3, v4, v5, v6, v7 = [0 if s_id == start else _INF for s_id in range(8)]
+    back: List[int] = []
+    append = back.append
+    for c0, c1, c2, c3, c4, c5 in steps:
+        n0 = v4 + c3
+        x0 = v5 + c4
+        n1 = v6 + c4
+        x1 = v7 + c5
+        n4 = v0 + c0
+        x4 = v1 + c1
+        n5 = v2 + c1
+        x5 = v3 + c2
+        bits = 0
+        if x0 < n0:
+            n0 = x0
+            bits = 1
+        if x1 < n1:
+            n1 = x1
+            bits |= 2
+        if x4 < n4:
+            n4 = x4
+            bits |= 16
+        if x5 < n5:
+            n5 = x5
+            bits |= 32
+        v0, v1, v2, v3, v4, v5, v6, v7 = n0, n1, v0, v1, n4, n5, v4, v5
+        append(bits)
+    return [v0, v1, v2, v3, v4, v5, v6, v7], back
 
 
-def lane_path(back: List[List[int]], final: int) -> List[int]:
-    """State ids from the lane's start to ``final``, one per step plus the start."""
+# Per state id: its first predecessor in predecessors() order (a switch
+# state's second one is the next id), and the action that enters it.
+_FIRST_PRED = (4, 6, 0, 1, 0, 2, 4, 5)
+_ENTRY_ACTION = tuple(
+    Action.WAIT if state.own_waits else Action.process(state.alignment.flip()) for state in ALL_STATES
+)
+
+
+def lane_path(back: List[int], final: int) -> List[int]:
+    """State ids from the lane's start to ``final``, one per step plus the start.
+
+    A wait state's predecessor is its first one; a switch state adds its
+    choice bit to its first predecessor.  Bits of wait states are never set.
+    """
     path = [final]
-    for choice in reversed(back):
-        path.append(choice[path[-1]])
+    s_id = final
+    for bits in reversed(back):
+        s_id = _FIRST_PRED[s_id] + (bits >> s_id & 1)
+        path.append(s_id)
     path.reverse()
     return path
 
 
 def path_actions(path: Sequence[int]) -> Tuple[Action, ...]:
     """The action taken on each step of a state-id path."""
-    actions = []
-    for prev, state in zip(path, path[1:]):
-        if ALL_STATES[state].own_waits > 0:
-            actions.append(Action.WAIT)
-        else:
-            actions.append(Action.process(ALL_STATES[prev].alignment))
-    return tuple(actions)
+    return tuple(_ENTRY_ACTION[s_id] for s_id in path[1:])
 
 
 def _cyclic(pattern: List[Tuple[int, int]]) -> ArrivalFn:
@@ -263,8 +293,7 @@ def solve(
 
     # Run the winning lane with backpointers and rebuild the state path; the
     # path's last state is the cyclic predecessor of its first.
-    _, back = lane(s0_id, islice(cycle(phase_costs), 1, T), keep_back=True)
-    assert back is not None
+    _, back = lane(s0_id, islice(cycle(phase_costs), 1, T))
     path = lane_path(back, final_id)
     assert path[0] == s0_id
     actions = path_actions(path[-1:] + path)
@@ -279,6 +308,17 @@ def solve(
             raise AssertionError(
                 f"reconstructed schedule simulates to {simulated}, DP value is {avg}"
             )
+    _log.debug(
+        "%s: lcm=%d, T=%d, initial state %s, total cost %d",
+        mode, lam, T, ALL_STATES[s0_id], total,
+        extra={
+            "mode": mode,
+            "lcm": lam,
+            "period": T,
+            "initial_state": str(ALL_STATES[s0_id]),
+            "total_cost": total,
+        },
+    )
     return OptimalResult(
         avg_cost=avg,
         total_cost=total,

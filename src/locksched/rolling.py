@@ -123,7 +123,7 @@ def windowed_optimum(
     def solve_from(entry: Direction) -> WindowSolution:
         # The lane starts in the virtual state (entry, 0, 0): the lock
         # position entering t_start, with fresh wait counters.
-        values, back = lane(ALL_STATES.index(LockState(entry, 0, 0)), steps, keep_back=True)
+        values, back = lane(ALL_STATES.index(LockState(entry, 0, 0)), steps)
         totals = {
             s_id: v + _terminal_cost(arrivals, t_end, ALL_STATES[s_id])
             for s_id, v in enumerate(values)

@@ -268,10 +268,32 @@ def schedule_from_json(text: str) -> Schedule:
 
 
 def instance_from_json(text: str) -> PeriodicInstance:
+    """Parse ``{"streams": [{"direction": ..., "lambda": ..., "mu": ...}, ...]}``.
+
+    A bad document raises ``ValueError`` naming the stream index and key.
+    """
     data = json.loads(text)
-    return PeriodicInstance(
-        streams=tuple(
-            StreamSpec(direction=Direction(s["direction"]), lam=int(s["lambda"]), mu=int(s["mu"]))
-            for s in data["streams"]
-        )
-    )
+    if not isinstance(data, dict):
+        raise ValueError(f"instance must be a JSON object, got {json.dumps(data)}")
+    if "streams" not in data:
+        raise ValueError('instance: missing key "streams"')
+    if not isinstance(data["streams"], list):
+        raise ValueError(f'instance key "streams" must be a list, got {json.dumps(data["streams"])}')
+    specs = []
+    for i, stream in enumerate(data["streams"]):
+        where = f"instance stream {i}"
+        if not isinstance(stream, dict):
+            raise ValueError(f"{where} must be a JSON object, got {json.dumps(stream)}")
+        for key in ("direction", "lambda", "mu"):
+            if key not in stream:
+                raise ValueError(f'{where}: missing key "{key}"')
+        for key in ("lambda", "mu"):
+            if type(stream[key]) is not int:  # bool is not an int here
+                raise ValueError(f'{where}: key "{key}" must be an int, got {json.dumps(stream[key])}')
+        if stream["direction"] not in [d.value for d in Direction]:
+            raise ValueError(f'{where}: key "direction" must be "D" or "U", got {json.dumps(stream["direction"])}')
+        try:
+            specs.append(StreamSpec(Direction(stream["direction"]), stream["lambda"], stream["mu"]))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    return PeriodicInstance(streams=tuple(specs))

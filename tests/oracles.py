@@ -7,7 +7,10 @@ sorted assignment at all.  Both are test-only, so scipy and numpy are test
 dependencies, not runtime ones.  ``oracle_windowed_cost`` checks the rolling
 windows by simulating every process/wait sequence.  ``reference_solve`` is the
 cyclic DP as nine lanes over the whole horizon, which the min-plus
-``dp.solve`` must reproduce exactly.  ``brute_force_optimal`` enumerates
+``dp.solve`` must reproduce exactly; its lanes run through ``reference_lane``,
+``reference_lane_path`` and ``reference_path_actions``, the table-driven loop
+with an 8-entry backpointer list per step that the straight-line ``dp.lane``
+replaced.  ``brute_force_optimal`` enumerates
 every cyclic action sequence of a given period and simulates each one; it
 reads only the arrival pattern, so it is independent of ``dp``.
 ``reference_simulate`` is the per-period simulator loop as it was before the
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from locksched.arrivals import MatchingInstance
 from locksched.dp import (
@@ -36,9 +39,6 @@ from locksched.dp import (
     PeriodCapExceededError,
     _cost,
     _cyclic,
-    lane,
-    lane_path,
-    path_actions,
     slot_costs,
 )
 from locksched.matching import (
@@ -201,6 +201,52 @@ def oracle_windowed_cost(instance: PeriodicInstance, t_start: int, t_end: int, e
     return best
 
 
+def reference_lane(
+    start: int, steps: Iterable[Sequence[int]], keep_back: bool = False
+) -> Tuple[List[float], Optional[List[List[int]]]]:
+    """The table-driven lane: every ``_TRANSITIONS`` row per step, with
+    ``keep_back`` an 8-entry list of chosen predecessors per step."""
+    values: List[float] = [_INF] * 8
+    values[start] = 0
+    back: Optional[List[List[int]]] = [] if keep_back else None
+    for costs in steps:
+        new = [_INF] * 8
+        choice = [-1] * 8
+        for s_id, p_id, slot in _TRANSITIONS:
+            v = values[p_id]
+            if v == _INF:
+                continue
+            if slot >= 0:
+                v += costs[slot]
+            if v < new[s_id]:
+                new[s_id] = v
+                choice[s_id] = p_id
+        values = new
+        if back is not None:
+            back.append(choice)
+    return values, back
+
+
+def reference_lane_path(back: List[List[int]], final: int) -> List[int]:
+    """State ids from the lane's start to ``final``, one per step plus the start."""
+    path = [final]
+    for choice in reversed(back):
+        path.append(choice[path[-1]])
+    path.reverse()
+    return path
+
+
+def reference_path_actions(path: Sequence[int]) -> Tuple[Action, ...]:
+    """The action taken on each step of a state-id path."""
+    actions = []
+    for prev, state in zip(path, path[1:]):
+        if ALL_STATES[state].own_waits > 0:
+            actions.append(Action.WAIT)
+        else:
+            actions.append(Action.process(ALL_STATES[prev].alignment))
+    return tuple(actions)
+
+
 def reference_solve(
     instance: PeriodicInstance, mode: str = CANONICAL, period_cap: int = DEFAULT_PERIOD_CAP
 ) -> OptimalResult:
@@ -222,7 +268,7 @@ def reference_solve(
 
     best: Optional[Tuple[int, int, int]] = None  # (total, s0_id, s_final_id)
     for s0_id in range(8):
-        values, _ = lane(s0_id, steps)
+        values, _ = reference_lane(s0_id, steps)
         for s_id, p_id, slot in _TRANSITIONS:
             if s_id != s0_id or values[p_id] == _INF:
                 continue
@@ -234,11 +280,11 @@ def reference_solve(
 
     # Re-run the winning lane with backpointers and rebuild the state path;
     # the path's last state is the cyclic predecessor of its first.
-    _, back = lane(s0_id, steps, keep_back=True)
+    _, back = reference_lane(s0_id, steps, keep_back=True)
     assert back is not None
-    path = lane_path(back, final_id)
+    path = reference_lane_path(back, final_id)
     assert path[0] == s0_id
-    actions = path_actions(path[-1:] + path)
+    actions = reference_path_actions(path[-1:] + path)
     first = actions[0]
     initial_alignment = first.processes if first.processes is not None else ALL_STATES[s0_id].alignment
     schedule = Schedule(actions=actions, initial_alignment=initial_alignment)

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -80,6 +81,49 @@ def test_rolling_command_rejects_zero(tmp_path, capsys, flag):
     code = main(["rolling", "--instance", str(inst), "--epsilon", "1.0", flag, "0"])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [["schedule"], ["rolling", "--epsilon", "1.0"]], ids=["schedule", "rolling"])
+@pytest.mark.parametrize(
+    "document, message",
+    [([1], "instance must be a JSON object, got [1]"),
+     ({}, 'instance: missing key "streams"'),
+     ({"streams": {}}, 'instance key "streams" must be a list, got {}'),
+     ({"streams": [3]}, "instance stream 0 must be a JSON object, got 3"),
+     ({"streams": [{"direction": "D", "lambda": 2, "mu": 1}, {"direction": "U", "lambda": 2}]},
+      'instance stream 1: missing key "mu"'),
+     ({"streams": [{"direction": "D", "lambda": 2.7, "mu": 1}]},
+      'instance stream 0: key "lambda" must be an int, got 2.7'),
+     ({"streams": [{"direction": "D", "lambda": 2, "mu": True}]},
+      'instance stream 0: key "mu" must be an int, got true'),
+     ({"streams": [{"direction": "X", "lambda": 2, "mu": 1}]},
+      'instance stream 0: key "direction" must be "D" or "U", got "X"'),
+     ({"streams": [{"direction": "D", "lambda": 2, "mu": 3}]},
+      "instance stream 0: mu must satisfy 1 <= mu <= lambda, got mu=3, lambda=2")],
+    ids=["top-list", "no-streams", "streams-object", "stream-int", "no-mu", "lambda-float",
+         "mu-bool", "bad-direction", "mu-above-lambda"],
+)
+def test_instance_commands_reject_bad_documents(tmp_path, capsys, command, document, message):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(document))
+    out = tmp_path / "out.json"
+    assert main([*command, "--instance", str(inst), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_schedule_json_identical_with_debug_logging(tmp_path, caplog):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"streams": [{"direction": "D", "lambda": 3, "mu": 1},
+                                            {"direction": "U", "lambda": 2, "mu": 2}]}))
+    quiet, loud = tmp_path / "quiet.json", tmp_path / "loud.json"
+    assert main(["schedule", "--instance", str(inst), "--out", str(quiet)]) == 0
+    assert not caplog.records
+    caplog.set_level(logging.DEBUG, logger="locksched")
+    assert main(["schedule", "--instance", str(inst), "--out", str(loud)]) == 0
+    assert [(r.name, r.mode) for r in caplog.records] == [
+        ("locksched.dp", "canonical"), ("locksched.dp", "paper-literal")]
+    assert loud.read_bytes() == quiet.read_bytes()
 
 
 def test_policy_command(capsys):

@@ -1,7 +1,15 @@
+import logging
 from fractions import Fraction
 
 import pytest
-from oracles import BruteForcePeriodError, brute_force_optimal, reference_solve
+from oracles import (
+    BruteForcePeriodError,
+    brute_force_optimal,
+    reference_lane,
+    reference_lane_path,
+    reference_path_actions,
+    reference_solve,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +21,9 @@ from locksched.dp import (
     PAPER_LITERAL,
     LockState,
     PeriodCapExceededError,
+    lane,
+    lane_path,
+    path_actions,
     predecessors,
     result_to_json_dict,
     slot_costs,
@@ -278,3 +289,36 @@ def test_solve_equals_nine_lane_reference_fixed(mode):
     ]:
         inst = _inst(*specs)
         _assert_same_result(solve(inst, mode), reference_solve(inst, mode))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 3)] * 6), max_size=60))
+def test_lane_equals_table_reference(steps):
+    """The straight-line step and its choice bits against the table loop.
+
+    Costs in 0..3 make ties common, so the first-strict-minimum rule is
+    exercised on every switch state."""
+    for start in range(8):
+        values, back = lane(start, steps)
+        ref_values, ref_back = reference_lane(start, steps, keep_back=True)
+        assert values == ref_values
+        assert len(back) == len(steps)
+        for final, value in enumerate(values):
+            if value == float("inf"):
+                continue
+            path = lane_path(back, final)
+            assert path == reference_lane_path(ref_back, final)
+            assert path_actions(path) == reference_path_actions(path)
+
+
+def test_solve_logs_period_and_initial_state(caplog):
+    """One DEBUG record per solve, with its figures as record attributes."""
+    inst = _inst((Direction.DOWN, 2, 1), (Direction.UP, 3, 2))
+    caplog.set_level(logging.DEBUG, logger="locksched.dp")
+    result = solve(inst)
+    (record,) = caplog.records
+    assert record.levelno == logging.DEBUG and record.name == "locksched.dp"
+    assert (record.lcm, record.period, record.total_cost) == (6, 48, result.total_cost)
+    assert record.initial_state == str(result.initial_state)
+    assert record.mode == CANONICAL
+    assert f"lcm=6, T=48, initial state {result.initial_state}" in record.getMessage()
