@@ -13,9 +13,17 @@ the schedule.
 Two transition-cost conventions are provided.  The canonical convention
 weights an arrival i periods before its service by i (so arrivals served in
 their own period cost nothing), which matches the per-period queue-length
-recurrence exactly; reconstructed schedules are verified against simulation.
+recurrence exactly; every reconstructed schedule is verified against
+simulation (``cyclic_average``: a warm-up to the schedule's second service,
+then one joint cycle).
 The paper-literal convention shifts the service window back by one period and
 is kept for comparison only.
+
+Every period's six slot costs (one per served side and window length) come
+from one builder, ``slot_cost_table``, over a list of per-period arrival
+counts with a lead-in: the hyper-period's last periods for ``solve``, empty
+periods for the rolling windows, and a one-period window for
+``transition_cost``.
 
 The forward pass (``lane``) is one straight-line step per period over the
 eight state values and the period's six slot costs: four copies for the
@@ -34,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle, islice
 from operator import add
-from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .schedule import (
     Action,
@@ -103,7 +111,7 @@ def predecessors(state: LockState) -> Tuple[LockState, ...]:
 
 
 def _slot(prev: LockState, state: LockState) -> int:
-    """-1 for a wait, else the (served side, window) index into slot_costs."""
+    """-1 for a wait, else the (served side, window) index into a period's slot costs."""
     if state.own_waits > 0:
         return -1
     side = 0 if prev.alignment is Direction.DOWN else 1
@@ -120,25 +128,27 @@ _TRANSITIONS: Tuple[Tuple[int, int, int], ...] = tuple(
     for prev in predecessors(state)
 )
 
-ArrivalFn = Callable[[int], Tuple[int, int]]
 
+def slot_cost_table(counts: Sequence[Tuple[int, int]], shift: int = 0) -> List[Tuple[int, ...]]:
+    """The six slot costs of every period of ``counts`` after a lead-in.
 
-def slot_costs(arrivals: ArrivalFn, t: int, shift: int = 0) -> Tuple[int, ...]:
-    """Switch costs at period t for the six (side, window) slots.
-
-    Serving a side (0 = DOWN, 1 = UP) at t after a window of w in {2, 3, 4}
-    periods costs slot ``3 * side + w - 2``: each arrival i periods before
-    t - shift, for 1 <= i < w, is charged i.  ``shift`` is 0 in the
-    canonical convention and 1 in the paper-literal one.
+    ``counts`` holds per-period (down, up) arrival counts whose first
+    ``shift + 3`` entries are the lead-in: the periods before the first one
+    costed.  Serving a side (0 = DOWN, 1 = UP) at period t after a window of
+    w in {2, 3, 4} periods costs slot ``3 * side + w - 2``: each arrival i
+    periods before t - shift, for 1 <= i < w, is charged i.  ``shift`` is 0
+    in the canonical convention and 1 in the paper-literal one.  The arrivals
+    1, 2 and 3 periods back are read as shifted slices of the two columns.
     """
-    earlier = [arrivals(t - shift - i) for i in (1, 2, 3)]
-    costs = []
-    for side in (0, 1):
-        cost = 0
-        for i, counts in enumerate(earlier, start=1):
-            cost += i * counts[side]
-            costs.append(cost)
-    return tuple(costs)
+    n = len(counts) - shift - 3
+    down = [c[0] for c in counts]
+    up = [c[1] for c in counts]
+    return [
+        (d1, d1 + 2 * d2, d1 + 2 * d2 + 3 * d3, u1, u1 + 2 * u2, u1 + 2 * u2 + 3 * u3)
+        for d1, d2, d3, u1, u2, u3 in zip(
+            down[2 : 2 + n], down[1 : 1 + n], down[:n], up[2 : 2 + n], up[1 : 1 + n], up[:n]
+        )
+    ]
 
 
 def _cost(costs: Sequence[int], slot: int) -> int:
@@ -216,10 +226,6 @@ def path_actions(path: Sequence[int]) -> Tuple[Action, ...]:
     return tuple(_ENTRY_ACTION[s_id] for s_id in path[1:])
 
 
-def _cyclic(pattern: List[Tuple[int, int]]) -> ArrivalFn:
-    return lambda t: pattern[(t - 1) % len(pattern)]
-
-
 def transition_cost(
     instance: PeriodicInstance, t: int, prev: LockState, state: LockState, mode: str = CANONICAL
 ) -> int:
@@ -229,7 +235,9 @@ def transition_cost(
     if prev not in predecessors(state):
         raise ValueError(f"{prev} is not a predecessor of {state}")
     lam = lcm_period(instance)
-    costs = slot_costs(lambda u: arrival_at(instance, (u - 1) % lam + 1), t, _SHIFT[mode])
+    shift = _SHIFT[mode]
+    window = [arrival_at(instance, (u - 1) % lam + 1) for u in range(t - shift - 3, t + 1)]
+    (costs,) = slot_cost_table(window, shift)
     return _cost(costs, _slot(prev, state))
 
 
@@ -262,8 +270,10 @@ def solve(
     pattern = arrival_pattern(instance)
     # Costs depend on t only through t mod Lambda.  Lanes start at t = 1 and
     # step through t = 2..T; the wrap-around step S -> S0 is at t = 1 again.
-    arrivals = _cyclic(pattern)
-    phase_costs = [slot_costs(arrivals, t, _SHIFT[mode]) for t in range(1, lam + 1)]
+    # The lead-in is the cyclic pattern's last shift + 3 periods.
+    shift = _SHIFT[mode]
+    lead_in = [pattern[t % lam] for t in range(-shift - 3, 0)]
+    phase_costs = slot_cost_table(lead_in + pattern, shift)
     wrap = phase_costs[0]
 
     # Min-plus transfer matrices: A covers t = 2..Lambda from each start, B is

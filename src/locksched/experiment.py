@@ -8,6 +8,7 @@ in minutes.
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 import time
@@ -17,7 +18,7 @@ from datetime import date, datetime, timedelta
 from fractions import Fraction
 from functools import partial
 from itertools import islice
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .arrivals import (
     ArrivalDataset,
@@ -43,6 +44,8 @@ DIRECTIONS = (Direction.DOWN, Direction.UP)
 
 FIT_HEADER = ("k", "n", "Runtime", "Fit")
 SCHEDULE_HEADER = ("k", "n", "periodicOpt", "alternating", "FIFO", "advFIFO", "realisedPeriodic")
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -179,22 +182,33 @@ def _map_ordered(jobs: int, fn, dataset: ArrivalDataset, tasks):
         return list(pool.map(partial(_on_shared_dataset, fn), tasks))
 
 
-def _fit_task(dataset: ArrivalDataset, task) -> Optional[FitResult]:
+class Skip(NamedTuple):
+    """Why a fit or a day's evaluation produced no result.
+
+    ``direction`` is the side with no arrivals, or None for a period-cap
+    skip, whose instance joins both directions' streams.
+    """
+
+    reason: str
+    direction: Optional[Direction]
+
+
+def _fit_task(dataset: ArrivalDataset, task) -> Union[FitResult, Skip]:
     k, n, day, direction = task
     try:
         return fit_day_direction(dataset, day, direction, k, n)
     except NoArrivalsError:
-        return None
+        return Skip("no arrivals", direction)
 
 
 def _fit_all(
     dataset: ArrivalDataset, config: ExperimentConfig
-) -> Dict[Tuple[int, int, date, Direction], Optional[FitResult]]:
+) -> Dict[Tuple[int, int, date, Direction], Union[FitResult, Skip]]:
     """The fit of every (k, n, day, direction), mapping all fits over one pool.
 
     Cells whose n reaches past the day's arrivals in a direction hold the
     same instance, so each distinct instance is fitted once and shared.  A
-    fit is None when the day has no arrivals in that direction.
+    fit is a ``Skip`` when the day has no arrivals in that direction.
     """
     cells = {
         (k, n, day, direction): (k, min(n, len(dataset.minutes_for(day, direction)) or 1), day, direction)
@@ -208,19 +222,35 @@ def _fit_all(
     return {cell: done[task] for cell, task in cells.items()}
 
 
+def _log_skip(report: str, day: date, k: int, n: int, skip: Skip) -> None:
+    """One DEBUG record per skipped (day, direction, k, n) of a report."""
+    direction = skip.direction.value if skip.direction is not None else None
+    _log.debug(
+        "%s skipped: day %s, %s, k=%d, n=%d: %s",
+        report, day, f"direction {direction}" if direction else "both directions", k, n, skip.reason,
+        extra={"report": report, "day": day.isoformat(), "direction": direction, "k": k, "n": n, "reason": skip.reason},
+    )
+
+
 def _fit_rows(
     dataset: ArrivalDataset,
     config: ExperimentConfig,
-    fits: Dict[Tuple[int, int, date, Direction], Optional[FitResult]],
+    fits: Dict[Tuple[int, int, date, Direction], Union[FitResult, Skip]],
 ) -> Tuple[List[FitRow], int]:
     rows = []
     skipped = 0
     days = dataset.days()
     for k in config.k_values:
         for n in config.n_values:
-            outcomes = [fits[k, n, day, direction] for day in days for direction in DIRECTIONS]
-            done = [fit for fit in outcomes if fit is not None]
-            skipped += len(outcomes) - len(done)
+            done = []
+            for day in days:
+                for direction in DIRECTIONS:
+                    fit = fits[k, n, day, direction]
+                    if isinstance(fit, Skip):
+                        skipped += 1
+                        _log_skip("fit", day, k, n, fit)
+                    else:
+                        done.append(fit)
             if done:
                 rows.append(
                     FitRow(
@@ -299,20 +329,21 @@ def _evaluate_fits(
     )
 
 
-def _eval_task(dataset: ArrivalDataset, task) -> Optional[DayEvaluation]:
+def _eval_task(dataset: ArrivalDataset, task) -> Union[DayEvaluation, Skip]:
     day, fits, config = task
-    if None in fits:
-        return None
+    for fit in fits:
+        if isinstance(fit, Skip):
+            return fit
     try:
         return _evaluate_fits(dataset, day, fits, config)
-    except PeriodCapExceededError:
-        return None
+    except PeriodCapExceededError as exc:
+        return Skip(f"period cap: T = {exc.required} exceeds {exc.cap}", None)
 
 
 def _schedule_rows(
     dataset: ArrivalDataset,
     config: ExperimentConfig,
-    fits: Dict[Tuple[int, int, date, Direction], Optional[FitResult]],
+    fits: Dict[Tuple[int, int, date, Direction], Union[FitResult, Skip]],
 ) -> Tuple[List[ScheduleRow], int]:
     rows = []
     skipped = 0
@@ -329,8 +360,13 @@ def _schedule_rows(
     done = dict(zip(distinct, _map_ordered(config.jobs, _eval_task, dataset, tasks)))
     outcomes = map(done.__getitem__, inputs)
     for k, n in cells:
-        evaluations = [o for o in islice(outcomes, len(days)) if o is not None]
-        skipped += len(days) - len(evaluations)
+        evaluations = []
+        for day, outcome in zip(days, islice(outcomes, len(days))):
+            if isinstance(outcome, Skip):
+                skipped += 1
+                _log_skip("schedule", day, k, n, outcome)
+            else:
+                evaluations.append(outcome)
         if not evaluations:
             continue
         m = len(evaluations)

@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from .dp import ALL_STATES, ArrivalFn, LockState, lane, lane_path, path_actions, slot_costs
+from .dp import ALL_STATES, LockState, lane, lane_path, path_actions, slot_cost_table
 from .schedule import (
     Action,
     Direction,
@@ -27,6 +27,9 @@ DEFAULT_WINDOW_CAP = 200_000
 CASE_GAP = "gap"
 CASE_CHEAP = "cheap-window"
 CASE_FULL = "full-window"
+
+
+ArrivalFn = Callable[[int], Tuple[int, int]]
 
 
 class WindowCapExceededError(ValueError):
@@ -118,7 +121,7 @@ def windowed_optimum(
     def arrivals(t: int) -> Tuple[int, int]:
         return clipped[t - t_start] if t_start <= t <= t_end else (0, 0)
 
-    steps = [slot_costs(arrivals, t) for t in range(t_start, t_end + 1)]
+    steps = slot_cost_table([(0, 0)] * 3 + clipped)
 
     def solve_from(entry: Direction) -> WindowSolution:
         # The lane starts in the virtual state (entry, 0, 0): the lock

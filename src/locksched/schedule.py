@@ -99,8 +99,20 @@ def lcm_period(instance: PeriodicInstance) -> int:
 
 
 def arrival_pattern(instance: PeriodicInstance) -> List[Tuple[int, int]]:
-    """Per-period (down, up) arrival counts over one hyper-period."""
-    return [arrival_at(instance, t) for t in range(1, lcm_period(instance) + 1)]
+    """Per-period (down, up) arrival counts over one hyper-period.
+
+    Each stream adds one arrival to every lam-th entry of its side's column
+    from index mu - 1, so the cost is one step per arrival, not one
+    ``arrival_at`` call per period and stream.
+    """
+    lam = lcm_period(instance)
+    down = [0] * lam
+    up = [0] * lam
+    for s in instance.streams:
+        column = down if s.direction is Direction.DOWN else up
+        for i in range(s.mu - 1, lam, s.lam):
+            column[i] += 1
+    return list(zip(down, up))
 
 
 @dataclass(frozen=True)
@@ -151,7 +163,7 @@ class SimulationResult:
     avg_wait_per_vessel: Fraction
 
 
-ArrivalSource = Union[Callable[[int], Tuple[int, int]], Sequence[Tuple[int, int]]]
+ArrivalSource = Union[Callable[[int], Tuple[int, int]], Iterable[Tuple[int, int]]]
 
 
 def simulate(
@@ -162,15 +174,16 @@ def simulate(
 ) -> SimulationResult:
     """Run the per-period queue recurrence over [1, horizon].
 
-    ``arrivals`` is either a callable t -> (a_D, a_U) or a sequence indexed
-    from period 1; periods past the end of a sequence contribute no arrivals.
+    ``arrivals`` is either a callable t -> (a_D, a_U) or an iterable of
+    counts from period 1 (a sequence or an iterator); periods past its end
+    contribute no arrivals.
     ``actions`` is a Schedule (replayed cyclically) or a finite sequence
     covering the horizon.  Raises InfeasibleScheduleError if a processing
     action does not match the lock's alignment.
 
     This is the only queue recurrence: every policy trace is scored here.
     The loop zips the periods with an arrivals iterator (the callable mapped
-    over the periods, or the sequence padded with empty periods) and an
+    over the periods, or the iterable padded with empty periods) and an
     actions iterator (cycled only when shorter than the horizon), and tests
     each action by identity against a boolean alignment.  It deliberately
     avoids hashing ``Action`` members, whose ``__hash__`` is Python code.
@@ -233,20 +246,27 @@ def simulate(
 def cyclic_average(instance: PeriodicInstance, schedule: Schedule) -> Fraction:
     """Steady-state average waiting cost per period of a cyclic schedule.
 
-    Simulates two joint cycles of the arrival pattern and the schedule and
-    measures the second, by which point the queues have reached the cyclic
-    regime (every side served at least once in the warm-up cycle).  Raises
-    ValueError for an all-wait schedule: every instance has arrivals, so its
-    queues grow without bound.
+    Once both sides have been served, the queues hold exactly the arrivals
+    since each side's last service, so the per-period costs repeat with the
+    joint cycle of the arrival pattern and the schedule from the period of
+    the schedule's second processing action on.  The simulation warms up to
+    that period (into the second repetition when the schedule processes only
+    once) and then runs exactly one joint cycle, which it measures.  The
+    horizon covers the second repetition's first processing action, the
+    last period at which an alignment error can first show.  Raises ValueError
+    for an all-wait schedule: every instance has arrivals, so its queues
+    grow without bound.
     """
-    if all(a is Action.WAIT for a in schedule.actions):
+    wait = Action.WAIT
+    processing = list(islice((t for t, a in enumerate(schedule.actions, start=1) if a is not wait), 2))
+    if not processing:
         raise ValueError("an all-wait schedule never serves a vessel; its average waiting cost is unbounded")
+    warm_up = processing[1] if len(processing) > 1 else schedule.period + processing[0]
     pattern = arrival_pattern(instance)
-    lam = len(pattern)
-    cycle = math.lcm(lam, schedule.period)
-    result = simulate(lambda t: pattern[(t - 1) % lam], schedule, 2 * cycle)
-    second = sum(result.per_period_cost[cycle:])
-    return Fraction(second, cycle)
+    joint = math.lcm(len(pattern), schedule.period)
+    horizon = warm_up - 1 + joint
+    result = simulate(islice(cycle(pattern), horizon), schedule, horizon)
+    return Fraction(sum(result.per_period_cost[warm_up - 1 :]), joint)
 
 
 def schedule_to_json(schedule: Schedule) -> str:
@@ -260,11 +280,34 @@ def schedule_to_json(schedule: Schedule) -> str:
 
 
 def schedule_from_json(text: str) -> Schedule:
+    """Parse ``{"period": T, "initial_alignment": "D"|"U", "actions": [...]}``.
+
+    A bad document raises ``ValueError`` naming the key.
+    """
     data = json.loads(text)
-    return Schedule(
-        actions=tuple(Action(a) for a in data["actions"]),
-        initial_alignment=Direction(data["initial_alignment"]),
-    )
+    if not isinstance(data, dict):
+        raise ValueError(f"schedule must be a JSON object, got {json.dumps(data)}")
+    for key in ("period", "initial_alignment", "actions"):
+        if key not in data:
+            raise ValueError(f'schedule: missing key "{key}"')
+    actions = data["actions"]
+    if not isinstance(actions, list):
+        raise ValueError(f'schedule key "actions" must be a list, got {json.dumps(actions)}')
+    letters = [a.value for a in Action]
+    for i, letter in enumerate(actions):
+        if letter not in letters:
+            raise ValueError(f'schedule key "actions": entry {i} must be "D", "U" or "W", got {json.dumps(letter)}')
+    alignment = data["initial_alignment"]
+    if alignment not in [d.value for d in Direction]:
+        raise ValueError(f'schedule key "initial_alignment" must be "D" or "U", got {json.dumps(alignment)}')
+    period = data["period"]
+    if type(period) is not int:  # bool is not an int here
+        raise ValueError(f'schedule key "period" must be an int, got {json.dumps(period)}')
+    if period != len(actions):
+        raise ValueError(f'schedule key "period" is {period} but "actions" holds {len(actions)} entries')
+    if not actions:
+        raise ValueError('schedule key "actions" must be non-empty')
+    return Schedule(actions=tuple(map(Action, actions)), initial_alignment=Direction(alignment))
 
 
 def instance_from_json(text: str) -> PeriodicInstance:

@@ -10,9 +10,15 @@ cyclic DP as nine lanes over the whole horizon, which the min-plus
 ``dp.solve`` must reproduce exactly; its lanes run through ``reference_lane``,
 ``reference_lane_path`` and ``reference_path_actions``, the table-driven loop
 with an 8-entry backpointer list per step that the straight-line ``dp.lane``
-replaced.  ``brute_force_optimal`` enumerates
-every cyclic action sequence of a given period and simulates each one; it
-reads only the arrival pattern, so it is independent of ``dp``.
+replaced.  It builds its slot costs period by period with ``slot_costs``
+(replaced by the columnar ``dp.slot_cost_table``), its pattern with
+``reference_arrival_pattern`` (one ``arrival_at`` call per period, replaced
+by the strided ``arrival_pattern``) and checks its schedule with
+``reference_cyclic_average``, which measures the second of two simulated
+joint cycles where ``cyclic_average`` warms up only to the second service.
+``brute_force_optimal`` enumerates every cyclic action sequence of a given
+period and simulates each one; it reads only the arrival pattern (from
+``reference_arrival_pattern``), so it is independent of ``dp``.
 ``reference_simulate`` is the per-period simulator loop as it was before the
 fast replay: a closure per arrival lookup and a cyclic index per period.
 ``reference_alternating``, ``reference_fifo``, ``reference_adv_fifo`` and
@@ -38,8 +44,6 @@ from locksched.dp import (
     OptimalResult,
     PeriodCapExceededError,
     _cost,
-    _cyclic,
-    slot_costs,
 )
 from locksched.matching import (
     CountMismatchError,
@@ -59,8 +63,7 @@ from locksched.schedule import (
     Schedule,
     SimulationResult,
     arrival_at,
-    arrival_pattern,
-    cyclic_average,
+    lcm_period,
     simulate,
 )
 
@@ -247,6 +250,56 @@ def reference_path_actions(path: Sequence[int]) -> Tuple[Action, ...]:
     return tuple(actions)
 
 
+def reference_arrival_pattern(instance: PeriodicInstance) -> List[Tuple[int, int]]:
+    """Per-period (down, up) arrival counts over one hyper-period, one
+    ``arrival_at`` call per period."""
+    return [arrival_at(instance, t) for t in range(1, lcm_period(instance) + 1)]
+
+
+def reference_cyclic_average(instance: PeriodicInstance, schedule: Schedule) -> Fraction:
+    """Steady-state average waiting cost per period of a cyclic schedule.
+
+    Simulates two joint cycles of the arrival pattern and the schedule and
+    measures the second, by which point the queues have reached the cyclic
+    regime (every side served at least once in the warm-up cycle).  Raises
+    ValueError for an all-wait schedule: every instance has arrivals, so its
+    queues grow without bound.
+    """
+    if all(a is Action.WAIT for a in schedule.actions):
+        raise ValueError("an all-wait schedule never serves a vessel; its average waiting cost is unbounded")
+    pattern = reference_arrival_pattern(instance)
+    lam = len(pattern)
+    cycle = math.lcm(lam, schedule.period)
+    result = simulate(lambda t: pattern[(t - 1) % lam], schedule, 2 * cycle)
+    second = sum(result.per_period_cost[cycle:])
+    return Fraction(second, cycle)
+
+
+ArrivalFn = Callable[[int], Tuple[int, int]]
+
+
+def slot_costs(arrivals: ArrivalFn, t: int, shift: int = 0) -> Tuple[int, ...]:
+    """Switch costs at period t for the six (side, window) slots.
+
+    Serving a side (0 = DOWN, 1 = UP) at t after a window of w in {2, 3, 4}
+    periods costs slot ``3 * side + w - 2``: each arrival i periods before
+    t - shift, for 1 <= i < w, is charged i.  ``shift`` is 0 in the
+    canonical convention and 1 in the paper-literal one.
+    """
+    earlier = [arrivals(t - shift - i) for i in (1, 2, 3)]
+    costs = []
+    for side in (0, 1):
+        cost = 0
+        for i, counts in enumerate(earlier, start=1):
+            cost += i * counts[side]
+            costs.append(cost)
+    return tuple(costs)
+
+
+def _cyclic(pattern: List[Tuple[int, int]]) -> ArrivalFn:
+    return lambda t: pattern[(t - 1) % len(pattern)]
+
+
 def reference_solve(
     instance: PeriodicInstance, mode: str = CANONICAL, period_cap: int = DEFAULT_PERIOD_CAP
 ) -> OptimalResult:
@@ -254,7 +307,7 @@ def reference_solve(
     per initial state, then the winning lane again with backpointers."""
     if mode not in _SHIFT:
         raise ValueError(f"unknown mode {mode!r}")
-    pattern = arrival_pattern(instance)
+    pattern = reference_arrival_pattern(instance)
     lam = len(pattern)
     T = 8 * lam
     if T > period_cap:
@@ -291,7 +344,7 @@ def reference_solve(
 
     avg = Fraction(total, T)
     if mode == CANONICAL:
-        simulated = cyclic_average(instance, schedule)
+        simulated = reference_cyclic_average(instance, schedule)
         if simulated != avg:
             raise AssertionError(
                 f"reconstructed schedule simulates to {simulated}, DP value is {avg}"
@@ -323,7 +376,7 @@ def brute_force_optimal(instance: PeriodicInstance, period: int) -> Fraction:
         raise ValueError(f"period must be >= 1, got {period}")
     if period > 14:
         raise BruteForcePeriodError(f"period {period} too large for 2^p enumeration")
-    pattern = arrival_pattern(instance)
+    pattern = reference_arrival_pattern(instance)
     lam = len(pattern)
     a_d = [p[0] for p in pattern]
     a_u = [p[1] for p in pattern]

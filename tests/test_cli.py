@@ -182,6 +182,47 @@ def test_evaluate_realized_requires_schedule(arrivals_csv):
     assert main(["evaluate", "--arrivals", str(arrivals_csv), "--policies", "realized"]) == 1
 
 
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ("[1]", "schedule must be a JSON object, got [1]"),
+        ('{"period": 2, "actions": ["D", "U"]}', 'schedule: missing key "initial_alignment"'),
+        ('{"initial_alignment": "D", "period": 2}', 'schedule: missing key "actions"'),
+        ('{"initial_alignment": "D", "actions": ["D", "U"]}', 'schedule: missing key "period"'),
+        ('{"period": 2, "initial_alignment": "D", "actions": "DU"}', 'schedule key "actions" must be a list, got "DU"'),
+        ('{"period": 2, "initial_alignment": "D", "actions": ["D", "X"]}',
+         'schedule key "actions": entry 1 must be "D", "U" or "W", got "X"'),
+        ('{"period": 2, "initial_alignment": "Q", "actions": ["D", "U"]}',
+         'schedule key "initial_alignment" must be "D" or "U", got "Q"'),
+        ('{"period": "2", "initial_alignment": "D", "actions": ["D", "U"]}', 'schedule key "period" must be an int, got "2"'),
+        ('{"period": true, "initial_alignment": "D", "actions": ["D", "U"]}', 'schedule key "period" must be an int, got true'),
+        ('{"period": 7, "initial_alignment": "D", "actions": ["D", "U"]}',
+         'schedule key "period" is 7 but "actions" holds 2 entries'),
+    ],
+    ids=["top-level", "no-alignment", "no-actions", "no-period", "actions-string", "action-letter",
+         "alignment-letter", "period-string", "period-bool", "period-mismatch"],
+)
+def test_evaluate_rejects_bad_schedule_document(arrivals_csv, tmp_path, capsys, document, message):
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(document)
+    out = tmp_path / "eval.csv"
+    code = main(["evaluate", "--arrivals", str(arrivals_csv), "--policies", "realized",
+                 "--schedule", str(schedule), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_evaluate_realized_reads_a_schedule_document(arrivals_csv, tmp_path, capsys):
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text('{"period": 2, "initial_alignment": "D", "actions": ["D", "U"]}')
+    assert main(["evaluate", "--arrivals", str(arrivals_csv), "--policies", "realized",
+                 "--schedule", str(schedule)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "day,policy,per_vessel_minutes"
+    assert [line.split(",")[:2] for line in lines[1:]] == [["2019-01-02", "realizedPeriodic"], ["2019-01-03", "realizedPeriodic"]]
+
+
 def test_evaluate_best_of_two_reports_up_first_run(tmp_path, capsys):
     # One upstream vessel in period 1: starting aligned Down, both FIFO
     # variants spend period 1 on an empty Down lockage, so it waits one

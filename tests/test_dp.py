@@ -1,14 +1,17 @@
 import logging
+import math
 from fractions import Fraction
 
 import pytest
 from oracles import (
     BruteForcePeriodError,
+    _cyclic,
     brute_force_optimal,
     reference_lane,
     reference_lane_path,
     reference_path_actions,
     reference_solve,
+    slot_costs,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -26,7 +29,7 @@ from locksched.dp import (
     path_actions,
     predecessors,
     result_to_json_dict,
-    slot_costs,
+    slot_cost_table,
     solve,
     transition_cost,
 )
@@ -309,6 +312,55 @@ def test_lane_equals_table_reference(steps):
             path = lane_path(back, final)
             assert path == reference_lane_path(ref_back, final)
             assert path_actions(path) == reference_path_actions(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=30),
+       st.sampled_from([0, 1]), st.integers(1, 50))
+def test_slot_cost_table_equals_per_period_slot_costs(counts, shift, t_start):
+    """The columnar table against ``slot_costs`` period by period, on a
+    cyclic pattern (its lead-in wrapped from the pattern's end, as in
+    ``solve``) and on a window with zero arrivals before it (as in
+    ``rolling.windowed_optimum``)."""
+    lam = len(counts)
+    lead_in = [counts[t % lam] for t in range(-shift - 3, 0)]
+    cyclic = [slot_costs(_cyclic(counts), t, shift) for t in range(1, lam + 1)]
+    assert slot_cost_table(lead_in + counts, shift) == cyclic
+
+    def window(t):
+        return counts[t - t_start] if t_start <= t < t_start + lam else (0, 0)
+
+    padded = [slot_costs(window, t, shift) for t in range(t_start, t_start + lam)]
+    assert slot_cost_table([(0, 0)] * (shift + 3) + counts, shift) == padded
+
+
+def _brute_force_work(lam, periods):
+    # Simulated periods summed over every candidate brute_force_optimal scores.
+    return sum(2**p * 2 * math.lcm(lam, p) for p in periods)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(
+    st.integers(1, 7).flatmap(
+        lambda lam: st.tuples(st.sampled_from(list(Direction)), st.just(lam), st.integers(1, lam))
+    ),
+    min_size=1,
+    max_size=4,
+))
+def test_extra_waits_never_beat_the_dp(specs):
+    """No cyclic schedule of a period 2 <= p <= 14 dividing 8 * Lambda, with
+    waits anywhere, costs less than the single-wait DP optimum.  Such a
+    schedule repeated is a schedule of period 8 * Lambda; period 1 allows no
+    feasible schedule.  Instances whose exhaustive search would simulate
+    more than 2M periods (about 10% of draws, some over 10 s each) are not
+    drawn."""
+    inst = _inst(*specs)
+    lam = lcm_period(inst)
+    periods = [p for p in range(2, 15) if 8 * lam % p == 0]
+    assume(_brute_force_work(lam, periods) <= 2_000_000)
+    optimum = solve(inst).avg_cost
+    for p in periods:
+        assert optimum <= brute_force_optimal(inst, p)
 
 
 def test_solve_logs_period_and_initial_state(caplog):

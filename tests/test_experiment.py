@@ -1,6 +1,8 @@
+import logging
 from collections import Counter
 from datetime import date
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -223,4 +225,37 @@ def test_experiment_skips_day_without_up_arrivals(tmp_path, capsys):
     assert (out_dir / "schedule.csv").read_text().splitlines() == [
         ",".join(SCHEDULE_HEADER),
         "2,6,5.02,10.04,11.87,9.13,10.96",
+    ]
+
+
+def test_experiment_logs_skip_reasons_without_changing_reports(tmp_path, monkeypatch, caplog):
+    """With DEBUG logging on, ``locksched.experiment`` logs one record per
+    skipped (day, direction, k, n) with the cause, and both reports stay
+    byte-identical.  Day 2019-01-03 has no Up arrivals; at a DP cap of 30
+    periods the k=1 instance (T = 24) is solved and the k=2 one (T = 48) is
+    skipped.  The fit clock is frozen so the Runtime column is fixed."""
+    monkeypatch.setattr(experiment, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    dataset = synth_dataset(1, 2, TWO_STREAM_SPEC, 3.0)
+    arrivals = _write_csv(tmp_path, dataset, lambda line: line.startswith("2019-01-03") and line.endswith(",U"))
+
+    def reports(name):
+        out_dir = tmp_path / name
+        code = main(["experiment", "--arrivals", str(arrivals), "--k-list", "1,2", "--n-list", "6",
+                     "--dp-cap", "30", "--out-dir", str(out_dir)])
+        assert code == 2
+        return [(out_dir / report).read_bytes() for report in ("fit.csv", "schedule.csv")]
+
+    quiet = reports("quiet")
+    assert not caplog.records
+    caplog.set_level(logging.DEBUG, logger="locksched.experiment")
+    assert reports("loud") == quiet
+    assert quiet[1].decode().splitlines()[1:] == ["1,6,0.00,10.04,11.87,9.13,19.63"]
+    skips = [(r.report, r.day, r.direction, r.k, r.n, r.reason) for r in caplog.records]
+    assert all(r.levelno == logging.DEBUG for r in caplog.records)
+    assert skips == [
+        ("fit", "2019-01-03", "U", 1, 6, "no arrivals"),
+        ("fit", "2019-01-03", "U", 2, 6, "no arrivals"),
+        ("schedule", "2019-01-03", "U", 1, 6, "no arrivals"),
+        ("schedule", "2019-01-02", None, 2, 6, "period cap: T = 48 exceeds 30"),
+        ("schedule", "2019-01-03", "U", 2, 6, "no arrivals"),
     ]

@@ -12,6 +12,7 @@ from locksched.schedule import (
     Schedule,
     StreamSpec,
     arrival_at,
+    arrival_pattern,
     cyclic_average,
     instance_from_json,
     is_feasible,
@@ -20,7 +21,7 @@ from locksched.schedule import (
     schedule_to_json,
     simulate,
 )
-from oracles import reference_simulate
+from oracles import reference_arrival_pattern, reference_cyclic_average, reference_simulate
 
 D, U, W = Action.PROCESS_DOWN, Action.PROCESS_UP, Action.WAIT
 
@@ -154,6 +155,14 @@ def test_cyclic_average_rejects_all_wait_schedule():
         cyclic_average(_inst((Direction.DOWN, 2, 1)), Schedule((W, W), Direction.DOWN))
 
 
+def test_cyclic_average_single_service_fails_in_second_repetition():
+    # One processing action flips the alignment once per repetition, so the
+    # error shows at the second repetition's service, period 3 + 2, past
+    # period + 1; the warm-up reaches into that repetition.
+    with pytest.raises(InfeasibleScheduleError, match="^period 5: action processes D but lock is aligned U$"):
+        cyclic_average(_inst((Direction.DOWN, 2, 1)), Schedule((W, D, W), Direction.DOWN))
+
+
 def test_schedule_json_round_trip():
     sched = Schedule((D, W, U), Direction.DOWN)
     assert schedule_from_json(schedule_to_json(sched)) == sched
@@ -221,3 +230,44 @@ def test_simulate_equals_reference_and_keeps_invariants(case):
     assert min(fast.per_period_cost) >= 0
     assert fast.total_wait == sum(fast.per_period_cost)
     assert fast.n_arrivals == sum(a_d + a_u for a_d, a_u in seq[:horizon])
+
+
+def _instances(max_lam):
+    """Instances of one to four streams with periodicities up to ``max_lam``."""
+    stream = st.integers(1, max_lam).flatmap(
+        lambda lam: st.tuples(st.sampled_from(Direction), st.just(lam), st.integers(1, lam))
+    )
+    return st.lists(stream, min_size=1, max_size=4).map(lambda specs: _inst(*specs))
+
+
+@st.composite
+def _cyclic_schedules(draw):
+    """Schedules of period up to 12.  Half alternate sides from the drawn
+    start at drawn processing periods, feasible exactly when they process an
+    even number of times; half draw every letter freely, so misaligned
+    actions fall anywhere.  Waits may fall anywhere in both."""
+    period = draw(st.integers(1, 12))
+    start = draw(st.sampled_from(Direction))
+    if draw(st.booleans()):
+        side, actions = start, []
+        for process in draw(st.lists(st.booleans(), min_size=period, max_size=period)):
+            actions.append(Action.process(side) if process else W)
+            side = side.flip() if process else side
+    else:
+        actions = draw(st.lists(st.sampled_from(Action), min_size=period, max_size=period))
+    return Schedule(tuple(actions), start)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_instances(9), _cyclic_schedules())
+def test_cyclic_average_equals_two_cycle_reference(instance, schedule):
+    """One warm-up to the second service plus one joint cycle gives the same
+    value as measuring the second of two joint cycles, and the same error
+    (type and message) for all-wait and misaligned schedules."""
+    assert _outcome(cyclic_average, instance, schedule) == _outcome(reference_cyclic_average, instance, schedule)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_instances(14))
+def test_arrival_pattern_equals_reference(instance):
+    assert arrival_pattern(instance) == reference_arrival_pattern(instance)
