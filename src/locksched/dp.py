@@ -21,9 +21,11 @@ is kept for comparison only.
 
 Every period's six slot costs (one per served side and window length) come
 from one builder, ``slot_cost_table``, over a list of per-period arrival
-counts with a lead-in: the hyper-period's last periods for ``solve``, empty
-periods for the rolling windows, and a one-period window for
-``transition_cost``.
+counts with a lead-in, all read by ``schedule.arrival_counts`` over a period
+range: periods -shift - 2..Lambda for ``solve`` (periods <= 0 repeat the
+pattern, so the lead-in is the hyper-period's last periods), the shift + 4
+periods up to t for ``transition_cost``, and the rolling windows' own periods
+behind three empty ones.
 
 The forward pass (``lane``) is one straight-line step per period over the
 eight state values and the period's six slot costs: four copies for the
@@ -49,8 +51,7 @@ from .schedule import (
     Direction,
     PeriodicInstance,
     Schedule,
-    arrival_at,
-    arrival_pattern,
+    arrival_counts,
     cyclic_average,
     lcm_period,
 )
@@ -234,10 +235,8 @@ def transition_cost(
         raise ValueError(f"unknown mode {mode!r}")
     if prev not in predecessors(state):
         raise ValueError(f"{prev} is not a predecessor of {state}")
-    lam = lcm_period(instance)
     shift = _SHIFT[mode]
-    window = [arrival_at(instance, (u - 1) % lam + 1) for u in range(t - shift - 3, t + 1)]
-    (costs,) = slot_cost_table(window, shift)
+    (costs,) = slot_cost_table(arrival_counts(instance, t - shift - 3, t), shift)
     return _cost(costs, _slot(prev, state))
 
 
@@ -267,13 +266,11 @@ def solve(
     T = 8 * lam
     if T > period_cap:
         raise PeriodCapExceededError(T, period_cap)
-    pattern = arrival_pattern(instance)
     # Costs depend on t only through t mod Lambda.  Lanes start at t = 1 and
     # step through t = 2..T; the wrap-around step S -> S0 is at t = 1 again.
-    # The lead-in is the cyclic pattern's last shift + 3 periods.
+    # The lead-in is periods -shift - 2..0, the cyclic pattern's last ones.
     shift = _SHIFT[mode]
-    lead_in = [pattern[t % lam] for t in range(-shift - 3, 0)]
-    phase_costs = slot_cost_table(lead_in + pattern, shift)
+    phase_costs = slot_cost_table(arrival_counts(instance, -shift - 2, lam), shift)
     wrap = phase_costs[0]
 
     # Min-plus transfer matrices: A covers t = 2..Lambda from each start, B is

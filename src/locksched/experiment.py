@@ -35,7 +35,7 @@ from .schedule import (
     Direction,
     PeriodicInstance,
     StreamSpec,
-    arrival_at,
+    arrival_counts,
     simulate,
 )
 
@@ -312,8 +312,7 @@ def _evaluate_fits(
     instance = rescale_streams(tagged, period)
     optimal = dp_solve(instance, period_cap=config.dp_cap)
 
-    pattern = [arrival_at(instance, t) for t in range(1, horizon + 1)]
-    opt_run = simulate(pattern, optimal.schedule, horizon)
+    opt_run = simulate(arrival_counts(instance, 1, horizon), optimal.schedule, horizon)
 
     counts = bucket_to_periods(dataset, day, period, horizon)
     alt = alternating(counts, horizon)

@@ -11,14 +11,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .dp import ALL_STATES, LockState, lane, lane_path, path_actions, slot_cost_table
 from .schedule import (
     Action,
     Direction,
     PeriodicInstance,
-    arrival_at,
+    arrival_counts,
     simulate,
 )
 
@@ -29,16 +29,13 @@ CASE_CHEAP = "cheap-window"
 CASE_FULL = "full-window"
 
 
-ArrivalFn = Callable[[int], Tuple[int, int]]
-
-
 class WindowCapExceededError(ValueError):
     pass
 
 
 def default_window(k: int, epsilon: float) -> int:
     """40*k^2/eps rounded up to an even integer, floored at 4."""
-    if epsilon <= 0:
+    if not epsilon > 0:  # also rejects NaN
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     w = math.ceil(40 * k * k / epsilon)
     if w % 2:
@@ -58,7 +55,7 @@ class ChunkRequest:
             raise ValueError("start must be >= 1")
         if self.window < 4:
             raise ValueError("window must be >= 4")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:  # also rejects NaN
             raise ValueError("epsilon must be positive")
 
 
@@ -83,19 +80,19 @@ class WindowSolution:
     entry_alignment: Direction
 
 
-def _terminal_cost(arrivals: ArrivalFn, t_end: int, state: LockState) -> int:
-    # Arrivals still queued when the window closes have accrued t_end - s + 1
-    # waits each; the state's counters say which arrivals are unserved: the
-    # current side since its service before the last switch, the opposite
-    # side since the switch itself.
-    own_from = t_end - state.own_waits - state.other_waits
-    other_from = t_end - state.own_waits + 1
-    own_side = 0 if state.alignment is Direction.DOWN else 1
+def _terminal_cost(counts: Sequence[Tuple[int, int]], state: LockState) -> int:
+    # Arrivals still queued when the window closes, `back` periods before its
+    # last, have accrued back + 1 waits each; the state's counters say which
+    # arrivals are unserved: the current side since its service before the
+    # last switch, the opposite side since the switch itself.  Periods before
+    # the window contribute nothing.
     total = 0
-    for s in range(own_from, t_end + 1):
-        total += arrivals(s)[own_side] * (t_end - s + 1)
-    for s in range(other_from, t_end + 1):
-        total += arrivals(s)[1 - own_side] * (t_end - s + 1)
+    for back, (a_d, a_u) in enumerate(counts[-1:-4:-1]):
+        own, other = (a_d, a_u) if state.alignment is Direction.DOWN else (a_u, a_d)
+        if back <= state.own_waits + state.other_waits:
+            total += own * (back + 1)
+        if back < state.own_waits:
+            total += other * (back + 1)
     return total
 
 
@@ -114,21 +111,19 @@ def windowed_optimum(
         raise ValueError(f"empty window [{t_start}, {t_end}]")
     if t_end - t_start + 1 > DEFAULT_WINDOW_CAP:
         raise WindowCapExceededError(f"window of {t_end - t_start + 1} periods exceeds cap {DEFAULT_WINDOW_CAP}")
+    if t_start < 1:
+        raise ValueError(f"period must be >= 1, got {t_start}")
     # Arrivals clipped to the window: periods before t_start contribute nothing,
     # so costs count exactly the in-window waits of in-window arrivals.
-    clipped = [arrival_at(instance, t) for t in range(t_start, t_end + 1)]
-
-    def arrivals(t: int) -> Tuple[int, int]:
-        return clipped[t - t_start] if t_start <= t <= t_end else (0, 0)
-
-    steps = slot_cost_table([(0, 0)] * 3 + clipped)
+    counts = arrival_counts(instance, t_start, t_end)
+    steps = slot_cost_table([(0, 0)] * 3 + counts)
 
     def solve_from(entry: Direction) -> WindowSolution:
         # The lane starts in the virtual state (entry, 0, 0): the lock
         # position entering t_start, with fresh wait counters.
         values, back = lane(ALL_STATES.index(LockState(entry, 0, 0)), steps)
         totals = {
-            s_id: v + _terminal_cost(arrivals, t_end, ALL_STATES[s_id])
+            s_id: v + _terminal_cost(counts, ALL_STATES[s_id])
             for s_id, v in enumerate(values)
             if v != math.inf
         }
@@ -148,65 +143,48 @@ def windowed_optimum(
     return down if down.cost <= up.cost else up
 
 
-def _chunk_cost(instance: PeriodicInstance, start: int, actions: Tuple[Action, ...], entry: Direction) -> int:
-    result = simulate(
-        lambda t: arrival_at(instance, start + t - 1),
-        list(actions),
-        len(actions),
-        initial_alignment=entry,
-    )
-    return result.total_wait
-
-
 def next_chunk(instance: PeriodicInstance, request: ChunkRequest) -> Chunk:
     """One step of the incremental scheme: a schedule chunk plus a handoff."""
     t = request.start
     t_end = t + request.window
     k = instance.k
+    # A gap head longer than the window cap is rejected anyway, so the scan
+    # never reads past the cap, however large the window.
+    counts = arrival_counts(instance, t, min(t_end, t + DEFAULT_WINDOW_CAP - 1))
 
     # Case: a 2-period no-arrival gap lets the next chunk start free of charge.
-    gap = None
-    for s in range(t, t_end):
-        if arrival_at(instance, s) == (0, 0) and arrival_at(instance, s + 1) == (0, 0):
-            gap = s
-            break
+    empty = (0, 0)
+    gap = next((i for i in range(len(counts) - 1) if counts[i] == empty == counts[i + 1]), None)
     if gap is not None:
         # Optimize over the whole span including the gap: the terminal charge
         # makes clearing every queue within the arrival-free gap optimal, so
         # nothing carries over to the next chunk.
-        head = windowed_optimum(instance, t, gap + 1, request.position)
+        head = windowed_optimum(instance, t, t + gap + 1, request.position)
         entry = head.entry_alignment
-        run = simulate(
-            lambda u: arrival_at(instance, t + u - 1),
-            list(head.actions),
-            len(head.actions),
-            initial_alignment=entry,
-        )
+        run = simulate(counts, list(head.actions), len(head.actions), initial_alignment=entry)
         # Trailing gap periods count as rewritable only once the queues are
         # empty entering them (a zero per-period cost means an empty queue).
-        before_gap = gap - 1 - t
-        if before_gap < 0 or run.per_period_cost[before_gap] == 0:
+        # Rewriting them changes no cost: they have no arrivals and, from
+        # then on, empty queues.
+        if gap == 0 or run.per_period_cost[gap - 1] == 0:
             free_tail = 2
-        elif run.per_period_cost[gap - t] == 0:
+        elif run.per_period_cost[gap] == 0:
             free_tail = 1
         else:
             free_tail = 0
         actions = head.actions
         if free_tail:
             actions = actions[: len(actions) - free_tail] + (Action.WAIT,) * free_tail
-            next_position = None
-        else:
-            next_position = _alignment_after(actions, entry)
         return Chunk(
             start=t,
-            end=gap + 1,
+            end=t + gap + 1,
             actions=actions,
             free_tail=free_tail,
             case=CASE_GAP,
-            cost=_chunk_cost(instance, t, actions, entry),
+            cost=run.total_wait,
             entry_alignment=entry,
-            next_start=gap + 2,
-            next_position=next_position,
+            next_start=t + gap + 2,
+            next_position=None if free_tail else head.states[-1].alignment,
         )
 
     sol = windowed_optimum(instance, t, t_end, request.position)
@@ -221,7 +199,7 @@ def next_chunk(instance: PeriodicInstance, request: ChunkRequest) -> Chunk:
             actions=actions,
             free_tail=0,
             case=CASE_CHEAP,
-            cost=_chunk_cost(instance, t, actions, sol.entry_alignment),
+            cost=simulate(counts, list(actions), cut, initial_alignment=sol.entry_alignment).total_wait,
             entry_alignment=sol.entry_alignment,
             next_start=t_prime + 1,
             next_position=sol.states[cut - 1].alignment,
@@ -229,13 +207,14 @@ def next_chunk(instance: PeriodicInstance, request: ChunkRequest) -> Chunk:
 
     # Case: expensive window; emit it whole plus two reorientation periods.
     actions = sol.actions + (Action.WAIT, Action.WAIT)
+    tail = arrival_counts(instance, t_end + 1, t_end + 2)
     return Chunk(
         start=t,
         end=t_end + 2,
         actions=actions,
         free_tail=2,
         case=CASE_FULL,
-        cost=_chunk_cost(instance, t, actions, sol.entry_alignment),
+        cost=simulate(counts + tail, list(actions), len(actions), initial_alignment=sol.entry_alignment).total_wait,
         entry_alignment=sol.entry_alignment,
         next_start=t_end + 3,
         next_position=None,

@@ -98,19 +98,21 @@ def lcm_period(instance: PeriodicInstance) -> int:
     return math.lcm(*(s.lam for s in instance.streams))
 
 
-def arrival_pattern(instance: PeriodicInstance) -> List[Tuple[int, int]]:
-    """Per-period (down, up) arrival counts over one hyper-period.
+def arrival_counts(instance: PeriodicInstance, first: int, last: int) -> List[Tuple[int, int]]:
+    """Per-period (down, up) arrival counts for periods first..last.
 
-    Each stream adds one arrival to every lam-th entry of its side's column
-    from index mu - 1, so the cost is one step per arrival, not one
-    ``arrival_at`` call per period and stream.
+    A stream arrives in period t iff t = mu (mod lam), for any t, so periods
+    <= 0 repeat the pattern backwards.  Each stream adds one arrival to every
+    lam-th entry of its side's column from its first arrival in the range, so
+    the cost is one step per arrival, not one congruence test per period and
+    stream.
     """
-    lam = lcm_period(instance)
-    down = [0] * lam
-    up = [0] * lam
+    n = last - first + 1
+    down = [0] * n
+    up = [0] * n
     for s in instance.streams:
         column = down if s.direction is Direction.DOWN else up
-        for i in range(s.mu - 1, lam, s.lam):
+        for i in range((s.mu - first) % s.lam, n, s.lam):
             column[i] += 1
     return list(zip(down, up))
 
@@ -262,7 +264,7 @@ def cyclic_average(instance: PeriodicInstance, schedule: Schedule) -> Fraction:
     if not processing:
         raise ValueError("an all-wait schedule never serves a vessel; its average waiting cost is unbounded")
     warm_up = processing[1] if len(processing) > 1 else schedule.period + processing[0]
-    pattern = arrival_pattern(instance)
+    pattern = arrival_counts(instance, 1, lcm_period(instance))
     joint = math.lcm(len(pattern), schedule.period)
     horizon = warm_up - 1 + joint
     result = simulate(islice(cycle(pattern), horizon), schedule, horizon)

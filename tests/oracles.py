@@ -12,13 +12,13 @@ cyclic DP as nine lanes over the whole horizon, which the min-plus
 with an 8-entry backpointer list per step that the straight-line ``dp.lane``
 replaced.  It builds its slot costs period by period with ``slot_costs``
 (replaced by the columnar ``dp.slot_cost_table``), its pattern with
-``reference_arrival_pattern`` (one ``arrival_at`` call per period, replaced
-by the strided ``arrival_pattern``) and checks its schedule with
+``reference_arrival_counts`` (one ``arrival_at`` call per period, replaced
+by the strided ``arrival_counts``) and checks its schedule with
 ``reference_cyclic_average``, which measures the second of two simulated
 joint cycles where ``cyclic_average`` warms up only to the second service.
 ``brute_force_optimal`` enumerates every cyclic action sequence of a given
 period and simulates each one; it reads only the arrival pattern (from
-``reference_arrival_pattern``), so it is independent of ``dp``.
+``reference_arrival_counts``), so it is independent of ``dp``.
 ``reference_simulate`` is the per-period simulator loop as it was before the
 fast replay: a closure per arrival lookup and a cyclic index per period.
 ``reference_alternating``, ``reference_fifo``, ``reference_adv_fifo`` and
@@ -250,10 +250,12 @@ def reference_path_actions(path: Sequence[int]) -> Tuple[Action, ...]:
     return tuple(actions)
 
 
-def reference_arrival_pattern(instance: PeriodicInstance) -> List[Tuple[int, int]]:
-    """Per-period (down, up) arrival counts over one hyper-period, one
-    ``arrival_at`` call per period."""
-    return [arrival_at(instance, t) for t in range(1, lcm_period(instance) + 1)]
+def reference_arrival_counts(instance: PeriodicInstance, first: int, last: int) -> List[Tuple[int, int]]:
+    """Per-period (down, up) arrival counts for periods first..last, one
+    ``arrival_at`` call per period: a period u, possibly <= 0, is read as
+    the period (u - 1) mod Lambda + 1 of the first hyper-period."""
+    lam = lcm_period(instance)
+    return [arrival_at(instance, (u - 1) % lam + 1) for u in range(first, last + 1)]
 
 
 def reference_cyclic_average(instance: PeriodicInstance, schedule: Schedule) -> Fraction:
@@ -267,7 +269,7 @@ def reference_cyclic_average(instance: PeriodicInstance, schedule: Schedule) -> 
     """
     if all(a is Action.WAIT for a in schedule.actions):
         raise ValueError("an all-wait schedule never serves a vessel; its average waiting cost is unbounded")
-    pattern = reference_arrival_pattern(instance)
+    pattern = reference_arrival_counts(instance, 1, lcm_period(instance))
     lam = len(pattern)
     cycle = math.lcm(lam, schedule.period)
     result = simulate(lambda t: pattern[(t - 1) % lam], schedule, 2 * cycle)
@@ -307,7 +309,7 @@ def reference_solve(
     per initial state, then the winning lane again with backpointers."""
     if mode not in _SHIFT:
         raise ValueError(f"unknown mode {mode!r}")
-    pattern = reference_arrival_pattern(instance)
+    pattern = reference_arrival_counts(instance, 1, lcm_period(instance))
     lam = len(pattern)
     T = 8 * lam
     if T > period_cap:
@@ -376,7 +378,7 @@ def brute_force_optimal(instance: PeriodicInstance, period: int) -> Fraction:
         raise ValueError(f"period must be >= 1, got {period}")
     if period > 14:
         raise BruteForcePeriodError(f"period {period} too large for 2^p enumeration")
-    pattern = reference_arrival_pattern(instance)
+    pattern = reference_arrival_counts(instance, 1, lcm_period(instance))
     lam = len(pattern)
     a_d = [p[0] for p in pattern]
     a_u = [p[1] for p in pattern]

@@ -83,6 +83,16 @@ def test_rolling_command_rejects_zero(tmp_path, capsys, flag):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("window", [[], ["--window", "6"]], ids=["default-window", "window"])
+def test_rolling_command_rejects_nan_epsilon(tmp_path, capsys, window):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"streams": [{"direction": "D", "lambda": 2, "mu": 1}]}))
+    code = main(["rolling", "--instance", str(inst), "--epsilon", "nan", *window])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: epsilon must be positive")
+
+
 @pytest.mark.parametrize("command", [["schedule"], ["rolling", "--epsilon", "1.0"]], ids=["schedule", "rolling"])
 @pytest.mark.parametrize(
     "document, message",

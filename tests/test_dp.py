@@ -7,6 +7,7 @@ from oracles import (
     BruteForcePeriodError,
     _cyclic,
     brute_force_optimal,
+    reference_arrival_counts,
     reference_lane,
     reference_lane_path,
     reference_path_actions,
@@ -37,7 +38,6 @@ from locksched.schedule import (
     Direction,
     PeriodicInstance,
     StreamSpec,
-    arrival_pattern,
     cyclic_average,
     is_feasible,
     lcm_period,
@@ -92,7 +92,7 @@ def test_transition_cost_rejects_non_predecessor():
 
 def test_transition_cost_matches_full_pattern_at_large_lcm():
     inst = _inst((Direction.DOWN, 5, 3), (Direction.DOWN, 7, 4), (Direction.UP, 11, 7), (Direction.UP, 13, 2))
-    pattern = arrival_pattern(inst)
+    pattern = reference_arrival_counts(inst, 1, lcm_period(inst))
     lam = len(pattern)
     assert lam == 5005
     cyclic = lambda t: pattern[(t - 1) % lam]  # noqa: E731
@@ -162,10 +162,10 @@ def test_solve_period_cap():
 def test_solve_period_cap_checked_before_the_pattern(monkeypatch):
     # lcm(997, 991, 983) is about 9.7e8: building its arrival pattern alone
     # takes over a minute, so the cap must be checked from the lcm first.
-    def no_pattern(instance):
+    def no_pattern(instance, first, last):
         raise AssertionError("arrival pattern built before the period cap check")
 
-    monkeypatch.setattr(dp, "arrival_pattern", no_pattern)
+    monkeypatch.setattr(dp, "arrival_counts", no_pattern)
     inst = _inst((Direction.DOWN, 997, 1), (Direction.UP, 991, 1), (Direction.DOWN, 983, 2))
     with pytest.raises(PeriodCapExceededError) as exc:
         solve(inst)

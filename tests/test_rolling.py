@@ -45,6 +45,8 @@ def test_default_window():
     assert default_window(3, 7.0) % 2 == 0
     with pytest.raises(ValueError):
         default_window(2, 0)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        default_window(2, float("nan"))
 
 
 def test_chunk_request_validation():
@@ -54,6 +56,8 @@ def test_chunk_request_validation():
         ChunkRequest(start=1, window=2, epsilon=1.0)
     with pytest.raises(ValueError):
         ChunkRequest(start=1, window=10, epsilon=0)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        ChunkRequest(start=1, window=10, epsilon=float("nan"))
 
 
 def test_windowed_optimum_serve_on_arrival():
@@ -119,6 +123,18 @@ def test_windowed_optimum_cap():
     # Rejected before the window's arrivals are built.
     with pytest.raises(WindowCapExceededError):
         windowed_optimum(ALTERNATING, 1, DEFAULT_WINDOW_CAP + 1)
+
+
+def test_windowed_optimum_rejects_start_before_period_1():
+    with pytest.raises(ValueError, match=r"period must be >= 1, got 0"):
+        windowed_optimum(ALTERNATING, 0, 5)
+
+
+def test_next_chunk_window_beyond_cap_fails_without_scanning_it():
+    # No gap ever comes, and the gap scan stops at the cap instead of
+    # reading a billion periods.
+    with pytest.raises(WindowCapExceededError):
+        next_chunk(ALTERNATING, ChunkRequest(1, 10**9, 1.0))
 
 
 def test_gap_case_ends_at_gap_with_free_handoff():
@@ -202,3 +218,47 @@ def test_generate_zero_arrival_free_ride():
     inst = _inst((Direction.DOWN, 30, 1))
     plan = generate(inst, 2, 5, 1.0, window=10)
     assert all(c.cost == 0 for c in plan.chunks)
+
+
+def _simulated_chunk_cost(inst, chunk):
+    """The chunk's actions replayed on one ``arrival_at`` call per period from
+    its entry alignment, queues empty at its start."""
+    return simulate(
+        lambda u: arrival_at(inst, chunk.start + u - 1),
+        list(chunk.actions),
+        len(chunk.actions),
+        initial_alignment=chunk.entry_alignment,
+    ).total_wait
+
+
+@pytest.mark.parametrize(
+    "specs, request_args, case",
+    [
+        (((Direction.DOWN, 8, 1), (Direction.UP, 8, 2)), (1, 8, 1.0), (CASE_GAP, 2)),
+        (((Direction.DOWN, 3, 3), (Direction.DOWN, 4, 2)), (1, 8, 1.0), (CASE_GAP, 1)),
+        (((Direction.DOWN, 2, 1), (Direction.UP, 2, 2)), (1, 16, 1.0), (CASE_CHEAP, 0)),
+        (((Direction.DOWN, 2, 2), (Direction.UP, 2, 2)), (1, 12, 10.0), (CASE_FULL, 2)),
+    ],
+    ids=["gap-tail-2", "gap-tail-1", "cheap", "full"],
+)
+def test_chunk_cost_equals_simulation_in_each_case(specs, request_args, case):
+    inst = _inst(*specs)
+    chunk = next_chunk(inst, ChunkRequest(*request_args))
+    assert (chunk.case, chunk.free_tail) == case
+    assert chunk.cost == _simulated_chunk_cost(inst, chunk)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _small_instances(),
+    st.integers(1, 30),
+    st.integers(4, 20),
+    st.sampled_from((0.25, 1.0, 10.0)),
+    st.sampled_from((None, Direction.DOWN, Direction.UP)),
+)
+def test_chunk_cost_equals_simulation(inst, start, window, epsilon, position):
+    """A chunk's cost is its actions' simulated waiting, rewritten free tail
+    included, in every case.  (A gap chunk with free tail 0 keeps its actions
+    as they are; no exact gap head has been seen to end in one.)"""
+    chunk = next_chunk(inst, ChunkRequest(start, window, epsilon, position))
+    assert chunk.cost == _simulated_chunk_cost(inst, chunk)

@@ -12,7 +12,7 @@ from locksched.schedule import (
     Schedule,
     StreamSpec,
     arrival_at,
-    arrival_pattern,
+    arrival_counts,
     cyclic_average,
     instance_from_json,
     is_feasible,
@@ -21,7 +21,7 @@ from locksched.schedule import (
     schedule_to_json,
     simulate,
 )
-from oracles import reference_arrival_pattern, reference_cyclic_average, reference_simulate
+from oracles import reference_arrival_counts, reference_cyclic_average, reference_simulate
 
 D, U, W = Action.PROCESS_DOWN, Action.PROCESS_UP, Action.WAIT
 
@@ -268,6 +268,13 @@ def test_cyclic_average_equals_two_cycle_reference(instance, schedule):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_instances(14))
-def test_arrival_pattern_equals_reference(instance):
-    assert arrival_pattern(instance) == reference_arrival_pattern(instance)
+@given(_instances(14), st.integers(-60, 60), st.integers(-1, 80))
+def test_arrival_pattern_equals_reference(instance, first, length):
+    """``arrival_counts`` over a random window, periods <= 0 included (an
+    empty window when ``length`` is 0 or -1), equals one ``arrival_at`` call
+    per period of the pattern; the hyper-period from period 1 is the arrival
+    pattern itself."""
+    last = first + length - 1
+    assert arrival_counts(instance, first, last) == reference_arrival_counts(instance, first, last)
+    lam = lcm_period(instance)
+    assert arrival_counts(instance, 1, lam) == reference_arrival_counts(instance, 1, lam)
