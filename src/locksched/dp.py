@@ -7,15 +7,26 @@ giving 8 states.  Costs repeat every Lambda periods, so ``solve`` runs the
 lane over one hyper-period from each of the 8 states to get a Lambda-step
 transfer matrix, takes min-plus powers of it for the whole horizon (the
 transfer-matrix view of the cyclic optimum, as in Karp 1978), closes the
-cycle with a wrap-around term, and re-runs only the winning lane to rebuild
-the schedule.
+cycle with a wrap-around term, and rebuilds the winning lane's schedule one
+hyper-period segment at a time.
+
+A lane's step compares only sums v[p] + c, so lanes started from v and from
+v + K make the same choices and end K apart (min-plus values become periodic
+up to a constant; Baccelli, Cohen, Olsder and Quadrat 1992).  ``solve``
+therefore runs lane work once per distinct normalised start (v - min v): the
+eight matrix lanes after a short common head, and the winning lane's
+hyper-period segments after the first, which usually all share one start.
+Each distinct (segment, end state) pair is decoded once.  Together that is
+about 2 * Lambda lane steps where the eight matrix lanes and the winning lane
+took 16 * Lambda.
 
 Two transition-cost conventions are provided.  The canonical convention
 weights an arrival i periods before its service by i (so arrivals served in
 their own period cost nothing), which matches the per-period queue-length
 recurrence exactly; every reconstructed schedule is verified against
 simulation (``cyclic_average``: a warm-up to the schedule's second service,
-then one joint cycle).
+then one hyper-period when the schedule repeats every Lambda periods, else
+one joint cycle).
 The paper-literal convention shifts the service window back by one period and
 is kept for comparison only.
 
@@ -23,17 +34,15 @@ Every period's six slot costs (one per served side and window length) come
 from one builder, ``slot_cost_table``, over a list of per-period arrival
 counts with a lead-in, all read by ``schedule.arrival_counts`` over a period
 range: periods -shift - 2..Lambda for ``solve`` (periods <= 0 repeat the
-pattern, so the lead-in is the hyper-period's last periods), the shift + 4
-periods up to t for ``transition_cost``, and the rolling windows' own periods
-behind three empty ones.
+pattern, so the lead-in is the hyper-period's last periods), and the rolling
+windows' own periods behind three empty ones.
 
 The forward pass (``lane``) is one straight-line step per period over the
 eight state values and the period's six slot costs: four copies for the
 wait states and four two-way minimums for the switch states.  Each step keeps
-one int of four choice bits as its backpointers, so the winning lane's
-8 * Lambda - 1 steps cost one small int each.  The rolling-horizon windows in
-``rolling`` run through the same lane.  ``_TRANSITIONS`` remains the table
-form of the step, for the wrap-around matrix and ``transition_cost``.
+one int of four choice bits as its backpointers.  The rolling-horizon windows
+in ``rolling`` run through the same lane.  ``_TRANSITIONS`` remains the table
+form of the step, for the wrap-around matrix.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import cycle, islice
+from itertools import chain
 from operator import add
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -51,8 +60,8 @@ from .schedule import (
     Direction,
     PeriodicInstance,
     Schedule,
+    _cyclic_average,
     arrival_counts,
-    cyclic_average,
     lcm_period,
 )
 
@@ -61,6 +70,11 @@ PAPER_LITERAL = "paper-literal"
 _SHIFT = {CANONICAL: 0, PAPER_LITERAL: 1}  # periods the service window is shifted back
 
 DEFAULT_PERIOD_CAP = 1_000_000
+
+# Steps every matrix lane runs on its own before lanes are shared by their
+# normalised values.  Any length gives the same results; lanes from the eight
+# starts usually differ only by a constant after 6 to 8 steps.
+_HEAD = 32
 
 _log = logging.getLogger(__name__)
 
@@ -156,8 +170,13 @@ def _cost(costs: Sequence[int], slot: int) -> int:
     return costs[slot] if slot >= 0 else 0
 
 
-def lane(start: int, steps: Iterable[Sequence[int]]) -> Tuple[List[float], List[int]]:
-    """Forward DP from state id ``start``, one period per entry of ``steps``.
+def start_values(s_id: int) -> List[float]:
+    """Lane start values for a lane that starts in state id ``s_id`` alone."""
+    return [0 if i == s_id else _INF for i in range(8)]
+
+
+def lane(start: Sequence[float], steps: Iterable[Sequence[int]]) -> Tuple[List[float], List[int]]:
+    """Forward DP from the eight state values ``start``, one period per entry of ``steps``.
 
     Each step holds that period's six slot costs c0..c5, and ``_TRANSITIONS``
     reduces to one straight-line step over the eight state values v0..v7.
@@ -168,8 +187,11 @@ def lane(start: int, steps: Iterable[Sequence[int]]) -> Tuple[List[float], List[
     Returns the minimum cost of reaching each state after the last step (inf
     if unreachable) and, per step, an int of choice bits: bit s is set when
     switch state s took its second predecessor (decoded by ``lane_path``).
+    ``start_values(s_id)`` starts from one state.  The step compares only
+    sums v + c, so starting from ``start`` plus a constant K gives the same
+    bits and values K higher.
     """
-    v0, v1, v2, v3, v4, v5, v6, v7 = [0 if s_id == start else _INF for s_id in range(8)]
+    v0, v1, v2, v3, v4, v5, v6, v7 = start
     back: List[int] = []
     append = back.append
     for c0, c1, c2, c3, c4, c5 in steps:
@@ -227,23 +249,74 @@ def path_actions(path: Sequence[int]) -> Tuple[Action, ...]:
     return tuple(_ENTRY_ACTION[s_id] for s_id in path[1:])
 
 
-def transition_cost(
-    instance: PeriodicInstance, t: int, prev: LockState, state: LockState, mode: str = CANONICAL
-) -> int:
-    """Waiting cost charged when moving from ``prev`` to ``state`` at period t."""
-    if mode not in _SHIFT:
-        raise ValueError(f"unknown mode {mode!r}")
-    if prev not in predecessors(state):
-        raise ValueError(f"{prev} is not a predecessor of {state}")
-    shift = _SHIFT[mode]
-    (costs,) = slot_cost_table(arrival_counts(instance, t - shift - 3, t), shift)
-    return _cost(costs, _slot(prev, state))
+def _normalised(values: Sequence[float]) -> Tuple[float, Tuple[float, ...]]:
+    """(min of ``values``, ``values`` minus it): a lane start's memo key."""
+    low = min(values)
+    return low, tuple(v - low for v in values)
 
 
 def _min_plus(x: List[List[float]], y: List[List[float]]) -> List[List[float]]:
     """Min-plus matrix product: entry (i, j) is min over k of x[i][k] + y[k][j]."""
     columns = list(zip(*y))
     return [[min(map(add, row, col)) for col in columns] for row in x]
+
+
+def _matrix_lanes(steps: Sequence[Sequence[int]]) -> Tuple[List[List[float]], List[List[int]], int]:
+    """End values and choice bits of a lane over ``steps`` from each state,
+    and the lane steps run.
+
+    Each lane runs the first ``_HEAD`` steps on its own; the rest run once
+    per distinct normalised vector after the head, since lanes from
+    different starts soon differ only by a constant.
+    """
+    head, rest = steps[:_HEAD], steps[_HEAD:]
+    tails = {}  # normalised values after the head -> lane over the rest
+    ends, bits = [], []
+    for s_id in range(8):
+        values, head_bits = lane(start_values(s_id), head)
+        low, key = _normalised(values)
+        if key not in tails:
+            tails[key] = lane(key, rest)
+        tail_values, tail_bits = tails[key]
+        ends.append([v + low for v in tail_values])
+        bits.append(head_bits + tail_bits)
+    return ends, bits, 8 * len(head) + len(tails) * len(rest)
+
+
+def _winning_lane(
+    phase_costs: Sequence[Sequence[int]], first_values: List[float], first_bits: List[int], final: int
+) -> Tuple[int, Tuple[Action, ...], List[float], int]:
+    """Start state, actions and end values of the winning lane's 8 * Lambda - 1
+    steps ending in state id ``final``, and the lane steps run.
+
+    Its first segment, t = 2..Lambda, is its matrix lane (``first_values``,
+    ``first_bits``).  Each of the seven later hyper-periods t = 1..Lambda
+    runs once per distinct normalised start, and the path is decoded
+    backwards from ``final`` once per distinct (segment, end state) pair.
+    """
+    segments = {}  # normalised start -> lane over one hyper-period
+    keys = []
+    values = first_values
+    for _ in range(7):
+        low, key = _normalised(values)
+        if key not in segments:
+            segments[key] = lane(key, phase_costs)
+        keys.append(key)
+        values = [v + low for v in segments[key][0]]
+
+    decoded = {}  # (segment start, end state) -> (start state, actions)
+    parts = []
+    s_id = final
+    for key in reversed(keys):
+        if (key, s_id) not in decoded:
+            path = lane_path(segments[key][1], s_id)
+            decoded[key, s_id] = path[0], path_actions(path)
+        s_id, segment_actions = decoded[key, s_id]
+        parts.append(segment_actions)
+    path = lane_path(first_bits, s_id)
+    parts.append(path_actions(path))
+    actions = tuple(chain.from_iterable(reversed(parts)))
+    return path[0], actions, values, len(segments) * len(phase_costs)
 
 
 @dataclass(frozen=True)
@@ -270,13 +343,14 @@ def solve(
     # step through t = 2..T; the wrap-around step S -> S0 is at t = 1 again.
     # The lead-in is periods -shift - 2..0, the cyclic pattern's last ones.
     shift = _SHIFT[mode]
-    phase_costs = slot_cost_table(arrival_counts(instance, -shift - 2, lam), shift)
+    counts = arrival_counts(instance, -shift - 2, lam)
+    phase_costs = slot_cost_table(counts, shift)
     wrap = phase_costs[0]
 
     # Min-plus transfer matrices: A covers t = 2..Lambda from each start, B is
     # the phase-1 step.  The 8*Lambda - 1 steps t = 2..T are A (B A)^7, so
     # lane s0 ends at row s0 of M^7 A with M = A B.
-    a = [lane(s_id, phase_costs[1:])[0] for s_id in range(8)]
+    a, a_bits, lane_steps = _matrix_lanes(phase_costs[1:])
     b = [[_INF] * 8 for _ in range(8)]
     for s_id, p_id, slot in _TRANSITIONS:
         b[p_id][s_id] = _cost(wrap, slot)
@@ -298,32 +372,33 @@ def solve(
     assert best is not None, "DP found no feasible cyclic schedule"
     total, s0_id, final_id = best
 
-    # Run the winning lane with backpointers and rebuild the state path; the
-    # path's last state is the cyclic predecessor of its first.
-    _, back = lane(s0_id, islice(cycle(phase_costs), 1, T))
-    path = lane_path(back, final_id)
-    assert path[0] == s0_id
-    actions = path_actions(path[-1:] + path)
+    # The path's last state is the cyclic predecessor of its first, entered
+    # by the schedule's first action.
+    path_start, lane_actions, values, segment_steps = _winning_lane(phase_costs, a[s0_id], a_bits[s0_id], final_id)
+    assert path_start == s0_id and values == lanes[s0_id]
+    lane_steps += segment_steps
+    actions = (_ENTRY_ACTION[s0_id],) + lane_actions
     first = actions[0]
     initial_alignment = first.processes if first.processes is not None else ALL_STATES[s0_id].alignment
     schedule = Schedule(actions=actions, initial_alignment=initial_alignment)
 
     avg = Fraction(total, T)
     if mode == CANONICAL:
-        simulated = cyclic_average(instance, schedule)
+        simulated = _cyclic_average(counts[shift + 3 :], schedule)
         if simulated != avg:
             raise AssertionError(
                 f"reconstructed schedule simulates to {simulated}, DP value is {avg}"
             )
     _log.debug(
-        "%s: lcm=%d, T=%d, initial state %s, total cost %d",
-        mode, lam, T, ALL_STATES[s0_id], total,
+        "%s: lcm=%d, T=%d, initial state %s, total cost %d, %d lane steps",
+        mode, lam, T, ALL_STATES[s0_id], total, lane_steps,
         extra={
             "mode": mode,
             "lcm": lam,
             "period": T,
             "initial_state": str(ALL_STATES[s0_id]),
             "total_cost": total,
+            "lane_steps": lane_steps,
         },
     )
     return OptimalResult(

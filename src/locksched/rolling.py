@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .dp import ALL_STATES, LockState, lane, lane_path, path_actions, slot_cost_table
+from .dp import ALL_STATES, LockState, lane, lane_path, path_actions, slot_cost_table, start_values
 from .schedule import (
     Action,
     Direction,
@@ -107,21 +107,29 @@ def windowed_optimum(
     ``position`` fixes the lock's orientation entering t_start; None means
     free, taking the better of the two orientations.
     """
+    _check_window(t_start, t_end)
+    return _window_optimum(arrival_counts(instance, t_start, t_end), position)
+
+
+def _check_window(t_start: int, t_end: int) -> None:
     if t_start > t_end:
         raise ValueError(f"empty window [{t_start}, {t_end}]")
     if t_end - t_start + 1 > DEFAULT_WINDOW_CAP:
         raise WindowCapExceededError(f"window of {t_end - t_start + 1} periods exceeds cap {DEFAULT_WINDOW_CAP}")
     if t_start < 1:
         raise ValueError(f"period must be >= 1, got {t_start}")
+
+
+def _window_optimum(counts: List[Tuple[int, int]], position: Optional[Direction]) -> WindowSolution:
+    """``windowed_optimum`` over the window's arrival counts ``counts``."""
     # Arrivals clipped to the window: periods before t_start contribute nothing,
     # so costs count exactly the in-window waits of in-window arrivals.
-    counts = arrival_counts(instance, t_start, t_end)
     steps = slot_cost_table([(0, 0)] * 3 + counts)
 
     def solve_from(entry: Direction) -> WindowSolution:
         # The lane starts in the virtual state (entry, 0, 0): the lock
         # position entering t_start, with fresh wait counters.
-        values, back = lane(ALL_STATES.index(LockState(entry, 0, 0)), steps)
+        values, back = lane(start_values(ALL_STATES.index(LockState(entry, 0, 0))), steps)
         totals = {
             s_id: v + _terminal_cost(counts, ALL_STATES[s_id])
             for s_id, v in enumerate(values)
@@ -143,6 +151,28 @@ def windowed_optimum(
     return down if down.cost <= up.cost else up
 
 
+# The gap scan reads the window's arrivals in blocks of this many periods,
+# doubling, so that it stops soon after the first gap.
+_SCAN_BLOCK = 64
+
+
+def _scan_for_gap(instance: PeriodicInstance, t: int, last: int) -> Tuple[List[Tuple[int, int]], Optional[int]]:
+    """Arrival counts of periods t.. and the offset of the first two-period
+    gap, read until the gap or period ``last``; (the counts up to ``last``,
+    None) when there is no gap."""
+    empty = (0, 0)
+    counts: List[Tuple[int, int]] = []
+    block = _SCAN_BLOCK
+    while True:
+        scanned = max(len(counts) - 1, 0)
+        first = t + len(counts)
+        counts += arrival_counts(instance, first, min(last, first + block - 1))
+        gap = next((i for i in range(scanned, len(counts) - 1) if counts[i] == empty == counts[i + 1]), None)
+        if gap is not None or t + len(counts) > last:
+            return counts, gap
+        block *= 2
+
+
 def next_chunk(instance: PeriodicInstance, request: ChunkRequest) -> Chunk:
     """One step of the incremental scheme: a schedule chunk plus a handoff."""
     t = request.start
@@ -150,16 +180,15 @@ def next_chunk(instance: PeriodicInstance, request: ChunkRequest) -> Chunk:
     k = instance.k
     # A gap head longer than the window cap is rejected anyway, so the scan
     # never reads past the cap, however large the window.
-    counts = arrival_counts(instance, t, min(t_end, t + DEFAULT_WINDOW_CAP - 1))
+    counts, gap = _scan_for_gap(instance, t, min(t_end, t + DEFAULT_WINDOW_CAP - 1))
 
     # Case: a 2-period no-arrival gap lets the next chunk start free of charge.
-    empty = (0, 0)
-    gap = next((i for i in range(len(counts) - 1) if counts[i] == empty == counts[i + 1]), None)
     if gap is not None:
         # Optimize over the whole span including the gap: the terminal charge
         # makes clearing every queue within the arrival-free gap optimal, so
         # nothing carries over to the next chunk.
-        head = windowed_optimum(instance, t, t + gap + 1, request.position)
+        counts = counts[: gap + 2]
+        head = _window_optimum(counts, request.position)
         entry = head.entry_alignment
         run = simulate(counts, list(head.actions), len(head.actions), initial_alignment=entry)
         # Trailing gap periods count as rewritable only once the queues are
@@ -187,7 +216,8 @@ def next_chunk(instance: PeriodicInstance, request: ChunkRequest) -> Chunk:
             next_position=None if free_tail else head.states[-1].alignment,
         )
 
-    sol = windowed_optimum(instance, t, t_end, request.position)
+    _check_window(t, t_end)
+    sol = _window_optimum(counts, request.position)
     # Case: cheap window; keep the first half and hand off the lock position.
     if sol.cost <= 2 * k / request.epsilon:
         t_prime = t + request.window // 2 + 1

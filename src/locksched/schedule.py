@@ -253,22 +253,33 @@ def cyclic_average(instance: PeriodicInstance, schedule: Schedule) -> Fraction:
     joint cycle of the arrival pattern and the schedule from the period of
     the schedule's second processing action on.  The simulation warms up to
     that period (into the second repetition when the schedule processes only
-    once) and then runs exactly one joint cycle, which it measures.  The
-    horizon covers the second repetition's first processing action, the
-    last period at which an alignment error can first show.  Raises ValueError
-    for an all-wait schedule: every instance has arrivals, so its queues
-    grow without bound.
+    once) and then measures one repeat of the costs: one hyper-period Lambda
+    when the schedule's period is a multiple of Lambda and its actions repeat
+    every Lambda periods (as the DP's schedules usually do), else one joint
+    cycle.  The horizon covers the first processing action of the second
+    repetition, or of the second Lambda-block, the last period at which an
+    alignment error can first show.  Raises ValueError for an all-wait
+    schedule: every instance has arrivals, so its queues grow without bound.
     """
+    return _cyclic_average(arrival_counts(instance, 1, lcm_period(instance)), schedule)
+
+
+def _cyclic_average(pattern: Sequence[Tuple[int, int]], schedule: Schedule) -> Fraction:
+    """``cyclic_average`` over one hyper-period's arrival counts ``pattern``."""
     wait = Action.WAIT
-    processing = list(islice((t for t, a in enumerate(schedule.actions, start=1) if a is not wait), 2))
+    actions = schedule.actions
+    processing = list(islice((t for t, a in enumerate(actions, start=1) if a is not wait), 2))
     if not processing:
         raise ValueError("an all-wait schedule never serves a vessel; its average waiting cost is unbounded")
     warm_up = processing[1] if len(processing) > 1 else schedule.period + processing[0]
-    pattern = arrival_counts(instance, 1, lcm_period(instance))
-    joint = math.lcm(len(pattern), schedule.period)
-    horizon = warm_up - 1 + joint
+    lam = len(pattern)
+    if schedule.period % lam == 0 and actions[lam:] == actions[:-lam]:
+        span = lam
+    else:
+        span = math.lcm(lam, schedule.period)
+    horizon = warm_up - 1 + span
     result = simulate(islice(cycle(pattern), horizon), schedule, horizon)
-    return Fraction(sum(result.per_period_cost[warm_up - 1 :]), joint)
+    return Fraction(sum(result.per_period_cost[warm_up - 1 :]), span)
 
 
 def schedule_to_json(schedule: Schedule) -> str:

@@ -23,7 +23,9 @@ period and simulates each one; it reads only the arrival pattern (from
 fast replay: a closure per arrival lookup and a cyclic index per period.
 ``reference_alternating``, ``reference_fifo``, ``reference_adv_fifo`` and
 ``reference_realized_periodic`` are the policies as they were, scored by
-``reference_simulate``.
+``reference_simulate``.  ``transition_cost`` is the cost of one transition
+at one period, built by ``dp.slot_cost_table`` from the shift + 4 periods up
+to it; it checks the table at large periods against ``slot_costs``.
 """
 
 from __future__ import annotations
@@ -42,8 +44,12 @@ from locksched.dp import (
     CANONICAL,
     DEFAULT_PERIOD_CAP,
     OptimalResult,
+    LockState,
     PeriodCapExceededError,
     _cost,
+    _slot,
+    predecessors,
+    slot_cost_table,
 )
 from locksched.matching import (
     CountMismatchError,
@@ -63,6 +69,7 @@ from locksched.schedule import (
     Schedule,
     SimulationResult,
     arrival_at,
+    arrival_counts,
     lcm_period,
     simulate,
 )
@@ -300,6 +307,19 @@ def slot_costs(arrivals: ArrivalFn, t: int, shift: int = 0) -> Tuple[int, ...]:
 
 def _cyclic(pattern: List[Tuple[int, int]]) -> ArrivalFn:
     return lambda t: pattern[(t - 1) % len(pattern)]
+
+
+def transition_cost(
+    instance: PeriodicInstance, t: int, prev: LockState, state: LockState, mode: str = CANONICAL
+) -> int:
+    """Waiting cost charged when moving from ``prev`` to ``state`` at period t."""
+    if mode not in _SHIFT:
+        raise ValueError(f"unknown mode {mode!r}")
+    if prev not in predecessors(state):
+        raise ValueError(f"{prev} is not a predecessor of {state}")
+    shift = _SHIFT[mode]
+    (costs,) = slot_cost_table(arrival_counts(instance, t - shift - 3, t), shift)
+    return _cost(costs, _slot(prev, state))
 
 
 def reference_solve(

@@ -13,6 +13,7 @@ from oracles import (
     reference_path_actions,
     reference_solve,
     slot_costs,
+    transition_cost,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -32,7 +33,7 @@ from locksched.dp import (
     result_to_json_dict,
     slot_cost_table,
     solve,
-    transition_cost,
+    start_values,
 )
 from locksched.schedule import (
     Direction,
@@ -302,7 +303,7 @@ def test_lane_equals_table_reference(steps):
     Costs in 0..3 make ties common, so the first-strict-minimum rule is
     exercised on every switch state."""
     for start in range(8):
-        values, back = lane(start, steps)
+        values, back = lane(start_values(start), steps)
         ref_values, ref_back = reference_lane(start, steps, keep_back=True)
         assert values == ref_values
         assert len(back) == len(steps)
@@ -374,3 +375,61 @@ def test_solve_logs_period_and_initial_state(caplog):
     assert record.initial_state == str(result.initial_state)
     assert record.mode == CANONICAL
     assert f"lcm=6, T=48, initial state {result.initial_state}" in record.getMessage()
+
+
+_lane_start = st.lists(st.one_of(st.integers(0, 20), st.just(math.inf)), min_size=8, max_size=8).filter(
+    lambda values: min(values) < math.inf
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lane_start, st.integers(-50, 50), st.lists(st.tuples(*[st.integers(0, 3)] * 6), max_size=40))
+def test_lane_shifted_start_gives_same_bits_and_shifted_values(start, shift, steps):
+    """``solve`` keys its lane memos on normalised start values, which is
+    exact because a lane from v + K makes the same choices as one from v
+    and ends K higher (inf stays inf)."""
+    values, back = lane(start, steps)
+    shifted_values, shifted_back = lane([v + shift for v in start], steps)
+    assert shifted_back == back
+    assert shifted_values == [v + shift for v in values]
+
+
+# (streams, distinct matrix-lane tails after the head, distinct starts of the
+# seven later segments): lanes that have not coalesced after the head, two
+# segment starts, one start per later segment, and the Lambda = 5005
+# benchmark instance, whose lanes all share one tail and one segment start.
+MEMO_CASES = [
+    (((Direction.UP, 10, 5), (Direction.DOWN, 7, 7), (Direction.DOWN, 1, 1)), 2, 1),
+    (((Direction.UP, 11, 6), (Direction.UP, 7, 4), (Direction.DOWN, 1, 1)), 2, 2),
+    (((Direction.DOWN, 1, 1),), 1, 7),
+    (((Direction.DOWN, 5, 3), (Direction.DOWN, 7, 4), (Direction.UP, 11, 7), (Direction.UP, 13, 2)), 1, 1),
+]
+
+
+@pytest.mark.parametrize("mode", [CANONICAL, PAPER_LITERAL])
+@pytest.mark.parametrize("specs, tails, segments", MEMO_CASES)
+def test_solve_logs_lane_steps(caplog, specs, tails, segments, mode):
+    """The DEBUG record's ``lane_steps`` counts the lane steps run: eight
+    heads, one tail per distinct normalised vector after them and one
+    hyper-period per distinct segment start, about 2 * Lambda where the
+    matrix lanes and the re-run winning lane took 16 * Lambda."""
+    caplog.set_level(logging.DEBUG, logger="locksched.dp")
+    inst = _inst(*specs)
+    lam = lcm_period(inst)
+    solve(inst, mode)
+    (record,) = caplog.records
+    head = min(dp._HEAD, lam - 1)
+    assert record.lane_steps == 8 * head + tails * (lam - 1 - head) + segments * lam
+    assert f"{record.lane_steps} lane steps" in record.getMessage()
+
+
+@pytest.mark.parametrize("head", [0, 1, 5, dp._HEAD, 100])
+def test_solve_memo_paths_equal_nine_lane_reference(monkeypatch, head):
+    """Each memo path gives the reference result field for field, in both
+    modes, whatever the head length: the memo is keyed by exact normalised
+    values, so the head changes only how much lane work is shared."""
+    monkeypatch.setattr(dp, "_HEAD", head)
+    for specs, _, _ in MEMO_CASES[:3]:
+        inst = _inst(*specs)
+        for mode in (CANONICAL, PAPER_LITERAL):
+            _assert_same_result(solve(inst, mode), reference_solve(inst, mode))

@@ -262,3 +262,18 @@ def test_chunk_cost_equals_simulation(inst, start, window, epsilon, position):
     as they are; no exact gap head has been seen to end in one.)"""
     chunk = next_chunk(inst, ChunkRequest(start, window, epsilon, position))
     assert chunk.cost == _simulated_chunk_cost(inst, chunk)
+
+
+@pytest.mark.parametrize("gap_at", [1, 63, 64, 65, 191, 192, 250, 281])
+def test_gap_scan_finds_the_first_gap_across_blocks(gap_at):
+    """A 300-period hyper-period with arrivals in every period but gap_at and
+    gap_at + 1.  The gap scan reads the window in doubling blocks, so a gap
+    straddling a block boundary must still be found; a gap ending past the
+    window's last period t + window is not a gap of this chunk."""
+    lam = 300
+    inst = _inst(*[(Direction.DOWN, lam, mu) for mu in range(1, lam + 1) if mu not in (gap_at, gap_at + 1)])
+    chunk = next_chunk(inst, ChunkRequest(start=1, window=280, epsilon=1.0))
+    if gap_at + 1 <= 281:
+        assert (chunk.case, chunk.end) == (CASE_GAP, gap_at + 1)
+    else:
+        assert chunk.case != CASE_GAP

@@ -278,3 +278,60 @@ def test_arrival_pattern_equals_reference(instance, first, length):
     assert arrival_counts(instance, first, last) == reference_arrival_counts(instance, first, last)
     lam = lcm_period(instance)
     assert arrival_counts(instance, 1, lam) == reference_arrival_counts(instance, 1, lam)
+
+
+# Lambda = 3 with arrivals on both sides: (kind, schedule) pairs covering each
+# way through ``cyclic_average``'s horizon choice.
+_BLOCK_INSTANCE = _inst((Direction.DOWN, 3, 1), (Direction.UP, 3, 2))
+BLOCK_CASES = [
+    ("Lambda-periodic", Schedule((D, W, U) * 3, Direction.DOWN)),
+    ("Lambda-periodic, one block", Schedule((D, U, W), Direction.DOWN)),
+    ("not Lambda-periodic", Schedule((D, W, U, D, U, W), Direction.DOWN)),
+    ("period not a multiple of Lambda", Schedule((D, U, W, D, U, W, W, D, U, W), Direction.DOWN)),
+    ("infeasible, odd block", Schedule((W, D, W) * 2, Direction.DOWN)),
+    ("infeasible, odd block, three blocks", Schedule((D, U, D) * 3, Direction.DOWN)),
+    ("infeasible within a block", Schedule((D, D, U) * 2, Direction.DOWN)),
+    ("all waits", Schedule((W, W, W) * 2, Direction.DOWN)),
+]
+
+
+@pytest.mark.parametrize("kind, schedule", BLOCK_CASES, ids=[kind for kind, _ in BLOCK_CASES])
+def test_cyclic_average_block_cases_equal_reference(kind, schedule):
+    """The one-hyper-period measurement of a schedule that repeats every
+    Lambda periods gives the two-cycle reference's value, and an infeasible
+    one fails with the same error text at the same period."""
+    assert _outcome(cyclic_average, _BLOCK_INSTANCE, schedule) == _outcome(
+        reference_cyclic_average, _BLOCK_INSTANCE, schedule
+    )
+
+
+@st.composite
+def _block_schedules(draw):
+    """An instance and a schedule of r copies of a Lambda-action block
+    (alternating sides or free letters, waits anywhere), sometimes with one
+    action changed or a few actions appended, so that Lambda-periodic,
+    non-periodic, non-multiple and infeasible schedules are all drawn."""
+    instance = draw(_instances(6))
+    lam = lcm_period(instance)
+    start = draw(st.sampled_from(Direction))
+    if draw(st.booleans()):
+        side, block = start, []
+        for process in draw(st.lists(st.booleans(), min_size=lam, max_size=lam)):
+            block.append(Action.process(side) if process else W)
+            side = side.flip() if process else side
+    else:
+        block = draw(st.lists(st.sampled_from(Action), min_size=lam, max_size=lam))
+    actions = block * draw(st.integers(1, 3))
+    change = draw(st.sampled_from(["none", "one action", "appended"]))
+    if change == "one action":
+        actions[draw(st.integers(0, len(actions) - 1))] = draw(st.sampled_from(Action))
+    elif change == "appended":
+        actions += draw(st.lists(st.sampled_from(Action), min_size=1, max_size=lam))
+    return instance, Schedule(tuple(actions), start)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_block_schedules())
+def test_cyclic_average_of_repeated_blocks_equals_two_cycle_reference(case):
+    instance, schedule = case
+    assert _outcome(cyclic_average, instance, schedule) == _outcome(reference_cyclic_average, instance, schedule)
