@@ -56,7 +56,9 @@ def cmd_synth(args) -> int:
         "D": [[63, 126], [126, 126]],
         "U": [[21, 126], [126, 126]],
     }
-    streams_spec = {Direction(d): [tuple(p) for p in pairs] for d, pairs in spec.items()}
+    if not isinstance(spec, dict):
+        raise ValueError(f"{args.streams}: expected an object mapping direction to [mu, lambda] pairs")
+    streams_spec = {Direction(d): pairs for d, pairs in spec.items()}
     dataset = synth_dataset(args.seed, args.days, streams_spec, args.sigma)
     _write(args.out, serialize_arrivals(dataset))
     return 0

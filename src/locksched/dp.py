@@ -3,22 +3,22 @@
 The search space is the cyclic single-wait schedules of period T = 8 * Lambda
 (Lambda = hyper-period of the arrivals).  A lock state records the current
 alignment plus the 0/1 wait counters of both sides since their last service,
-giving 8 states.  Costs repeat every Lambda periods, so ``solve`` runs the
-lane over one hyper-period from each of the 8 states to get a Lambda-step
-transfer matrix, takes min-plus powers of it for the whole horizon (the
-transfer-matrix view of the cyclic optimum, as in Karp 1978), closes the
-cycle with a wrap-around term, and rebuilds the winning lane's schedule one
-hyper-period segment at a time.
+giving 8 states.  Costs repeat every Lambda periods, so ``solve`` runs one
+lane from each of the 8 states over eight turns of one hyper-period each,
+periods t = 2..Lambda and then t = 1.  The last step of the last turn is the
+wrap-around step back to period 1, so the lane's value in its own start
+state is the cost of the best cyclic schedule through that state.  The first
+start with the least value wins, and only its lane is decoded.
 
 A lane's step compares only sums v[p] + c, so lanes started from v and from
 v + K make the same choices and end K apart (min-plus values become periodic
 up to a constant; Baccelli, Cohen, Olsder and Quadrat 1992).  ``solve``
-therefore runs lane work once per distinct normalised start (v - min v): the
-eight matrix lanes after a short common head, and the winning lane's
-hyper-period segments after the first, which usually all share one start.
-Each distinct (segment, end state) pair is decoded once.  Together that is
-about 2 * Lambda lane steps where the eight matrix lanes and the winning lane
-took 16 * Lambda.
+therefore cuts each turn into a short head and the rest and runs each piece
+once per distinct normalised start (v - min v), shared by all eight lanes and
+all eight turns.  The eight lanes usually coalesce within the first head, and
+later turns usually start where the first one ended, so the work is about
+Lambda + 9 * _HEAD lane steps where one full lane alone takes 8 * Lambda.
+Each distinct (piece, end state) pair of the winning lane is decoded once.
 
 Two transition-cost conventions are provided.  The canonical convention
 weights an arrival i periods before its service by i (so arrivals served in
@@ -41,8 +41,7 @@ The forward pass (``lane``) is one straight-line step per period over the
 eight state values and the period's six slot costs: four copies for the
 wait states and four two-way minimums for the switch states.  Each step keeps
 one int of four choice bits as its backpointers.  The rolling-horizon windows
-in ``rolling`` run through the same lane.  ``_TRANSITIONS`` remains the table
-form of the step, for the wrap-around matrix.
+in ``rolling`` run through the same lane.
 """
 
 from __future__ import annotations
@@ -52,8 +51,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import add
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .schedule import (
     Action,
@@ -71,9 +69,10 @@ _SHIFT = {CANONICAL: 0, PAPER_LITERAL: 1}  # periods the service window is shift
 
 DEFAULT_PERIOD_CAP = 1_000_000
 
-# Steps every matrix lane runs on its own before lanes are shared by their
-# normalised values.  Any length gives the same results; lanes from the eight
-# starts usually differ only by a constant after 6 to 8 steps.
+# Length of each turn's head piece, which the eight lanes run from their own
+# starts before the rest of the turn is shared by normalised values.  Any
+# length gives the same results; lanes from the eight starts usually differ
+# only by a constant after 6 to 8 steps.
 _HEAD = 32
 
 _log = logging.getLogger(__name__)
@@ -125,25 +124,6 @@ def predecessors(state: LockState) -> Tuple[LockState, ...]:
     return (LockState(state.alignment, state.own_waits - 1, state.other_waits),)
 
 
-def _slot(prev: LockState, state: LockState) -> int:
-    """-1 for a wait, else the (served side, window) index into a period's slot costs."""
-    if state.own_waits > 0:
-        return -1
-    side = 0 if prev.alignment is Direction.DOWN else 1
-    return 3 * side + prev.own_waits + prev.other_waits
-
-
-# Every transition as (state_id, pred_id, slot), by state id and then in
-# predecessors() order.  ``lane`` hard-codes this table as its step and, like
-# the wrap-around pick in ``solve``, keeps the first strict minimum in this
-# order, which fixes the tie-breaking.
-_TRANSITIONS: Tuple[Tuple[int, int, int], ...] = tuple(
-    (s_id, ALL_STATES.index(prev), _slot(prev, state))
-    for s_id, state in enumerate(ALL_STATES)
-    for prev in predecessors(state)
-)
-
-
 def slot_cost_table(counts: Sequence[Tuple[int, int]], shift: int = 0) -> List[Tuple[int, ...]]:
     """The six slot costs of every period of ``counts`` after a lead-in.
 
@@ -166,10 +146,6 @@ def slot_cost_table(counts: Sequence[Tuple[int, int]], shift: int = 0) -> List[T
     ]
 
 
-def _cost(costs: Sequence[int], slot: int) -> int:
-    return costs[slot] if slot >= 0 else 0
-
-
 def start_values(s_id: int) -> List[float]:
     """Lane start values for a lane that starts in state id ``s_id`` alone."""
     return [0 if i == s_id else _INF for i in range(8)]
@@ -178,8 +154,9 @@ def start_values(s_id: int) -> List[float]:
 def lane(start: Sequence[float], steps: Iterable[Sequence[int]]) -> Tuple[List[float], List[int]]:
     """Forward DP from the eight state values ``start``, one period per entry of ``steps``.
 
-    Each step holds that period's six slot costs c0..c5, and ``_TRANSITIONS``
-    reduces to one straight-line step over the eight state values v0..v7.
+    Each step holds that period's six slot costs c0..c5, and the transitions
+    of ``predecessors`` reduce to one straight-line step over the eight state
+    values v0..v7.
     The wait states copy their one predecessor (v2, v3, v6, v7 become v0, v1,
     v4, v5).  Each switch state takes the first strict minimum of its two
     predecessors: v0 of v4+c3 and v5+c4, v1 of v6+c4 and v7+c5, v4 of v0+c0
@@ -255,70 +232,6 @@ def _normalised(values: Sequence[float]) -> Tuple[float, Tuple[float, ...]]:
     return low, tuple(v - low for v in values)
 
 
-def _min_plus(x: List[List[float]], y: List[List[float]]) -> List[List[float]]:
-    """Min-plus matrix product: entry (i, j) is min over k of x[i][k] + y[k][j]."""
-    columns = list(zip(*y))
-    return [[min(map(add, row, col)) for col in columns] for row in x]
-
-
-def _matrix_lanes(steps: Sequence[Sequence[int]]) -> Tuple[List[List[float]], List[List[int]], int]:
-    """End values and choice bits of a lane over ``steps`` from each state,
-    and the lane steps run.
-
-    Each lane runs the first ``_HEAD`` steps on its own; the rest run once
-    per distinct normalised vector after the head, since lanes from
-    different starts soon differ only by a constant.
-    """
-    head, rest = steps[:_HEAD], steps[_HEAD:]
-    tails = {}  # normalised values after the head -> lane over the rest
-    ends, bits = [], []
-    for s_id in range(8):
-        values, head_bits = lane(start_values(s_id), head)
-        low, key = _normalised(values)
-        if key not in tails:
-            tails[key] = lane(key, rest)
-        tail_values, tail_bits = tails[key]
-        ends.append([v + low for v in tail_values])
-        bits.append(head_bits + tail_bits)
-    return ends, bits, 8 * len(head) + len(tails) * len(rest)
-
-
-def _winning_lane(
-    phase_costs: Sequence[Sequence[int]], first_values: List[float], first_bits: List[int], final: int
-) -> Tuple[int, Tuple[Action, ...], List[float], int]:
-    """Start state, actions and end values of the winning lane's 8 * Lambda - 1
-    steps ending in state id ``final``, and the lane steps run.
-
-    Its first segment, t = 2..Lambda, is its matrix lane (``first_values``,
-    ``first_bits``).  Each of the seven later hyper-periods t = 1..Lambda
-    runs once per distinct normalised start, and the path is decoded
-    backwards from ``final`` once per distinct (segment, end state) pair.
-    """
-    segments = {}  # normalised start -> lane over one hyper-period
-    keys = []
-    values = first_values
-    for _ in range(7):
-        low, key = _normalised(values)
-        if key not in segments:
-            segments[key] = lane(key, phase_costs)
-        keys.append(key)
-        values = [v + low for v in segments[key][0]]
-
-    decoded = {}  # (segment start, end state) -> (start state, actions)
-    parts = []
-    s_id = final
-    for key in reversed(keys):
-        if (key, s_id) not in decoded:
-            path = lane_path(segments[key][1], s_id)
-            decoded[key, s_id] = path[0], path_actions(path)
-        s_id, segment_actions = decoded[key, s_id]
-        parts.append(segment_actions)
-    path = lane_path(first_bits, s_id)
-    parts.append(path_actions(path))
-    actions = tuple(chain.from_iterable(reversed(parts)))
-    return path[0], actions, values, len(segments) * len(phase_costs)
-
-
 @dataclass(frozen=True)
 class OptimalResult:
     avg_cost: Fraction
@@ -339,45 +252,51 @@ def solve(
     T = 8 * lam
     if T > period_cap:
         raise PeriodCapExceededError(T, period_cap)
-    # Costs depend on t only through t mod Lambda.  Lanes start at t = 1 and
-    # step through t = 2..T; the wrap-around step S -> S0 is at t = 1 again.
-    # The lead-in is periods -shift - 2..0, the cyclic pattern's last ones.
+    # Costs depend on t only through t mod Lambda.  The lane from s0 starts at
+    # t = 1 and runs eight turns of t = 2..Lambda then t = 1, the last step
+    # being the wrap-around one back into s0.  The lead-in is periods
+    # -shift - 2..0, the cyclic pattern's last ones.
     shift = _SHIFT[mode]
     counts = arrival_counts(instance, -shift - 2, lam)
     phase_costs = slot_cost_table(counts, shift)
-    wrap = phase_costs[0]
+    turn = phase_costs[1:] + phase_costs[:1]
+    pieces = (turn[:_HEAD], turn[_HEAD:])
 
-    # Min-plus transfer matrices: A covers t = 2..Lambda from each start, B is
-    # the phase-1 step.  The 8*Lambda - 1 steps t = 2..T are A (B A)^7, so
-    # lane s0 ends at row s0 of M^7 A with M = A B.
-    a, a_bits, lane_steps = _matrix_lanes(phase_costs[1:])
-    b = [[_INF] * 8 for _ in range(8)]
-    for s_id, p_id, slot in _TRANSITIONS:
-        b[p_id][s_id] = _cost(wrap, slot)
-    m = _min_plus(a, b)
-    m2 = _min_plus(m, m)
-    m4 = _min_plus(m2, m2)
-    m7 = _min_plus(_min_plus(m4, m2), m)
-    lanes = _min_plus(m7, a)
-
-    best: Optional[Tuple[int, int, int]] = None  # (total, s0_id, s_final_id)
+    runs = {}  # (piece, normalised start) -> lane over that piece
+    chains = []  # per start state, the keys of its 16 pieces in order
+    totals = []
     for s0_id in range(8):
-        values = lanes[s0_id]
-        for s_id, p_id, slot in _TRANSITIONS:
-            if s_id != s0_id or values[p_id] == _INF:
-                continue
-            total = int(values[p_id]) + _cost(wrap, slot)
-            if best is None or total < best[0]:
-                best = (total, s0_id, p_id)
-    assert best is not None, "DP found no feasible cyclic schedule"
-    total, s0_id, final_id = best
+        values = start_values(s0_id)
+        keys = []
+        for _ in range(8):
+            for piece, steps in enumerate(pieces):
+                low, start = _normalised(values)
+                key = piece, start
+                if key not in runs:
+                    runs[key] = lane(start, steps)
+                keys.append(key)
+                values = [v + low for v in runs[key][0]]
+        chains.append(keys)
+        totals.append(values[s0_id])
+    total = min(totals)
+    s0_id = totals.index(total)
+    lane_steps = sum(len(pieces[piece]) for piece, _ in runs)
 
-    # The path's last state is the cyclic predecessor of its first, entered
-    # by the schedule's first action.
-    path_start, lane_actions, values, segment_steps = _winning_lane(phase_costs, a[s0_id], a_bits[s0_id], final_id)
-    assert path_start == s0_id and values == lanes[s0_id]
-    lane_steps += segment_steps
-    actions = (_ENTRY_ACTION[s0_id],) + lane_actions
+    # Decode the winning chain backwards from s0, once per distinct
+    # (piece key, end state) pair.
+    decoded = {}  # (piece key, end state) -> (start state, actions)
+    parts = []
+    s_id = s0_id
+    for key in reversed(chains[s0_id]):
+        if (key, s_id) not in decoded:
+            path = lane_path(runs[key][1], s_id)
+            decoded[key, s_id] = path[0], path_actions(path)
+        s_id, piece_actions = decoded[key, s_id]
+        parts.append(piece_actions)
+    assert s_id == s0_id
+    # The turn's last action, at t = 1, is the schedule's first.
+    lane_actions = tuple(chain.from_iterable(reversed(parts)))
+    actions = lane_actions[-1:] + lane_actions[:-1]
     first = actions[0]
     initial_alignment = first.processes if first.processes is not None else ALL_STATES[s0_id].alignment
     schedule = Schedule(actions=actions, initial_alignment=initial_alignment)

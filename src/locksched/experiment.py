@@ -89,6 +89,21 @@ def rescale_streams(
     return PeriodicInstance(tuple(specs))
 
 
+def _check_stream_pairs(direction: Direction, specs: object) -> None:
+    """Reject a direction's stream list unless it holds (mu, lambda) integer
+    pairs that each put a first arrival in the day and then advance."""
+    if not isinstance(specs, (list, tuple)):
+        raise ValueError(f"streams for {direction.value} must be a list of [mu, lambda] pairs, got {specs!r}")
+    for pair in specs:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(type(x) is int for x in pair)):
+            raise ValueError(f"stream {direction.value} {pair!r}: expected a [mu, lambda] pair of integers")
+        mu, lam = pair
+        if lam < 1:
+            raise ValueError(f"stream {direction.value} {list(pair)}: lambda must be >= 1, got {lam}")
+        if not 1 <= mu <= DAY_MINUTES:
+            raise ValueError(f"stream {direction.value} {list(pair)}: mu must be in 1..{DAY_MINUTES}, got {mu}")
+
+
 def synth_dataset(
     seed: int,
     days: int,
@@ -98,12 +113,16 @@ def synth_dataset(
 ) -> ArrivalDataset:
     """Generate per-day periodic arrivals with optional integer jitter.
 
-    ``streams_spec`` maps each direction to (mu, lambda) pairs in minutes;
-    jittered times are clamped to [1, 1440].  A sigma of zero yields exactly
-    periodic data.
+    ``streams_spec`` maps each direction to (mu, lambda) pairs in minutes,
+    integers with 1 <= mu <= 1440 and lambda >= 1; jittered times are clamped
+    to [1, 1440].  A sigma of zero yields exactly periodic data.
     """
-    if jitter_sigma < 0:
+    if not jitter_sigma >= 0:  # also rejects NaN
         raise ValueError("jitter sigma must be >= 0")
+    if days < 0:
+        raise ValueError(f"days must be >= 0, got {days}")
+    for direction, specs in streams_spec.items():
+        _check_stream_pairs(direction, specs)
     rng = random.Random(seed)
     records = []
     for d in range(days):

@@ -195,15 +195,21 @@ def next_chunk(instance: PeriodicInstance, request: ChunkRequest) -> Chunk:
         # empty entering them (a zero per-period cost means an empty queue).
         # Rewriting them changes no cost: they have no arrivals and, from
         # then on, empty queues.
-        if gap == 0 or run.per_period_cost[gap - 1] == 0:
-            free_tail = 2
-        elif run.per_period_cost[gap] == 0:
-            free_tail = 1
-        else:
-            free_tail = 0
-        actions = head.actions
-        if free_tail:
-            actions = actions[: len(actions) - free_tail] + (Action.WAIT,) * free_tail
+        #
+        # The queues are always empty after the first gap period g, so at
+        # least the last period is free.  Suppose a vessel still waits after
+        # g.  If the lock waited at g, serving its side at g and the other
+        # side at g + 1 instead leaves nothing queued after g + 1 and saves
+        # every queued vessel at least one period.  Otherwise it served a
+        # side Z at g with side W still queued.  Entering g aligned to Z, it
+        # served W or waited at g - 1; serving W would have emptied W, as
+        # nothing arrives at g, so it waited, and serving Z at g - 1 and W
+        # at g instead saves the W vessels a period each.  Both changes only add switches,
+        # which every state allows, and leave the periods before them alone,
+        # so either would be a strictly cheaper head than the exact optimum.
+        assert run.per_period_cost[gap] == 0, "exact gap head still queues vessels after the gap's first period"
+        free_tail = 2 if gap == 0 or run.per_period_cost[gap - 1] == 0 else 1
+        actions = head.actions[: len(head.actions) - free_tail] + (Action.WAIT,) * free_tail
         return Chunk(
             start=t,
             end=t + gap + 1,
@@ -213,7 +219,7 @@ def next_chunk(instance: PeriodicInstance, request: ChunkRequest) -> Chunk:
             cost=run.total_wait,
             entry_alignment=entry,
             next_start=t + gap + 2,
-            next_position=None if free_tail else head.states[-1].alignment,
+            next_position=None,
         )
 
     _check_window(t, t_end)

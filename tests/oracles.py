@@ -6,15 +6,19 @@ sorted ``assignment_cost``.  ``oracle_min_cost_bijection`` does not use the
 sorted assignment at all.  Both are test-only, so scipy and numpy are test
 dependencies, not runtime ones.  ``oracle_windowed_cost`` checks the rolling
 windows by simulating every process/wait sequence.  ``reference_solve`` is the
-cyclic DP as nine lanes over the whole horizon, which the min-plus
+cyclic DP as nine lanes over the whole horizon, which the memoised
 ``dp.solve`` must reproduce exactly; its lanes run through ``reference_lane``,
 ``reference_lane_path`` and ``reference_path_actions``, the table-driven loop
-with an 8-entry backpointer list per step that the straight-line ``dp.lane``
-replaced.  It builds its slot costs period by period with ``slot_costs``
-(replaced by the columnar ``dp.slot_cost_table``), its pattern with
+over ``_TRANSITIONS`` with an 8-entry backpointer list per step that the
+straight-line ``dp.lane`` replaced.  ``reference_min_cycle_mean`` builds the
+Lambda-step min-plus transfer matrix from those lanes and the table step at
+period 1, and takes the minimum cycle mean over cycles of 1 to 8
+hyper-periods, the bound that the 8 * Lambda horizon of ``dp.solve`` must
+reach.  Both build their slot costs period by period with ``slot_costs``
+(replaced by the columnar ``dp.slot_cost_table``) and their pattern with
 ``reference_arrival_counts`` (one ``arrival_at`` call per period, replaced
-by the strided ``arrival_counts``) and checks its schedule with
-``reference_cyclic_average``, which measures the second of two simulated
+by the strided ``arrival_counts``); ``reference_solve`` checks its schedule
+with ``reference_cyclic_average``, which measures the second of two simulated
 joint cycles where ``cyclic_average`` warms up only to the second service.
 ``brute_force_optimal`` enumerates every cyclic action sequence of a given
 period and simulates each one; it reads only the arrival pattern (from
@@ -39,15 +43,12 @@ from locksched.arrivals import MatchingInstance
 from locksched.dp import (
     _INF,
     _SHIFT,
-    _TRANSITIONS,
     ALL_STATES,
     CANONICAL,
     DEFAULT_PERIOD_CAP,
     OptimalResult,
     LockState,
     PeriodCapExceededError,
-    _cost,
-    _slot,
     predecessors,
     slot_cost_table,
 )
@@ -209,6 +210,29 @@ def oracle_windowed_cost(instance: PeriodicInstance, t_start: int, t_end: int, e
             best = run.total_wait
     assert best is not None
     return best
+
+
+def _slot(prev: LockState, state: LockState) -> int:
+    """-1 for a wait, else the (served side, window) index into a period's slot costs."""
+    if state.own_waits > 0:
+        return -1
+    side = 0 if prev.alignment is Direction.DOWN else 1
+    return 3 * side + prev.own_waits + prev.other_waits
+
+
+# Every transition as (state_id, pred_id, slot), by state id and then in
+# predecessors() order.  ``dp.lane`` hard-codes this table as its step and,
+# like the wrap-around pick in ``reference_solve``, keeps the first strict
+# minimum in this order, which fixes the tie-breaking.
+_TRANSITIONS: Tuple[Tuple[int, int, int], ...] = tuple(
+    (s_id, ALL_STATES.index(prev), _slot(prev, state))
+    for s_id, state in enumerate(ALL_STATES)
+    for prev in predecessors(state)
+)
+
+
+def _cost(costs: Sequence[int], slot: int) -> int:
+    return costs[slot] if slot >= 0 else 0
 
 
 def reference_lane(
@@ -379,6 +403,48 @@ def reference_solve(
         initial_state=ALL_STATES[s0_id],
         mode=mode,
     )
+
+
+def _min_plus(x: List[List[float]], y: List[List[float]]) -> List[List[float]]:
+    """Min-plus matrix product: entry (i, j) is min over k of x[i][k] + y[k][j]."""
+    columns = list(zip(*y))
+    return [[min(a + b for a, b in zip(row, col)) for col in columns] for row in x]
+
+
+def reference_min_cycle_mean(instance: PeriodicInstance, mode: str = CANONICAL) -> Fraction:
+    """Minimum cycle mean of the (state, phase) graph: a lower bound on the
+    long-run average of every single-wait schedule, of any period.
+
+    A holds the lanes over t = 2..Lambda from each state and B the table step
+    at t = 1, so M = A B is the Lambda-step transfer matrix from phase 1 back
+    to phase 1.  Every cycle passes phase 1, and a simple one meets each of
+    the 8 states there at most once, so its length is j * Lambda for some j
+    in 1..8 and the minimum cycle mean is the least (M^j)[s][s] / (j * Lambda)
+    (Karp 1978).
+    """
+    if mode not in _SHIFT:
+        raise ValueError(f"unknown mode {mode!r}")
+    pattern = reference_arrival_counts(instance, 1, lcm_period(instance))
+    lam = len(pattern)
+    arrivals = _cyclic(pattern)
+    phase_costs = [slot_costs(arrivals, t, _SHIFT[mode]) for t in range(1, lam + 1)]
+    a = [reference_lane(s_id, phase_costs[1:])[0] for s_id in range(8)]
+    b = [[_INF] * 8 for _ in range(8)]
+    for s_id, p_id, slot in _TRANSITIONS:
+        b[p_id][s_id] = _cost(phase_costs[0], slot)
+    m = _min_plus(a, b)
+    power = m
+    best: Optional[Fraction] = None
+    for j in range(1, 9):
+        if j > 1:
+            power = _min_plus(power, m)
+        for s_id in range(8):
+            if power[s_id][s_id] < _INF:
+                mean = Fraction(int(power[s_id][s_id]), j * lam)
+                if best is None or mean < best:
+                    best = mean
+    assert best is not None
+    return best
 
 
 class BruteForcePeriodError(ValueError):

@@ -21,6 +21,30 @@ def test_synth_output_parses(arrivals_csv):
     assert len(lines) > 1
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"D": [[5, 0]]}, "error: stream D [5, 0]: lambda must be >= 1, got 0"),
+        ({"U": [[21, 126]], "D": [[0, 60]]}, "error: stream D [0, 60]: mu must be in 1..1440, got 0"),
+        ({"D": 5}, "error: streams for D must be a list of [mu, lambda] pairs, got 5"),
+        ({"X": [[1, 2]]}, "error: 'X' is not a valid Direction"),
+        ([[1, 2]], "expected an object mapping direction to [mu, lambda] pairs"),
+    ],
+)
+def test_synth_rejects_bad_streams(tmp_path, capsys, spec, message):
+    streams = tmp_path / "streams.json"
+    streams.write_text(json.dumps(spec))
+    out = tmp_path / "arrivals.csv"
+    assert main(["synth", "--streams", str(streams), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_rejects_negative_days(tmp_path, capsys):
+    assert main(["synth", "--days", "-1", "--out", str(tmp_path / "arrivals.csv")]) == 1
+    assert "error: days must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_fit_single_day(arrivals_csv, capsys):
     code = main([
         "fit", "--arrivals", str(arrivals_csv), "--day", "2019-01-02",

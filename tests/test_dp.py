@@ -10,6 +10,7 @@ from oracles import (
     reference_arrival_counts,
     reference_lane,
     reference_lane_path,
+    reference_min_cycle_mean,
     reference_path_actions,
     reference_solve,
     slot_costs,
@@ -283,6 +284,18 @@ def test_solve_equals_nine_lane_reference(specs, mode):
     _assert_same_result(solve(inst, mode), reference_solve(inst, mode))
 
 
+@settings(max_examples=100, deadline=None)
+@given(_streams, st.sampled_from([CANONICAL, PAPER_LITERAL]))
+def test_solve_equals_minimum_cycle_mean(specs, mode):
+    """The 8 * Lambda horizon loses nothing: ``solve`` reaches the minimum
+    cycle mean over all cycle lengths j * Lambda, j = 1..8, including the
+    j = 3, 5, 6 and 7 cycles that cannot be repeated to fill 8 * Lambda
+    periods exactly."""
+    inst = _inst(*specs)
+    assume(lcm_period(inst) <= 420)
+    assert solve(inst, mode).avg_cost == reference_min_cycle_mean(inst, mode)
+
+
 @pytest.mark.parametrize("mode", [CANONICAL, PAPER_LITERAL])
 def test_solve_equals_nine_lane_reference_fixed(mode):
     for specs in [
@@ -394,32 +407,37 @@ def test_lane_shifted_start_gives_same_bits_and_shifted_values(start, shift, ste
     assert shifted_values == [v + shift for v in values]
 
 
-# (streams, distinct matrix-lane tails after the head, distinct starts of the
-# seven later segments): lanes that have not coalesced after the head, two
-# segment starts, one start per later segment, and the Lambda = 5005
-# benchmark instance, whose lanes all share one tail and one segment start.
+# (streams, distinct normalised starts of the rest piece, distinct starts of
+# the head piece after the first turn): a rest piece that runs from two
+# starts, a later turn whose head does not start where the first turn ended,
+# Lambda = 1 whose one-step turns (an empty rest piece) coalesce only after
+# many turns, and the Lambda = 5005 benchmark instance, whose eight lanes
+# share one rest piece and, after the first turn, one head.
 MEMO_CASES = [
     (((Direction.UP, 10, 5), (Direction.DOWN, 7, 7), (Direction.DOWN, 1, 1)), 2, 1),
     (((Direction.UP, 11, 6), (Direction.UP, 7, 4), (Direction.DOWN, 1, 1)), 2, 2),
-    (((Direction.DOWN, 1, 1),), 1, 7),
+    (((Direction.DOWN, 1, 1),), 19, 17),
     (((Direction.DOWN, 5, 3), (Direction.DOWN, 7, 4), (Direction.UP, 11, 7), (Direction.UP, 13, 2)), 1, 1),
 ]
 
 
 @pytest.mark.parametrize("mode", [CANONICAL, PAPER_LITERAL])
-@pytest.mark.parametrize("specs, tails, segments", MEMO_CASES)
-def test_solve_logs_lane_steps(caplog, specs, tails, segments, mode):
-    """The DEBUG record's ``lane_steps`` counts the lane steps run: eight
-    heads, one tail per distinct normalised vector after them and one
-    hyper-period per distinct segment start, about 2 * Lambda where the
-    matrix lanes and the re-run winning lane took 16 * Lambda."""
+@pytest.mark.parametrize("specs, rests, later_heads", MEMO_CASES)
+def test_solve_logs_lane_steps(caplog, specs, rests, later_heads, mode):
+    """The DEBUG record's ``lane_steps`` counts the lane steps run: each
+    piece of a turn once per distinct normalised start, shared by the eight
+    lanes of eight turns, so eight first-turn heads, the later turns' heads
+    and the rest pieces.  At Lambda = 5005 that is 5,261 steps, where the
+    matrix lanes and the re-run winning lane took 10,233."""
     caplog.set_level(logging.DEBUG, logger="locksched.dp")
     inst = _inst(*specs)
     lam = lcm_period(inst)
     solve(inst, mode)
     (record,) = caplog.records
-    head = min(dp._HEAD, lam - 1)
-    assert record.lane_steps == 8 * head + tails * (lam - 1 - head) + segments * lam
+    head = min(dp._HEAD, lam)
+    assert record.lane_steps == (8 + later_heads) * head + rests * (lam - head)
+    if lam == 5005:
+        assert record.lane_steps == 5261
     assert f"{record.lane_steps} lane steps" in record.getMessage()
 
 

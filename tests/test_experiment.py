@@ -85,6 +85,45 @@ def test_synth_rejects_negative_sigma():
         synth_dataset(0, 1, {Direction.DOWN: [(10, 100)]}, -1.0)
 
 
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([(5, 0)], r"stream D \[5, 0\]: lambda must be >= 1, got 0"),
+        ([(5, -3)], r"stream D \[5, -3\]: lambda must be >= 1, got -3"),
+        ([(0, 60)], r"stream D \[0, 60\]: mu must be in 1..1440, got 0"),
+        ([(1441, 60)], r"stream D \[1441, 60\]: mu must be in 1..1440, got 1441"),
+        ([(1.5, 60)], r"stream D \(1.5, 60\): expected a \[mu, lambda\] pair of integers"),
+        ([(True, 60)], r"stream D \(True, 60\): expected a \[mu, lambda\] pair of integers"),
+        ([(5, 60, 1)], r"stream D \(5, 60, 1\): expected a \[mu, lambda\] pair of integers"),
+        ([5], r"stream D 5: expected a \[mu, lambda\] pair of integers"),
+        (5, r"streams for D must be a list of \[mu, lambda\] pairs, got 5"),
+    ],
+)
+def test_synth_rejects_bad_stream_pairs_before_generating(monkeypatch, pairs, message):
+    """A lambda <= 0 never advances the arrival loop and mu = 0 writes a
+    record on the previous day, so every pair is checked before any record
+    is made; the good pairs come first so that a lazy check would be seen."""
+
+    def no_records(*args):
+        raise AssertionError("a record was generated before the streams were checked")
+
+    monkeypatch.setattr(experiment, "ArrivalRecord", no_records)
+    spec = {Direction.UP: [(10, 100)], Direction.DOWN: [(20, 100)] + pairs if isinstance(pairs, list) else pairs}
+    with pytest.raises(ValueError, match=message):
+        synth_dataset(0, 2, spec)
+
+
+def test_synth_rejects_negative_days_and_allows_none():
+    with pytest.raises(ValueError, match="days must be >= 0, got -1"):
+        synth_dataset(0, -1, TWO_STREAM_SPEC)
+    assert synth_dataset(0, 0, TWO_STREAM_SPEC).records == ()
+
+
+def test_synth_rejects_nan_sigma():
+    with pytest.raises(ValueError, match="jitter sigma must be >= 0"):
+        synth_dataset(0, 1, TWO_STREAM_SPEC, float("nan"))
+
+
 def test_fit_day_direction_recovers_ground_truth():
     ds = synth_dataset(0, 1, TWO_STREAM_SPEC)
     fit = fit_day_direction(ds, date(2019, 1, 2), Direction.DOWN, 2, 20)

@@ -258,10 +258,34 @@ def test_chunk_cost_equals_simulation_in_each_case(specs, request_args, case):
 )
 def test_chunk_cost_equals_simulation(inst, start, window, epsilon, position):
     """A chunk's cost is its actions' simulated waiting, rewritten free tail
-    included, in every case.  (A gap chunk with free tail 0 keeps its actions
-    as they are; no exact gap head has been seen to end in one.)"""
+    included, in every case."""
     chunk = next_chunk(inst, ChunkRequest(start, window, epsilon, position))
     assert chunk.cost == _simulated_chunk_cost(inst, chunk)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _small_instances(),
+    st.integers(1, 30),
+    st.integers(4, 40),
+    st.sampled_from((None, Direction.DOWN, Direction.UP)),
+)
+def test_gap_chunk_is_empty_after_its_first_gap_period(inst, start, window, position):
+    """An exact gap head has served every vessel by the end of the gap's
+    first period, so a gap chunk always frees at least its last period and
+    hands off a free position."""
+    chunk = next_chunk(inst, ChunkRequest(start, window, 1.0, position))
+    if chunk.case != CASE_GAP:
+        return
+    assert chunk.free_tail in (1, 2)
+    assert chunk.next_position is None
+    run = simulate(
+        lambda u: arrival_at(inst, chunk.start + u - 1),
+        list(chunk.actions),
+        len(chunk.actions),
+        initial_alignment=chunk.entry_alignment,
+    )
+    assert run.per_period_cost[-2] == 0
 
 
 @pytest.mark.parametrize("gap_at", [1, 63, 64, 65, 191, 192, 250, 281])
