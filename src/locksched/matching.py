@@ -7,25 +7,32 @@ order-preserving (sorted-to-sorted) assignment, which is optimal for a fixed
 stream set.  The search scores candidates in integers: scaled by the lcm of
 a composition's counts, every anchored matching point is whole.
 
-The search is a depth-first branch-and-bound over the anchors.  Every
-matching point pays at least its distance to the nearest arrival, so each
-anchored row carries that sum as a lower bound, and a prefix of anchors (or
-a whole composition) whose bound reaches the best cost so far is pruned.
-Anchors that repeat an earlier anchor's mu give the same row and are
-skipped.  The rows of one count are translates of each other, and moving a
-row's c points by d changes the cost by at most c*d; so once a row of the
-last stream is scored, rows whose mu lies within (cost - best) / c of it are
-skipped too.  ``best_fit`` starts each stream budget's search from the best
-cost of the smaller budgets.  Only candidates that strictly beat the best are
-kept, so the first minimum in visit order wins, as in a full enumeration.
+The search is a depth-first branch-and-bound over the anchors, placing
+each composition's largest-count stream first.  Every matching point pays
+at least its distance to the nearest arrival, so each anchored row carries
+that sum as a lower bound; the rows of one count are translates of each
+other, so their bounds are one piecewise-linear function of the offset,
+found for all rows in one sweep.  A prefix of anchors (or a whole
+composition) is pruned when its bound exceeds the composition's best cost
+so far, or reaches the best carried from earlier compositions.  Anchors
+that repeat an earlier anchor's mu give the same row and are skipped.
+Moving a row's c points by d changes the cost by at most c*d; so once a row
+of the last stream is scored, rows whose mu lies within (cost - best - 1) / c
+of it are skipped too.  ``best_fit`` starts each stream budget's search
+from the best cost of the smaller budgets, and a later budget or
+composition must beat the best strictly.  Within a composition, equal costs
+break on the canonical key, the anchors in non-decreasing count order: the
+least key wins, which is the candidate a full enumeration in canonical
+order meets first.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from operator import sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -153,109 +160,139 @@ def _anchor_rows(T: int, count: int, arrivals: Sequence[int]) -> _Rows:
     """Each distinct anchored row of the ``count``-stream, at scale ``count``.
 
     Uses the anchor rule of ``anchored_streams``.  At scale ``count`` the
-    period is T and every point is whole.  An anchor whose first point (so
+    period is T and every point is whole; the first point is the anchor's
+    scaled arrival folded into (0, T].  An anchor whose first point (so
     whose mu) equals an earlier anchor's gives the same row; it is left out,
     since every candidate using it was already visited with the earlier one.
     Each kept anchor carries its row's lower bound: the summed distance from
     each point to the nearest scaled arrival.
+
+    The rows are translates, so the bound is one function of the first
+    point: g(f) = sum over i < count of d(f + i*T), with d the distance to
+    the nearest scaled arrival.  The slope of d rises by 2 at each distinct
+    arrival and falls by 2 at each midpoint between neighbours, and each
+    such breakpoint, folded into (0, T], is met by one point of the row.
+    So g(f) is g(0) plus its right-hand slope at 0 times f plus, for each
+    folded breakpoint up to f, its slope change times the distance past it:
+    one bisect per point for g(0), then two per row against the sorted
+    breakpoints (doubled, so that midpoints are whole) and their prefix sums.
     """
-    target = [t * count for t in arrivals]
-    last = len(target) - 1
-    seen = set()
-    rows = []
+    firsts: Dict[int, int] = {}
     for a, t in enumerate(arrivals):
-        j = max(-(-t * count // T) - 1, 0)  # largest j with j*lam < t, clamped at 0
-        first = t * count - j * T
-        if first in seen:
-            continue
-        seen.add(first)
-        bound = 0
-        for p in range(first, first + count * T, T):
-            i = bisect_left(target, p)
-            if i > last:
-                bound += p - target[last]
-            elif i and p - target[i - 1] < target[i] - p:
-                bound += p - target[i - 1]
-            else:
-                bound += target[i] - p
-        rows.append((a, first, bound))
+        firsts.setdefault((t * count - 1) % T + 1, a)
+    targets = list(dict.fromkeys([t * count for t in arrivals]))
+    period = 2 * T
+    rises = sorted([(2 * u - 1) % period + 1 for u in targets])
+    falls = sorted([(u + v - 1) % period + 1 for u, v in zip(targets, targets[1:])])
+    rise_sums = [0, *accumulate(rises)]
+    fall_sums = [0, *accumulate(falls)]
+    g = slope = 0  # g(0) and its right-hand slope
+    for p in range(0, count * T, T):
+        i = bisect_right(targets, p)
+        if i == 0:
+            g += targets[0] - p
+            slope -= 1
+        elif i == len(targets):
+            g += p - targets[-1]
+            slope += 1
+        elif 2 * p < targets[i - 1] + targets[i]:
+            g += p - targets[i - 1]
+            slope += 1
+        else:
+            g += targets[i] - p
+            slope -= 1
+    rows = []
+    for f, a in firsts.items():
+        x = 2 * f
+        i = bisect_right(rises, x)
+        j = bisect_right(falls, x)
+        rows.append((a, f, g + slope * f + i * x - rise_sums[i] - j * x + fall_sums[j]))
     return rows
 
 
 def _search(
     instance: MatchingInstance,
     k: int,
-    cache: Dict[int, _Rows],
+    cache: Dict[int, Tuple[_Rows, int]],
     incumbent: Optional[_Found] = None,
 ) -> Optional[_Found]:
-    """The first (counts, anchors) of least cost that strictly beats ``incumbent``.
+    """The least-key (counts, anchors) of least cost that strictly beats ``incumbent``.
 
     Returns (scaled cost, scale, counts, anchors), or None when no k-stream
-    candidate costs less than the incumbent.  Compositions and anchors are
-    visited lexicographically, anchors non-decreasing within a run of equal
-    counts (swapping equal-count streams gives the same candidate).  A
-    prefix of anchors is pruned when its rows' bounds plus the least bound of
-    each unplaced stream's count reach the limit: the best cost so far, which
-    a composition takes from earlier ones (or the incumbent) at its own
-    scale, rounded up.  A row of the last stream is also skipped when a
-    scored row of that prefix proves it costs at least the limit (see
-    ``leaf``).  Replacing needs a strictly smaller cost, so pruning keeps the
-    first minimum.  ``cache`` holds ``_anchor_rows`` per count.
+    candidate costs less than the incumbent.  Compositions are visited
+    lexicographically.  Within one, the streams are placed largest count
+    first (``counts[::-1]``) with anchors not increasing within a run of
+    equal counts (swapping equal-count streams gives the same candidate), so
+    the visited anchors, reversed, are the canonical key.  A prefix of
+    anchors is pruned when its rows' bounds plus the least bound of each
+    unplaced stream's count reach ``limit``, and a row of the last stream
+    when a scored row of that prefix proves it cannot win (see ``leaf``).
+    ``cache`` holds ``_anchor_rows`` and their least bound per count.
     """
     T, arrivals = instance.T, instance.arrival_minutes
     best = incumbent
     compositions_pruned = prefixes_pruned = scored = 0
     for counts in _compositions_nondecreasing(instance.n, k):
         scale = math.lcm(*counts)
+        # ``limit``: the best of earlier compositions (or the incumbent) at
+        # this scale, rounded up, which must be beaten strictly; then one
+        # above this composition's best, so that equal costs are still
+        # scored and the least key among them wins.
         limit = math.inf if best is None else -(-best[0] * scale // best[1])
-        for c in counts:
+        order = counts[::-1]
+        for c in order:
             if c not in cache:
-                cache[c] = _anchor_rows(T, c, arrivals)
-        least = [min(bound for _, _, bound in cache[c]) * (scale // c) for c in counts]
+                rows = _anchor_rows(T, c, arrivals)
+                cache[c] = rows, min(bound for _, _, bound in rows)
+        least = [cache[c][1] * (scale // c) for c in order]
         if sum(least) >= limit:
             compositions_pruned += 1
             continue
         rest = [sum(least[i + 1:]) for i in range(k)]
         table = {}
-        for c in set(counts):
+        for c in set(order):
             m = scale // c
             step = T * m
             table[c] = [
                 (a, bound * m, list(range(first * m, first * m + c * step, step)))
-                for a, first, bound in cache[c]
+                for a, first, bound in cache[c][0]
             ]
-        options = [table[c] for c in counts]
+        options = [table[c] for c in order]
+        bounds = [[bound for _, bound, _ in rows] for rows in options]
         target = [t * scale for t in arrivals]
         last = k - 1
-        found: Tuple[int, ...] = ()
+        found: Tuple[int, ...] = ()  # anchors in visit order
         # The last stream's rows in the order of their first points.
-        leaves = options[last]
-        c_last, n_leaves = counts[last], len(leaves)
+        leaves, leaf_bounds = options[last], bounds[last]
+        c_last, n_leaves = order[last], len(leaves)
         by_first = sorted(range(n_leaves), key=lambda q: leaves[q][2][0])
         firsts = [leaves[q][2][0] for q in by_first]
         rank = [0] * n_leaves
         for r, q in enumerate(by_first):
             rank[q] = r
 
-        def leaf(start: int, partial: int, points: List[int], anchors: Tuple[int, ...]) -> None:
+        def leaf(end: int, partial: int, points: List[int], anchors: Tuple[int, ...]) -> None:
             nonlocal limit, found, prefixes_pruned, scored
             dominated = [False] * n_leaves
-            for pos in range(start, n_leaves):
-                a, bound, row = leaves[pos]
-                if dominated[pos] or partial + bound >= limit:
-                    prefixes_pruned += 1
+            tried = 0
+            for pos in range(end):
+                if dominated[pos] or partial + leaf_bounds[pos] >= limit:
                     continue
-                scored += 1
+                tried += 1
+                a, _, row = leaves[pos]
                 pts = points + row
                 pts.sort()
                 cost = sum(map(abs, map(sub, pts, target)))
                 if cost < limit:
-                    limit, found = cost, anchors + (a,)
+                    key = anchors + (a,)
+                    if not found or cost < limit - 1 or key[::-1] < found[::-1]:
+                        limit, found = cost + 1, key
                     continue
                 # Rows of one count are translates of each other, and moving
                 # a row's c points by d changes the cost by at most c*d.  So
                 # a row whose first point lies within (cost - limit) / c of
-                # this one's costs at least the limit.
+                # this one's costs at least the limit, which lies one above
+                # this composition's best once it has one: it cannot tie.
                 r = rank[pos]
                 reach = (cost - limit) // c_last
                 up = r + 1
@@ -266,26 +303,30 @@ def _search(
                 while down >= 0 and firsts[r] - firsts[down] <= reach:
                     dominated[by_first[down]] = True
                     down -= 1
+            scored += tried
+            prefixes_pruned += end - tried
 
-        def visit(i: int, start: int, partial: int, points: List[int], anchors: Tuple[int, ...]) -> None:
+        def visit(i: int, end: int, partial: int, points: List[int], anchors: Tuple[int, ...]) -> None:
             nonlocal prefixes_pruned
             if i == last:
-                return leaf(start, partial, points, anchors)
-            same_run = counts[i + 1] == counts[i]
-            for pos in range(start, len(options[i])):
-                a, bound, row = options[i][pos]
-                lower = partial + bound
-                if lower + rest[i] >= limit:
-                    prefixes_pruned += 1
+                return leaf(end, partial, points, anchors)
+            same_run = order[i + 1] == order[i]
+            level, floor = bounds[i], partial + rest[i]
+            tried = 0
+            for pos in range(end):
+                if floor + level[pos] >= limit:
                     continue
-                visit(i + 1, pos if same_run else 0, lower, points + row, anchors + (a,))
+                tried += 1
+                a, bound, row = options[i][pos]
+                visit(i + 1, pos + 1 if same_run else len(options[i + 1]), partial + bound, points + row, anchors + (a,))
+            prefixes_pruned += end - tried
 
-        visit(0, 0, 0, [], ())
+        visit(0, len(options[0]), 0, [], ())
         # The closure refers to itself; dropping the name frees this
         # composition's tables now rather than at the next cycle collection.
         del visit
         if found:
-            best = (limit, scale, counts, found)
+            best = (limit - 1, scale, counts, found[::-1])
     _log.debug(
         "k=%d, n=%d: %d compositions pruned, %d anchor prefixes pruned, %d candidates scored",
         k, instance.n, compositions_pruned, prefixes_pruned, scored,
@@ -314,8 +355,8 @@ def solve_matching(instance: MatchingInstance, k: int) -> MatchingSolution:
 
     A candidate with counts c is scored in integers scaled by L = lcm(c),
     where every anchored point is whole; the best cost so far is carried to
-    each composition's scale.  Ties break on the first (counts, anchors)
-    visited, as in a full enumeration.
+    each composition's scale.  Ties break on the least (counts, anchors) in
+    canonical order, the first a full enumeration visits.
     """
     n = instance.n
     if not 1 <= k <= n:
@@ -337,7 +378,7 @@ def best_fit(instance: MatchingInstance, k: int) -> MatchingSolution:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    cache: Dict[int, _Rows] = {}
+    cache: Dict[int, Tuple[_Rows, int]] = {}
     best: Optional[_Found] = None
     for j in range(1, min(k, instance.n) + 1):
         best = _search(instance, j, cache, best) or best

@@ -80,20 +80,26 @@ class WindowSolution:
     entry_alignment: Direction
 
 
-def _terminal_cost(counts: Sequence[Tuple[int, int]], state: LockState) -> int:
-    # Arrivals still queued when the window closes, `back` periods before its
-    # last, have accrued back + 1 waits each; the state's counters say which
-    # arrivals are unserved: the current side since its service before the
-    # last switch, the opposite side since the switch itself.  Periods before
-    # the window contribute nothing.
-    total = 0
-    for back, (a_d, a_u) in enumerate(counts[-1:-4:-1]):
-        own, other = (a_d, a_u) if state.alignment is Direction.DOWN else (a_u, a_d)
-        if back <= state.own_waits + state.other_waits:
-            total += own * (back + 1)
-        if back < state.own_waits:
-            total += other * (back + 1)
-    return total
+def _terminal_charges(counts: Sequence[Tuple[int, int]]) -> List[int]:
+    """The end-of-window charge of each state in ``ALL_STATES``, by state id.
+
+    Arrivals still queued when the window closes, `back` periods before its
+    last, have accrued back + 1 waits each; the state's counters say which
+    arrivals are unserved: the current side since its service before the
+    last switch, the opposite side since the switch itself.  Periods before
+    the window contribute nothing.
+    """
+    charges = []
+    for state in ALL_STATES:
+        total = 0
+        for back, (a_d, a_u) in enumerate(counts[-1:-4:-1]):
+            own, other = (a_d, a_u) if state.alignment is Direction.DOWN else (a_u, a_d)
+            if back <= state.own_waits + state.other_waits:
+                total += own * (back + 1)
+            if back < state.own_waits:
+                total += other * (back + 1)
+        charges.append(total)
+    return charges
 
 
 def windowed_optimum(
@@ -125,14 +131,15 @@ def _window_optimum(counts: List[Tuple[int, int]], position: Optional[Direction]
     # Arrivals clipped to the window: periods before t_start contribute nothing,
     # so costs count exactly the in-window waits of in-window arrivals.
     steps = slot_cost_table([(0, 0)] * 3 + counts)
+    charges = _terminal_charges(counts)
 
     def solve_from(entry: Direction) -> WindowSolution:
         # The lane starts in the virtual state (entry, 0, 0): the lock
         # position entering t_start, with fresh wait counters.
         values, back = lane(start_values(ALL_STATES.index(LockState(entry, 0, 0))), steps)
         totals = {
-            s_id: v + _terminal_cost(counts, ALL_STATES[s_id])
-            for s_id, v in enumerate(values)
+            s_id: v + charge
+            for s_id, (v, charge) in enumerate(zip(values, charges))
             if v != math.inf
         }
         final = min(totals, key=lambda s_id: (totals[s_id], s_id))

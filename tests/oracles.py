@@ -4,10 +4,13 @@
 every candidate stream set with ``anchored_streams`` and scores it with the
 sorted ``assignment_cost``.  ``oracle_min_cost_bijection`` does not use the
 sorted assignment at all.  Both are test-only, so scipy and numpy are test
-dependencies, not runtime ones.  ``oracle_windowed_cost`` checks the rolling
-windows by simulating every process/wait sequence.  ``reference_solve`` is the
-cyclic DP as nine lanes over the whole horizon, which the memoised
-``dp.solve`` must reproduce exactly; its lanes run through ``reference_lane``,
+dependencies, not runtime ones.  ``reference_anchor_rows`` finds each
+anchored row's lower bound with one bisect per point, where
+``matching._anchor_rows`` sweeps all rows of a count at once.
+``oracle_windowed_cost`` checks the rolling windows by simulating every
+process/wait sequence.  ``reference_solve`` is the cyclic DP as nine lanes
+over the whole horizon, which the memoised ``dp.solve`` must reproduce
+exactly; its lanes run through ``reference_lane``,
 ``reference_lane_path`` and ``reference_path_actions``, the table-driven loop
 over ``_TRANSITIONS`` with an 8-entry backpointer list per step that the
 straight-line ``dp.lane`` replaced.  ``reference_min_cycle_mean`` builds the
@@ -35,6 +38,7 @@ to it; it checks the table at large periods against ``slot_costs``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -136,6 +140,33 @@ def reference_solve_matching(instance: MatchingInstance, k: int, prune: bool = T
                 best = solution
     assert best is not None
     return best
+
+
+def reference_anchor_rows(T: int, count: int, arrivals: Sequence[int]) -> List[Tuple[int, int, int]]:
+    """``matching._anchor_rows`` with one bisect per point: each distinct
+    anchored row's (anchor, first point, summed distance of its points to
+    the nearest scaled arrival), at scale ``count``."""
+    target = [t * count for t in arrivals]
+    last = len(target) - 1
+    seen = set()
+    rows = []
+    for a, t in enumerate(arrivals):
+        j = max(-(-t * count // T) - 1, 0)  # largest j with j*lam < t, clamped at 0
+        first = t * count - j * T
+        if first in seen:
+            continue
+        seen.add(first)
+        bound = 0
+        for p in range(first, first + count * T, T):
+            i = bisect_left(target, p)
+            if i > last:
+                bound += p - target[last]
+            elif i and p - target[i - 1] < target[i] - p:
+                bound += p - target[i - 1]
+            else:
+                bound += target[i] - p
+        rows.append((a, first, bound))
+    return rows
 
 
 def reference_best_fit(instance: MatchingInstance, k: int) -> MatchingSolution:

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     oracle_min_cost_bijection,
+    reference_anchor_rows,
     reference_best_fit,
     reference_solve_matching,
 )
 
 from locksched.arrivals import MatchingInstance
 from locksched.matching import (
+    _anchor_rows,
     CountMismatchError,
     MatchingSolution,
     Stream,
@@ -165,11 +167,12 @@ def test_exactly_k_is_not_monotone_but_best_fit_is():
 
 
 @st.composite
-def _small_instances(draw):
-    """Instances with n <= 9 and T <= 200: random minutes, minutes drawn from
-    a pool of at most three (many repeats), or unions of integer-step
-    progressions, which fit several stream sets at equal cost."""
-    n = draw(st.integers(1, 9))
+def _small_instances(draw, max_n=9):
+    """Instances with n <= max_n and T <= 200 (or the last arrival, when
+    later): random minutes, minutes drawn from a pool of at most three (many
+    repeats), or unions of integer-step progressions, which fit several
+    stream sets at equal cost."""
+    n = draw(st.integers(1, max_n))
     layout = draw(st.sampled_from(["random", "repeats", "progressions"]))
     if layout == "random":
         minutes = draw(st.lists(st.integers(1, 200), min_size=n, max_size=n))
@@ -183,14 +186,31 @@ def _small_instances(draw):
             length = draw(st.integers(1, n - len(minutes)))
             minutes += [start + i * step for i in range(length)]
     minutes.sort()
-    T = draw(st.sampled_from([minutes[-1], 200]))
+    T = draw(st.sampled_from([minutes[-1], max(minutes[-1], 200)]))
     return _inst(minutes, T=T)
 
 
+def _budget(k, n):
+    """``k`` capped at n; k = 4 only for n <= 6, where the reference takes
+    about 0.2 s.  Equal-count runs such as (1, 1, 2, 2) meet the largest-first
+    visit order there."""
+    return min(k, n, 4 if n <= 6 else 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_instances(max_n=30))
+def test_sweep_bounds_equal_bisect_reference(inst):
+    """The swept row bounds equal one bisect per point, for every count."""
+    for count in range(1, inst.n + 1):
+        assert _anchor_rows(inst.T, count, inst.arrival_minutes) == reference_anchor_rows(
+            inst.T, count, inst.arrival_minutes
+        )
+
+
 @settings(max_examples=150, deadline=None)
-@given(_small_instances(), st.integers(1, 3))
+@given(_small_instances(), st.integers(1, 4))
 def test_fast_fitter_equals_reference_property(inst, k):
-    k = min(k, inst.n)
+    k = _budget(k, inst.n)
     fast = solve_matching(inst, k)
     assert fast == reference_solve_matching(inst, k)
     assert best_fit(inst, k) == reference_best_fit(inst, k)
@@ -214,9 +234,9 @@ def _shared_mu_instances(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_shared_mu_instances(), st.integers(1, 3))
+@given(_shared_mu_instances(), st.integers(1, 4))
 def test_fast_fitter_equals_reference_on_shared_mu(inst, k):
-    k = min(k, inst.n)
+    k = _budget(k, inst.n)
     assert solve_matching(inst, k) == reference_solve_matching(inst, k)
     assert best_fit(inst, k) == reference_best_fit(inst, k)
 
@@ -230,8 +250,12 @@ def test_pinned_fits(case):
     integer fitter (no bound) on ``synth_dataset(0, 2, {D: [(63, 126),
     (126, 126), (40, 90)], U: [(21, 126), (126, 126)]}, 5.0)``: the
     benchmark's seed-0 pipeline fits and, on its first day in direction D,
-    the larger (k, n) cells.  The assignment is pinned as the stream index
-    of each arrival; occurrences count up per stream."""
+    the larger (k, n) cells.  The ``dense`` pin is k = 4, n = 30 on the
+    first day of ``synth_dataset(0, 1, {D: [(63, 126), (126, 126), (40, 90),
+    (7, 35)], U: [(21, 126), (126, 126), (11, 45)]}, 5.0)``, direction D,
+    recorded with the branch-and-bound fitter in stream order, before the
+    largest-first search.  The assignment is pinned as the stream index of
+    each arrival; occurrences count up per stream."""
     inst = _inst(case["minutes"], T=case["T"])
     streams = _set(*((Fraction(mu), Fraction(lam), c) for mu, lam, c in case["streams"]), T=case["T"])
     seen = [0] * len(streams.streams)
@@ -252,12 +276,15 @@ def test_search_counters_logged(caplog):
     (record,) = caplog.records
     assert record.levelno == logging.DEBUG and record.name == "locksched.matching"
     # One composition, (1, 2), scored at scale 2 against arrivals 2, 4, 6.
-    # The 1-stream row anchored at 1 (point 2) is tried with all three
-    # 2-stream rows (points 2,5 / 1,4 / 3,6; each 1 from the nearest
-    # arrival), and the last costs 1.  The 1-stream rows at 2 and 3 are
-    # pruned, since the 2-stream row's bound of 1 already reaches it.
-    assert (record.compositions_pruned, record.prefixes_pruned, record.candidates_scored) == (0, 2, 3)
-    assert "2 anchor prefixes pruned, 3 candidates scored" in record.getMessage()
+    # The 2-stream is placed first; its rows (points 2,5 / 1,4 / 3,6) are
+    # each 1 from the nearest arrival.  Under 2,5 the 1-stream rows at 2, 4
+    # and 6 cost 3, 1 and 1.  Under 1,4 the row at 2 costs 5, which proves
+    # that the row at 4, within (5 - 2) / 1 of it, costs at least 2: it is
+    # pruned.  The row at 6 costs 1.  Under 3,6 the three cost 1, 1 and 3.
+    # Ties are scored, not pruned, and the least canonical key wins: the
+    # 1-stream anchored at the first arrival, the 2-stream at the third.
+    assert (record.compositions_pruned, record.prefixes_pruned, record.candidates_scored) == (0, 1, 8)
+    assert "1 anchor prefixes pruned, 8 candidates scored" in record.getMessage()
     caplog.clear()
     # best_fit searches each budget once; the 2-stream search cannot beat
     # the 1-stream fit at cost 0, so its only composition is pruned.
