@@ -41,6 +41,8 @@ from .schedule import (
 
 DAY_MINUTES = 1440
 DIRECTIONS = (Direction.DOWN, Direction.UP)
+# The first day of every synthetic dataset.
+_SYNTH_START_DAY = date(2019, 1, 2)
 
 FIT_HEADER = ("k", "n", "Runtime", "Fit")
 SCHEDULE_HEADER = ("k", "n", "periodicOpt", "alternating", "FIFO", "advFIFO", "realisedPeriodic")
@@ -59,6 +61,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.k_values or not self.n_values:
             raise ValueError("k and n value lists must be non-empty")
+        for name, values in (("k", self.k_values), ("n", self.n_values)):
+            for value in values:
+                if value < 1:
+                    raise ValueError(f"{name} values must be >= 1, got {value}")
         day_periods(self.period_minutes)  # rejects periods below one minute
         if self.dp_cap < 1:
             raise ValueError(f"dp_cap must be >= 1, got {self.dp_cap}")
@@ -109,13 +115,13 @@ def synth_dataset(
     days: int,
     streams_spec: Dict[Direction, Sequence[Tuple[int, int]]],
     jitter_sigma: float = 0.0,
-    start_day: date = date(2019, 1, 2),
 ) -> ArrivalDataset:
     """Generate per-day periodic arrivals with optional integer jitter.
 
     ``streams_spec`` maps each direction to (mu, lambda) pairs in minutes,
     integers with 1 <= mu <= 1440 and lambda >= 1; jittered times are clamped
-    to [1, 1440].  A sigma of zero yields exactly periodic data.
+    to [1, 1440].  A sigma of zero yields exactly periodic data.  The days run
+    from 2019-01-02.
     """
     if not jitter_sigma >= 0:  # also rejects NaN
         raise ValueError("jitter sigma must be >= 0")
@@ -126,7 +132,7 @@ def synth_dataset(
     rng = random.Random(seed)
     records = []
     for d in range(days):
-        day = start_day + timedelta(days=d)
+        day = _SYNTH_START_DAY + timedelta(days=d)
         for direction, specs in sorted(streams_spec.items(), key=lambda kv: kv[0].value):
             for mu, lam in specs:
                 t = mu

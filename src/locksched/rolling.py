@@ -3,7 +3,9 @@
 Each chunk is produced from an exact windowed optimization (a finite-horizon
 variant of the cyclic DP) and handed off to the next chunk either at a
 no-arrival gap, mid-window after a cheap window, or after two reorientation
-periods.  The full horizon schedule is never materialized.
+periods.  ``generate`` concatenates the chunks in one pass, rewriting a free
+tail once the next chunk has chosen its entry orientation.  The full horizon
+schedule is never materialized.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from .dp import ALL_STATES, LockState, lane, lane_path, path_actions, slot_cost_table, start_values
@@ -76,7 +79,6 @@ class Chunk:
 class WindowSolution:
     cost: int
     actions: Tuple[Action, ...]
-    states: Tuple[LockState, ...]  # state after each period's action
     entry_alignment: Direction
 
 
@@ -133,29 +135,17 @@ def _window_optimum(counts: List[Tuple[int, int]], position: Optional[Direction]
     steps = slot_cost_table([(0, 0)] * 3 + counts)
     charges = _terminal_charges(counts)
 
-    def solve_from(entry: Direction) -> WindowSolution:
+    def lane_end(entry: Direction) -> Tuple[int, int, List[int], Direction]:
         # The lane starts in the virtual state (entry, 0, 0): the lock
         # position entering t_start, with fresh wait counters.
         values, back = lane(start_values(ALL_STATES.index(LockState(entry, 0, 0))), steps)
-        totals = {
-            s_id: v + charge
-            for s_id, (v, charge) in enumerate(zip(values, charges))
-            if v != math.inf
-        }
-        final = min(totals, key=lambda s_id: (totals[s_id], s_id))
-        path = lane_path(back, final)
-        return WindowSolution(
-            cost=totals[final],
-            actions=path_actions(path),
-            states=tuple(ALL_STATES[s_id] for s_id in path[1:]),
-            entry_alignment=entry,
-        )
+        cost, final = min((v + charge, s_id) for s_id, (v, charge) in enumerate(zip(values, charges)) if v != math.inf)
+        return cost, final, back, entry
 
-    if position is not None:
-        return solve_from(position)
-    down = solve_from(Direction.DOWN)
-    up = solve_from(Direction.UP)
-    return down if down.cost <= up.cost else up
+    # A free entry takes the cheaper orientation, DOWN on a tie (min keeps the first).
+    entries = (Direction.DOWN, Direction.UP) if position is None else (position,)
+    cost, final, back, entry = min(map(lane_end, entries), key=itemgetter(0))
+    return WindowSolution(cost=cost, actions=path_actions(lane_path(back, final)), entry_alignment=entry)
 
 
 # The gap scan reads the window's arrivals in blocks of this many periods,
@@ -184,7 +174,6 @@ def next_chunk(instance: PeriodicInstance, request: ChunkRequest) -> Chunk:
     """One step of the incremental scheme: a schedule chunk plus a handoff."""
     t = request.start
     t_end = t + request.window
-    k = instance.k
     # A gap head longer than the window cap is rejected anyway, so the scan
     # never reads past the cap, however large the window.
     counts, gap = _scan_for_gap(instance, t, min(t_end, t + DEFAULT_WINDOW_CAP - 1))
@@ -195,9 +184,8 @@ def next_chunk(instance: PeriodicInstance, request: ChunkRequest) -> Chunk:
         # makes clearing every queue within the arrival-free gap optimal, so
         # nothing carries over to the next chunk.
         counts = counts[: gap + 2]
-        head = _window_optimum(counts, request.position)
-        entry = head.entry_alignment
-        run = simulate(counts, list(head.actions), len(head.actions), initial_alignment=entry)
+        sol = _window_optimum(counts, request.position)
+        run = simulate(counts, list(sol.actions), len(sol.actions), initial_alignment=sol.entry_alignment)
         # Trailing gap periods count as rewritable only once the queues are
         # empty entering them (a zero per-period cost means an empty queue).
         # Rewriting them changes no cost: they have no arrivals and, from
@@ -216,52 +204,41 @@ def next_chunk(instance: PeriodicInstance, request: ChunkRequest) -> Chunk:
         # so either would be a strictly cheaper head than the exact optimum.
         assert run.per_period_cost[gap] == 0, "exact gap head still queues vessels after the gap's first period"
         free_tail = 2 if gap == 0 or run.per_period_cost[gap - 1] == 0 else 1
-        actions = head.actions[: len(head.actions) - free_tail] + (Action.WAIT,) * free_tail
-        return Chunk(
-            start=t,
-            end=t + gap + 1,
-            actions=actions,
-            free_tail=free_tail,
-            case=CASE_GAP,
-            cost=run.total_wait,
-            entry_alignment=entry,
-            next_start=t + gap + 2,
-            next_position=None,
-        )
-
-    _check_window(t, t_end)
-    sol = _window_optimum(counts, request.position)
-    # Case: cheap window; keep the first half and hand off the lock position.
-    if sol.cost <= 2 * k / request.epsilon:
-        t_prime = t + request.window // 2 + 1
-        cut = t_prime - t + 1
-        actions = sol.actions[:cut]
-        return Chunk(
-            start=t,
-            end=t_prime,
-            actions=actions,
-            free_tail=0,
-            case=CASE_CHEAP,
-            cost=simulate(counts, list(actions), cut, initial_alignment=sol.entry_alignment).total_wait,
-            entry_alignment=sol.entry_alignment,
-            next_start=t_prime + 1,
-            next_position=sol.states[cut - 1].alignment,
-        )
-
-    # Case: expensive window; emit it whole plus two reorientation periods.
-    actions = sol.actions + (Action.WAIT, Action.WAIT)
-    tail = arrival_counts(instance, t_end + 1, t_end + 2)
+        actions = sol.actions[: len(sol.actions) - free_tail] + (Action.WAIT,) * free_tail
+        case, cost, next_position = CASE_GAP, run.total_wait, None
+    else:
+        _check_window(t, t_end)
+        sol = _window_optimum(counts, request.position)
+        if sol.cost <= 2 * instance.k / request.epsilon:
+            # Case: cheap window; keep periods t..t + window // 2 + 1 and hand
+            # off the lock position.
+            actions = sol.actions[: request.window // 2 + 2]
+            case, free_tail = CASE_CHEAP, 0
+            next_position = _alignment_after(actions, sol.entry_alignment)
+        else:
+            # Case: expensive window; emit it whole plus two reorientation periods.
+            actions = sol.actions + (Action.WAIT, Action.WAIT)
+            counts += arrival_counts(instance, t_end + 1, t_end + 2)
+            case, free_tail, next_position = CASE_FULL, 2, None
+        cost = simulate(counts, list(actions), len(actions), initial_alignment=sol.entry_alignment).total_wait
+    end = t + len(actions) - 1
     return Chunk(
         start=t,
-        end=t_end + 2,
+        end=end,
         actions=actions,
-        free_tail=2,
-        case=CASE_FULL,
-        cost=simulate(counts + tail, list(actions), len(actions), initial_alignment=sol.entry_alignment).total_wait,
+        free_tail=free_tail,
+        case=case,
+        cost=cost,
         entry_alignment=sol.entry_alignment,
-        next_start=t_end + 3,
-        next_position=None,
+        next_start=end + 1,
+        next_position=next_position,
     )
+
+
+def _alignment_after(actions: Sequence[Action], entry: Direction) -> Direction:
+    """The lock's orientation after ``actions`` from ``entry``: each lockage flips it."""
+    lockages = len(actions) - actions.count(Action.WAIT)
+    return entry.flip() if lockages % 2 else entry
 
 
 @dataclass(frozen=True)
@@ -270,14 +247,6 @@ class GeneratedPlan:
     actions: Tuple[Action, ...]
     initial_alignment: Direction
     chunks: Tuple[Chunk, ...]
-
-
-def _alignment_after(actions, entry: Direction) -> Direction:
-    alignment = entry
-    for action in actions:
-        if action.processes is not None:
-            alignment = alignment.flip()
-    return alignment
 
 
 def generate(
@@ -289,44 +258,33 @@ def generate(
 ) -> GeneratedPlan:
     """Concatenate chunks into one feasible action sequence.
 
-    Free tails are realized once the following chunk has chosen its entry
-    orientation: two waits if the alignment already matches, otherwise a wait
-    followed by a (possibly empty) lockage to flip it.
+    Chunks are requested in order, each from the previous one's handoff.  A
+    free tail stays waits when the next chunk enters in the alignment it
+    leaves (or no chunk follows); otherwise its last period becomes the
+    (possibly empty) lockage that flips the lock to the next chunk's entry.
     """
     if n_chunks < 1:
         raise ValueError("n_chunks must be >= 1")
     if window is None:
         window = default_window(instance.k, epsilon)
     chunks: List[Chunk] = []
+    actions: List[Action] = []
     start = t_start
     position: Optional[Direction] = None
+    tail_alignment: Optional[Direction] = None  # after the previous chunk, if its tail is free
     for _ in range(n_chunks):
         chunk = next_chunk(instance, ChunkRequest(start=start, window=window, epsilon=epsilon, position=position))
+        if tail_alignment is not None and chunk.entry_alignment is not tail_alignment:
+            actions[-1] = Action.process(tail_alignment)
+        actions += chunk.actions
+        tail_alignment = _alignment_after(chunk.actions, chunk.entry_alignment) if chunk.free_tail else None
         chunks.append(chunk)
         start = chunk.next_start
         position = chunk.next_position
-
-    actions: List[Action] = []
-    initial_alignment: Optional[Direction] = None
-    for i, chunk in enumerate(chunks):
-        if initial_alignment is None:
-            initial_alignment = chunk.entry_alignment
-        body = list(chunk.actions)
-        if chunk.free_tail:
-            defined = body[: len(body) - chunk.free_tail]
-            alignment = _alignment_after(defined, chunk.entry_alignment)
-            target = chunks[i + 1].entry_alignment if i + 1 < len(chunks) else alignment
-            if alignment is target:
-                tail = [Action.WAIT] * chunk.free_tail
-            else:
-                tail = [Action.WAIT] * (chunk.free_tail - 1) + [Action.process(alignment)]
-            body = defined + tail
-        actions.extend(body)
-    assert initial_alignment is not None
     return GeneratedPlan(
         start=t_start,
         actions=tuple(actions),
-        initial_alignment=initial_alignment,
+        initial_alignment=chunks[0].entry_alignment,
         chunks=tuple(chunks),
     )
 

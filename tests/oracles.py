@@ -8,7 +8,10 @@ dependencies, not runtime ones.  ``reference_anchor_rows`` finds each
 anchored row's lower bound with one bisect per point, where
 ``matching._anchor_rows`` sweeps all rows of a count at once.
 ``oracle_windowed_cost`` checks the rolling windows by simulating every
-process/wait sequence.  ``reference_solve`` is the cyclic DP as nine lanes
+process/wait sequence.  ``reference_generate`` is the two-pass plan assembly
+that ``rolling.generate`` replaced: it requests every chunk first, then fills
+each free tail, finding the alignment with a per-action loop.
+``reference_solve`` is the cyclic DP as nine lanes
 over the whole horizon, which the memoised ``dp.solve`` must reproduce
 exactly; its lanes run through ``reference_lane``,
 ``reference_lane_path`` and ``reference_path_actions``, the table-driven loop
@@ -65,6 +68,7 @@ from locksched.matching import (
     matching_points,
 )
 from locksched.policies import Arrivals, PolicyRun
+from locksched.rolling import Chunk, ChunkRequest, GeneratedPlan, default_window, next_chunk
 from locksched.schedule import (
     Action,
     ArrivalSource,
@@ -241,6 +245,63 @@ def oracle_windowed_cost(instance: PeriodicInstance, t_start: int, t_end: int, e
             best = run.total_wait
     assert best is not None
     return best
+
+
+def _reference_alignment_after(actions: Iterable[Action], entry: Direction) -> Direction:
+    alignment = entry
+    for action in actions:
+        if action.processes is not None:
+            alignment = alignment.flip()
+    return alignment
+
+
+def reference_generate(
+    instance: PeriodicInstance,
+    t_start: int,
+    n_chunks: int,
+    epsilon: float,
+    window: Optional[int] = None,
+) -> GeneratedPlan:
+    """``rolling.generate`` in two passes: every chunk first, then the free
+    tails, each filled once the following chunk's entry orientation is known:
+    two waits if the alignment already matches, otherwise a wait followed by
+    a (possibly empty) lockage to flip it."""
+    if n_chunks < 1:
+        raise ValueError("n_chunks must be >= 1")
+    if window is None:
+        window = default_window(instance.k, epsilon)
+    chunks: List[Chunk] = []
+    start = t_start
+    position: Optional[Direction] = None
+    for _ in range(n_chunks):
+        chunk = next_chunk(instance, ChunkRequest(start=start, window=window, epsilon=epsilon, position=position))
+        chunks.append(chunk)
+        start = chunk.next_start
+        position = chunk.next_position
+
+    actions: List[Action] = []
+    initial_alignment: Optional[Direction] = None
+    for i, chunk in enumerate(chunks):
+        if initial_alignment is None:
+            initial_alignment = chunk.entry_alignment
+        body = list(chunk.actions)
+        if chunk.free_tail:
+            defined = body[: len(body) - chunk.free_tail]
+            alignment = _reference_alignment_after(defined, chunk.entry_alignment)
+            target = chunks[i + 1].entry_alignment if i + 1 < len(chunks) else alignment
+            if alignment is target:
+                tail = [Action.WAIT] * chunk.free_tail
+            else:
+                tail = [Action.WAIT] * (chunk.free_tail - 1) + [Action.process(alignment)]
+            body = defined + tail
+        actions.extend(body)
+    assert initial_alignment is not None
+    return GeneratedPlan(
+        start=t_start,
+        actions=tuple(actions),
+        initial_alignment=initial_alignment,
+        chunks=tuple(chunks),
+    )
 
 
 def _slot(prev: LockState, state: LockState) -> int:

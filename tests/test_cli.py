@@ -3,6 +3,7 @@ import logging
 
 import pytest
 
+from locksched import experiment
 from locksched.cli import main
 from locksched.experiment import FIT_HEADER, SCHEDULE_HEADER
 
@@ -370,3 +371,37 @@ def test_fit_report_rejects_non_positive_jobs(arrivals_csv, tmp_path, capsys, jo
     assert code == 1
     assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [(["--k-list", "3,0", "--n-list", "6"], "k values must be >= 1, got 0"),
+     (["--k-list", "2", "--n-list", "6,-1"], "n values must be >= 1, got -1")],
+    ids=["k-zero", "n-negative"],
+)
+def test_fit_report_rejects_non_positive_k_and_n(arrivals_csv, tmp_path, capsys, grid, message):
+    out = tmp_path / "fit.csv"
+    code = main(["fit", "--arrivals", str(arrivals_csv), *grid, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [(["--k-list", "3,0", "--n-list", "6"], "k values must be >= 1, got 0"),
+     (["--k-list", "2", "--n-list", "0"], "n values must be >= 1, got 0")],
+    ids=["k-zero", "n-zero"],
+)
+def test_experiment_rejects_non_positive_k_and_n_before_any_work(arrivals_csv, tmp_path, capsys, monkeypatch, grid, message):
+    """Rejected before the output directory is made or any cell is fitted."""
+
+    def no_fit(instance, k):
+        raise AssertionError("fitted a cell before rejecting the grid")
+
+    monkeypatch.setattr(experiment, "best_fit", no_fit)
+    out_dir = tmp_path / "reports"
+    code = main(["experiment", "--arrivals", str(arrivals_csv), *grid, "--out-dir", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()

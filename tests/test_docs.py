@@ -1,9 +1,14 @@
-"""The README's library example runs, and every exported name exists."""
+"""The README's library example runs, its commands parse, and every exported
+name exists."""
 
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import locksched
+from locksched.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,6 +18,28 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def _readme_commands():
+    """Every ``locksched ...`` command of the README's sh blocks, backslash
+    continuations joined."""
+    text = README.read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("locksched "):
+                commands.append(line)
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert commands
+    for command in commands:
+        try:
+            build_parser().parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
 
 
 def test_exported_names_exist():

@@ -45,6 +45,18 @@ def test_config_validation():
             ExperimentConfig(dp_cap=bad)
 
 
+@pytest.mark.parametrize(
+    "k_values, n_values, message",
+    [((0, -2), (0,), "k values must be >= 1, got 0"),
+     ((3, 0), (20,), "k values must be >= 1, got 0"),
+     ((2,), (20, -1), "n values must be >= 1, got -1")],
+    ids=["k-zero-and-negative", "k-zero", "n-negative"],
+)
+def test_config_rejects_non_positive_k_and_n(k_values, n_values, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(k_values=k_values, n_values=n_values)
+
+
 def test_rescale_exact_multiple():
     inst = rescale_streams([(Direction.DOWN, Stream(Fraction(21), Fraction(63), 3))], 21)
     assert inst.streams[0].lam == 3 and inst.streams[0].mu == 1

@@ -1,10 +1,11 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_windowed_cost
+from oracles import oracle_windowed_cost, reference_generate
 
 from locksched.rolling import (
     CASE_CHEAP,
@@ -26,6 +27,7 @@ from locksched.schedule import (
     PeriodicInstance,
     StreamSpec,
     arrival_at,
+    arrival_counts,
     simulate,
 )
 from locksched.dp import solve
@@ -97,10 +99,10 @@ def test_windowed_optimum_matches_simulation():
 
 
 @st.composite
-def _small_instances(draw):
+def _small_instances(draw, max_lam=8):
     specs = []
     for _ in range(draw(st.integers(1, 3))):
-        lam = draw(st.integers(1, 8))
+        lam = draw(st.integers(1, max_lam))
         specs.append((draw(st.sampled_from(Direction)), lam, draw(st.integers(1, lam))))
     return _inst(*specs)
 
@@ -203,6 +205,58 @@ def test_generate_cost_within_bound_of_dp():
     full_chunks = sum(1 for c in plan.chunks if c.case == CASE_FULL)
     bound = (1 + eps) * float(opt.avg_cost) * span + 2 * inst.k * full_chunks
     assert res.total_wait <= bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _small_instances(),
+    st.integers(1, 200),
+    st.sampled_from((None, 4, 6, 10, 20)),
+    st.integers(1, 6),
+    st.sampled_from((0.25, 0.5, 1.0, 50.0)),
+)
+def test_generate_equals_two_pass_reference(inst, start, window, n_chunks, epsilon):
+    """One-pass assembly fills each free tail exactly as the two-pass
+    reference does, over gap, cheap and full chunks and both tail lengths."""
+    plan = generate(inst, start, n_chunks, epsilon, window=window)
+    assert plan == reference_generate(inst, start, n_chunks, epsilon, window=window)
+
+
+def _plan_cost_and_bound(inst, plan, epsilon):
+    """The plan's simulated waiting from its start, queues empty, and
+    (1 + epsilon) * opt * span + 2k per chunk.  ``simulate`` raises on an
+    alternation violation, so a plan that does not replay fails here."""
+    span = len(plan.actions)
+    arrivals = arrival_counts(inst, plan.start, plan.start + span - 1)
+    run = simulate(arrivals, list(plan.actions), span, initial_alignment=plan.initial_alignment)
+    bound = (1 + Fraction(epsilon)) * solve(inst).avg_cost * span + 2 * inst.k * len(plan.chunks)
+    return run.total_wait, bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _small_instances(max_lam=10),
+    st.integers(1, 200),
+    st.sampled_from((None, 4, 6, 10, 20)),
+    st.integers(1, 6),
+    st.sampled_from((0.25, 0.5, 1.0)),
+)
+def test_generate_within_one_plus_epsilon_of_optimum(inst, start, window, n_chunks, epsilon):
+    plan = generate(inst, start, n_chunks, epsilon, window=window)
+    cost, bound = _plan_cost_and_bound(inst, plan, epsilon)
+    assert cost <= bound
+
+
+def test_one_plus_epsilon_slack_covers_every_chunk_case():
+    """Slack for full-window chunks alone is not enough: both streams arrive
+    at period 18, so ten gap chunks over periods 1..24 wait once, and
+    (1 + epsilon) * opt * span is 8/15."""
+    inst = _inst((Direction.UP, 9, 9), (Direction.DOWN, 10, 8))
+    plan = generate(inst, 1, 10, 1.0)
+    cost, bound = _plan_cost_and_bound(inst, plan, 1.0)
+    assert {c.case for c in plan.chunks} == {CASE_GAP}
+    assert (len(plan.actions), cost) == (24, 1)
+    assert bound - 2 * inst.k * len(plan.chunks) == Fraction(8, 15)
 
 
 def test_chunk_json_fields():
