@@ -10,7 +10,7 @@ import csv
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date, datetime
-from typing import Dict, Iterable, List, TextIO, Tuple, Union
+from typing import Iterable, List, TextIO, Tuple, Union
 
 from .schedule import Direction
 

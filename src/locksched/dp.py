@@ -59,6 +59,7 @@ from .schedule import (
     PeriodicInstance,
     Schedule,
     _cyclic_average,
+    _schedule_dict,
     arrival_counts,
     lcm_period,
 )
@@ -200,7 +201,7 @@ def lane(start: Sequence[float], steps: Iterable[Sequence[int]]) -> Tuple[List[f
 
 # Per state id: its first predecessor in predecessors() order (a switch
 # state's second one is the next id), and the action that enters it.
-_FIRST_PRED = (4, 6, 0, 1, 0, 2, 4, 5)
+_FIRST_PRED = tuple(ALL_STATES.index(predecessors(state)[0]) for state in ALL_STATES)
 _ENTRY_ACTION = tuple(
     Action.WAIT if state.own_waits else Action.process(state.alignment.flip()) for state in ALL_STATES
 )
@@ -341,9 +342,5 @@ def result_to_json_dict(result: OptimalResult) -> dict:
             "own_waits": result.initial_state.own_waits,
             "other_waits": result.initial_state.other_waits,
         },
-        "schedule": {
-            "period": result.schedule.period,
-            "initial_alignment": result.schedule.initial_alignment.value,
-            "actions": [a.value for a in result.schedule.actions],
-        },
+        "schedule": _schedule_dict(result.schedule),
     }

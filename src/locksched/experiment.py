@@ -3,7 +3,8 @@
 Reports follow the two table layouts used throughout: a fitting table
 (k, n, Runtime, Fit) and a policy-comparison table (k, n, periodicOpt,
 alternating, FIFO, advFIFO, realisedPeriodic), with waiting times per vessel
-in minutes.
+in minutes.  Both reports read one set of fits: each distinct fit and each
+distinct day evaluation runs once, and one loop averages every (k, n) cell.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from fractions import Fraction
 from functools import partial
-from itertools import islice
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .arrivals import (
@@ -61,10 +61,16 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.k_values or not self.n_values:
             raise ValueError("k and n value lists must be non-empty")
+        # bool is an int subclass, but not a count.
         for name, values in (("k", self.k_values), ("n", self.n_values)):
             for value in values:
+                if type(value) is not int:
+                    raise ValueError(f"{name} values must be integers, got {value!r}")
                 if value < 1:
                     raise ValueError(f"{name} values must be >= 1, got {value}")
+        for name in ("period_minutes", "dp_cap", "jobs"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         day_periods(self.period_minutes)  # rejects periods below one minute
         if self.dp_cap < 1:
             raise ValueError(f"dp_cap must be >= 1, got {self.dp_cap}")
@@ -218,6 +224,13 @@ class Skip(NamedTuple):
     direction: Optional[Direction]
 
 
+def _shared(jobs: int, fn, dataset: ArrivalDataset, keys: List):
+    """``fn(dataset, key)`` for each key, in key order; equal keys run once."""
+    distinct = list(dict.fromkeys(keys))
+    done = dict(zip(distinct, _map_ordered(jobs, fn, dataset, distinct)))
+    return [done[key] for key in keys]
+
+
 def _fit_task(dataset: ArrivalDataset, task) -> Union[FitResult, Skip]:
     k, n, day, direction = task
     try:
@@ -235,16 +248,10 @@ def _fit_all(
     same instance, so each distinct instance is fitted once and shared.  A
     fit is a ``Skip`` when the day has no arrivals in that direction.
     """
-    cells = {
-        (k, n, day, direction): (k, min(n, len(dataset.minutes_for(day, direction)) or 1), day, direction)
-        for k in config.k_values
-        for n in config.n_values
-        for day in dataset.days()
-        for direction in DIRECTIONS
-    }
-    tasks = list(dict.fromkeys(cells.values()))
-    done = dict(zip(tasks, _map_ordered(config.jobs, _fit_task, dataset, tasks)))
-    return {cell: done[task] for cell, task in cells.items()}
+    days = dataset.days()
+    cells = [(k, n, day, d) for k in config.k_values for n in config.n_values for day in days for d in DIRECTIONS]
+    tasks = [(k, min(n, len(dataset.minutes_for(day, d)) or 1), day, d) for k, n, day, d in cells]
+    return dict(zip(cells, _shared(config.jobs, _fit_task, dataset, tasks)))
 
 
 def _log_skip(report: str, day: date, k: int, n: int, skip: Skip) -> None:
@@ -257,35 +264,45 @@ def _log_skip(report: str, day: date, k: int, n: int, skip: Skip) -> None:
     )
 
 
+def _rows(report: str, config: ExperimentConfig, outcomes, row) -> Tuple[List, int]:
+    """``row(k, n, *means)`` per (k, n) cell in grid order, and the skip count.
+
+    ``outcomes(k, n)`` gives the cell's (day, values) pairs.  Each ``Skip``
+    among them is counted and logged; each mean is one column of the other
+    values.  A cell with no values has no row.
+    """
+    rows = []
+    skipped = 0
+    for k in config.k_values:
+        for n in config.n_values:
+            values = []
+            for day, outcome in outcomes(k, n):
+                if isinstance(outcome, Skip):
+                    skipped += 1
+                    _log_skip(report, day, k, n, outcome)
+                else:
+                    values.append(outcome)
+            if values:
+                rows.append(row(k, n, *(float(sum(column) / len(values)) for column in zip(*values))))
+    return rows, skipped
+
+
 def _fit_rows(
     dataset: ArrivalDataset,
     config: ExperimentConfig,
     fits: Dict[Tuple[int, int, date, Direction], Union[FitResult, Skip]],
 ) -> Tuple[List[FitRow], int]:
-    rows = []
-    skipped = 0
     days = dataset.days()
-    for k in config.k_values:
-        for n in config.n_values:
-            done = []
-            for day in days:
-                for direction in DIRECTIONS:
-                    fit = fits[k, n, day, direction]
-                    if isinstance(fit, Skip):
-                        skipped += 1
-                        _log_skip("fit", day, k, n, fit)
-                    else:
-                        done.append(fit)
-            if done:
-                rows.append(
-                    FitRow(
-                        k=k,
-                        n=n,
-                        runtime_seconds=sum(fit.runtime_seconds for fit in done) / len(done),
-                        fit_minutes=sum(float(fit.solution.cost / fit.instance.n) for fit in done) / len(done),
-                    )
-                )
-    return rows, skipped
+
+    def outcomes(k: int, n: int):
+        for day in days:
+            for d in DIRECTIONS:
+                fit = fits[k, n, day, d]
+                if not isinstance(fit, Skip):
+                    fit = (fit.runtime_seconds, float(fit.solution.cost / fit.instance.n))
+                yield day, fit
+
+    return _rows("fit", config, outcomes, FitRow)
 
 
 def run_fit_experiment(
@@ -299,8 +316,7 @@ def run_fit_experiment(
     return _fit_rows(dataset, config, _fit_all(dataset, config))
 
 
-@dataclass(frozen=True)
-class DayEvaluation:
+class DayEvaluation(NamedTuple):
     periodic_opt: Fraction
     alternating: Fraction
     fifo: Fraction
@@ -369,43 +385,12 @@ def _schedule_rows(
     config: ExperimentConfig,
     fits: Dict[Tuple[int, int, date, Direction], Union[FitResult, Skip]],
 ) -> Tuple[List[ScheduleRow], int]:
-    rows = []
-    skipped = 0
     days = dataset.days()
-    cells = [(k, n) for k in config.k_values for n in config.n_values]
-    inputs = [
-        (day, tuple(fits[k, n, day, direction] for direction in DIRECTIONS))
-        for k, n in cells
-        for day in days
-    ]
+    cells = [(k, n, day) for k in config.k_values for n in config.n_values for day in days]
     # Cells that share a day's fits share its evaluation.
-    distinct = list(dict.fromkeys(inputs))
-    tasks = [(day, day_fits, config) for day, day_fits in distinct]
-    done = dict(zip(distinct, _map_ordered(config.jobs, _eval_task, dataset, tasks)))
-    outcomes = map(done.__getitem__, inputs)
-    for k, n in cells:
-        evaluations = []
-        for day, outcome in zip(days, islice(outcomes, len(days))):
-            if isinstance(outcome, Skip):
-                skipped += 1
-                _log_skip("schedule", day, k, n, outcome)
-            else:
-                evaluations.append(outcome)
-        if not evaluations:
-            continue
-        m = len(evaluations)
-        rows.append(
-            ScheduleRow(
-                k=k,
-                n=n,
-                periodic_opt=float(sum(e.periodic_opt for e in evaluations) / m),
-                alternating=float(sum(e.alternating for e in evaluations) / m),
-                fifo=float(sum(e.fifo for e in evaluations) / m),
-                adv_fifo=float(sum(e.adv_fifo for e in evaluations) / m),
-                realised_periodic=float(sum(e.realised_periodic for e in evaluations) / m),
-            )
-        )
-    return rows, skipped
+    tasks = [(day, tuple(fits[k, n, day, d] for d in DIRECTIONS), config) for k, n, day in cells]
+    evaluations = dict(zip(cells, _shared(config.jobs, _eval_task, dataset, tasks)))
+    return _rows("schedule", config, lambda k, n: [(day, evaluations[k, n, day]) for day in days], ScheduleRow)
 
 
 def run_schedule_experiment(

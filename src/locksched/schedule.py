@@ -282,14 +282,17 @@ def _cyclic_average(pattern: Sequence[Tuple[int, int]], schedule: Schedule) -> F
     return Fraction(sum(result.per_period_cost[warm_up - 1 :]), span)
 
 
+def _schedule_dict(schedule: Schedule) -> dict:
+    """The JSON object that ``schedule_from_json`` reads."""
+    return {
+        "period": schedule.period,
+        "initial_alignment": schedule.initial_alignment.value,
+        "actions": [a.value for a in schedule.actions],
+    }
+
+
 def schedule_to_json(schedule: Schedule) -> str:
-    return json.dumps(
-        {
-            "period": schedule.period,
-            "initial_alignment": schedule.initial_alignment.value,
-            "actions": [a.value for a in schedule.actions],
-        }
-    )
+    return json.dumps(_schedule_dict(schedule))
 
 
 def schedule_from_json(text: str) -> Schedule:

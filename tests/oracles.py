@@ -36,17 +36,21 @@ fast replay: a closure per arrival lookup and a cyclic index per period.
 ``reference_simulate``.  ``transition_cost`` is the cost of one transition
 at one period, built by ``dp.slot_cost_table`` from the shift + 4 periods up
 to it; it checks the table at large periods against ``slot_costs``.
+``reference_run_experiment`` is the experiment with no sharing: it fits every
+(k, n, day, direction) and evaluates every (k, n, day) on its own with the
+references above, and formats both reports with the package's writers.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from datetime import date
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from locksched.arrivals import MatchingInstance
+from locksched.arrivals import ArrivalDataset, MatchingInstance
 from locksched.dp import (
     _INF,
     _SHIFT,
@@ -59,6 +63,7 @@ from locksched.dp import (
     predecessors,
     slot_cost_table,
 )
+from locksched.experiment import ExperimentConfig, FitRow, ScheduleRow, fit_report_csv, schedule_report_csv
 from locksched.matching import (
     CountMismatchError,
     MatchingSolution,
@@ -77,6 +82,7 @@ from locksched.schedule import (
     PeriodicInstance,
     Schedule,
     SimulationResult,
+    StreamSpec,
     arrival_at,
     arrival_counts,
     lcm_period,
@@ -754,3 +760,80 @@ def reference_realized_periodic(
     """
     actions = [schedule.action_at(t) for t in range(1, horizon + 1)]
     return _reference_run("realizedPeriodic", arrivals, actions, horizon, schedule.initial_alignment)
+
+
+# The experiment with no sharing between cells.
+
+
+def _reference_evaluate(
+    dataset: ArrivalDataset, day: date, fits: Sequence[Tuple[Direction, MatchingSolution]], config: ExperimentConfig
+) -> Optional[Tuple[Fraction, ...]]:
+    """The five policy columns of one day in minutes per vessel, or None when
+    the rounded instance's 8 * Lambda exceeds ``config.dp_cap``."""
+    period = config.period_minutes
+    horizon = -(-1440 // period)
+    specs = []
+    for direction, solution in fits:
+        for stream in solution.streams.streams:
+            # Round half up: floor(x + 1/2) = (2x + 1) // 2.
+            lam = max(1, (Fraction(2 * stream.lam, period) + 1) // 2)
+            mu = min(max(1, (Fraction(2 * stream.mu, period) + 1) // 2), lam)
+            specs.append(StreamSpec(direction=direction, lam=lam, mu=mu))
+    instance = PeriodicInstance(tuple(specs))
+    if 8 * math.lcm(*(s.lam for s in specs)) > config.dp_cap:
+        return None
+    schedule = reference_solve(instance, period_cap=config.dp_cap).schedule
+    counts = [[0, 0] for _ in range(horizon)]
+    for record in dataset.records:
+        if record.day == day:
+            counts[-(-record.minute_of_day // period) - 1][0 if record.direction is Direction.DOWN else 1] += 1
+    counts = [tuple(c) for c in counts]
+    optimum = reference_simulate(reference_arrival_counts(instance, 1, horizon), schedule, horizon)
+    runs = (
+        reference_alternating(counts, horizon),
+        reference_fifo(counts, horizon),
+        reference_adv_fifo(counts, horizon),
+        reference_realized_periodic(schedule, counts, horizon),
+    )
+    return (optimum.avg_wait_per_vessel * period, *(run.result.avg_wait_per_vessel * period for run in runs))
+
+
+def reference_run_experiment(dataset: ArrivalDataset, config: ExperimentConfig) -> Tuple[str, str, int]:
+    """``fit.csv``, ``schedule.csv`` and the skipped count of ``run_experiment``.
+
+    Each (k, n, day, direction) is fitted with ``reference_best_fit`` on the
+    day's first n arrivals, and is skipped when the direction has none.  A
+    (k, n, day) is skipped when a direction has no arrivals or its rounded
+    instance exceeds the period cap; otherwise its five columns come from
+    ``reference_solve``, ``reference_simulate`` and the reference policies.
+    The Runtime column reads 0.00.
+    """
+    days = sorted({record.day for record in dataset.records})
+    fit_rows, schedule_rows = [], []
+    skipped = 0
+    for k in config.k_values:
+        for n in config.n_values:
+            fit_values, evaluations = [], []
+            for day in days:
+                fits = []
+                for direction in (Direction.DOWN, Direction.UP):
+                    minutes = sorted(
+                        r.minute_of_day for r in dataset.records if r.day == day and r.direction is direction
+                    )[:n]
+                    if not minutes:
+                        skipped += 1
+                        continue
+                    solution = reference_best_fit(MatchingInstance(tuple(minutes), minutes[-1], len(minutes)), k)
+                    fits.append((direction, solution))
+                    fit_values.append(float(solution.cost / len(minutes)))
+                evaluation = _reference_evaluate(dataset, day, fits, config) if len(fits) == 2 else None
+                if evaluation is None:
+                    skipped += 1
+                else:
+                    evaluations.append(evaluation)
+            if fit_values:
+                fit_rows.append(FitRow(k, n, 0.0, sum(fit_values) / len(fit_values)))
+            if evaluations:
+                means = (float(sum(column) / len(evaluations)) for column in zip(*evaluations))
+                schedule_rows.append(ScheduleRow(k, n, *means))
+    return fit_report_csv(fit_rows), schedule_report_csv(schedule_rows), skipped

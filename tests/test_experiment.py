@@ -1,13 +1,17 @@
 import logging
 from collections import Counter
+from dataclasses import replace
 from datetime import date
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_run_experiment
 
 from locksched import experiment
-from locksched.arrivals import serialize_arrivals
+from locksched.arrivals import ArrivalDataset, serialize_arrivals
 from locksched.cli import main
 from locksched.experiment import (
     FIT_HEADER,
@@ -19,6 +23,7 @@ from locksched.experiment import (
     fit_day_direction,
     fit_report_csv,
     rescale_streams,
+    run_experiment,
     run_fit_experiment,
     run_schedule_experiment,
     schedule_report_csv,
@@ -55,6 +60,27 @@ def test_config_validation():
 def test_config_rejects_non_positive_k_and_n(k_values, n_values, message):
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(k_values=k_values, n_values=n_values)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [({"k_values": (True,)}, "k values must be integers, got True"),
+     ({"k_values": (2, 2.0)}, "k values must be integers, got 2.0"),
+     ({"n_values": (2.5,)}, "n values must be integers, got 2.5"),
+     ({"n_values": (False,)}, "n values must be integers, got False"),
+     ({"period_minutes": True}, "period_minutes must be an integer, got True"),
+     ({"period_minutes": 2.5}, "period_minutes must be an integer, got 2.5"),
+     ({"dp_cap": True}, "dp_cap must be an integer, got True"),
+     ({"dp_cap": 2.5}, "dp_cap must be an integer, got 2.5"),
+     ({"jobs": True}, "jobs must be an integer, got True"),
+     ({"jobs": 2.5}, "jobs must be an integer, got 2.5")],
+    ids=["k-bool", "k-float", "n-float", "n-bool", "period-bool", "period-float",
+         "dp-cap-bool", "dp-cap-float", "jobs-bool", "jobs-float"],
+)
+def test_config_rejects_non_integer_values(fields, message):
+    """k, n and the scalar fields must be ints; bool is not one here."""
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**fields)
 
 
 def test_rescale_exact_multiple():
@@ -208,6 +234,45 @@ def test_parallel_matches_sequential():
     assert [(r.k, r.n, r.fit_minutes) for r in seq_fit] == [
         (r.k, r.n, r.fit_minutes) for r in par_fit
     ]
+
+
+@st.composite
+def _small_experiments(draw):
+    """A 1-3 day jittered synthetic set, some of whose (day, direction)
+    pairs lose all their arrivals, and a small grid whose DP cap is low
+    enough that some days are period-cap skips."""
+    days = draw(st.integers(1, 3))
+    pairs = st.lists(st.tuples(st.integers(1, 1440), st.integers(20, 1440)), min_size=1, max_size=3)
+    spec = {direction: draw(pairs) for direction in Direction}
+    dataset = synth_dataset(draw(st.integers(0, 999)), days, spec, draw(st.sampled_from([0.0, 3.0, 20.0])))
+    dropped = draw(st.sets(st.tuples(st.sampled_from(dataset.days()), st.sampled_from(Direction)), max_size=2))
+    dataset = ArrivalDataset(tuple(r for r in dataset.records if (r.day, r.direction) not in dropped))
+    config = ExperimentConfig(
+        k_values=tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True))),
+        n_values=tuple(draw(st.lists(st.integers(1, 7), min_size=1, max_size=3, unique=True))),
+        period_minutes=draw(st.sampled_from([21, 60, 180])),
+        dp_cap=draw(st.sampled_from([16, 96, 400])),
+    )
+    return dataset, config
+
+
+def _without_runtime(fit_csv):
+    return [line.split(",")[:2] + line.split(",")[3:] for line in fit_csv.splitlines()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_experiments())
+def test_run_experiment_equals_reference(case):
+    """``run_experiment`` shares fits and evaluations between cells; the
+    reference computes every cell on its own.  Both reports (fit.csv without
+    Runtime) and the skipped count must agree, sequentially and in a pool."""
+    dataset, config = case
+    want_fit, want_schedule, want_skipped = reference_run_experiment(dataset, config)
+    for jobs in (1, 2):
+        fit_rows, schedule_rows, skipped = run_experiment(dataset, replace(config, jobs=jobs))
+        assert _without_runtime(fit_report_csv(fit_rows)) == _without_runtime(want_fit)
+        assert schedule_report_csv(schedule_rows) == want_schedule
+        assert skipped == want_skipped
 
 
 def test_fit_report_csv_format():
