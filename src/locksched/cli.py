@@ -74,7 +74,7 @@ def cmd_fit(args) -> int:
         directions = [direction] * len(solution.streams.streams)
         _write(args.out, stream_set_to_json(solution.streams, directions) + "\n")
         return 0
-    config = ExperimentConfig(k_values=tuple(args.k_list), n_values=tuple(args.n_list), jobs=args.jobs)
+    config = ExperimentConfig(k_values=args.k_list, n_values=args.n_list, jobs=args.jobs)
     rows, skipped = run_fit_experiment(dataset, config)
     _write(args.out, fit_report_csv(rows))
     return 2 if skipped else 0
@@ -149,19 +149,6 @@ def cmd_policy(args) -> int:
     return 0
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_config_value(key: str, value) -> None:
-    """Reject a --config value of the wrong type, naming its key."""
-    if key in ("k", "n"):
-        if not (isinstance(value, list) and value and all(_is_int(v) and v >= 1 for v in value)):
-            raise ValueError(f"--config key {key} must be a non-empty list of positive ints, got {json.dumps(value)}")
-    elif not _is_int(value):
-        raise ValueError(f"--config key {key} must be an int, got {json.dumps(value)}")
-
-
 def cmd_experiment(args) -> int:
     # The flags' values, by --config key; the file's keys override them.
     settings = {"k": args.k_list, "n": args.n_list, "period_minutes": args.period_minutes,
@@ -175,10 +162,8 @@ def cmd_experiment(args) -> int:
             raise ValueError(
                 f"unknown --config keys: {', '.join(unknown)} (known: {', '.join(settings)})"
             )
-        for key, value in raw.items():
-            _check_config_value(key, value)
         settings.update(raw)
-    config = ExperimentConfig(k_values=tuple(settings.pop("k")), n_values=tuple(settings.pop("n")), **settings)
+    config = ExperimentConfig(k_values=settings.pop("k"), n_values=settings.pop("n"), **settings)
     dataset = _load_dataset(args.arrivals)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

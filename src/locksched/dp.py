@@ -164,7 +164,7 @@ def lane(start: Sequence[float], steps: Iterable[Sequence[int]]) -> Tuple[List[f
     and v1+c1, v5 of v2+c1 and v3+c2, the first operand winning a tie.
     Returns the minimum cost of reaching each state after the last step (inf
     if unreachable) and, per step, an int of choice bits: bit s is set when
-    switch state s took its second predecessor (decoded by ``lane_path``).
+    switch state s took its second predecessor (decoded by ``decode_lane``).
     ``start_values(s_id)`` starts from one state.  The step compares only
     sums v + c, so starting from ``start`` plus a constant K gives the same
     bits and values K higher.
@@ -207,24 +207,20 @@ _ENTRY_ACTION = tuple(
 )
 
 
-def lane_path(back: List[int], final: int) -> List[int]:
-    """State ids from the lane's start to ``final``, one per step plus the start.
+def decode_lane(back: Sequence[int], final: int) -> Tuple[int, Tuple[Action, ...]]:
+    """The start state id of the lane's path to ``final`` and its actions, one per step.
 
     A wait state's predecessor is its first one; a switch state adds its
     choice bit to its first predecessor.  Bits of wait states are never set.
+    Each step's action is the one that enters its end state.
     """
-    path = [final]
+    actions = []
     s_id = final
     for bits in reversed(back):
+        actions.append(_ENTRY_ACTION[s_id])
         s_id = _FIRST_PRED[s_id] + (bits >> s_id & 1)
-        path.append(s_id)
-    path.reverse()
-    return path
-
-
-def path_actions(path: Sequence[int]) -> Tuple[Action, ...]:
-    """The action taken on each step of a state-id path."""
-    return tuple(_ENTRY_ACTION[s_id] for s_id in path[1:])
+    actions.reverse()
+    return s_id, tuple(actions)
 
 
 def _normalised(values: Sequence[float]) -> Tuple[float, Tuple[float, ...]]:
@@ -290,8 +286,7 @@ def solve(
     s_id = s0_id
     for key in reversed(chains[s0_id]):
         if (key, s_id) not in decoded:
-            path = lane_path(runs[key][1], s_id)
-            decoded[key, s_id] = path[0], path_actions(path)
+            decoded[key, s_id] = decode_lane(runs[key][1], s_id)
         s_id, piece_actions = decoded[key, s_id]
         parts.append(piece_actions)
     assert s_id == s0_id

@@ -52,6 +52,15 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The experiment grid and its run settings, checked on construction.
+
+    ``k_values`` (streams fitted) and ``n_values`` (arrivals per day fitted)
+    must each be a non-empty list or tuple of distinct ints >= 1, and are
+    stored as tuples.  ``period_minutes``, ``dp_cap`` and ``jobs`` must each
+    be an int >= 1.  bool is not an int here.  Any other value raises a
+    ``ValueError`` that names the field.
+    """
+
     k_values: Tuple[int, ...] = (2, 3, 4)
     n_values: Tuple[int, ...] = (20, 30, 40, 50)
     period_minutes: int = 21
@@ -59,23 +68,24 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if not self.k_values or not self.n_values:
-            raise ValueError("k and n value lists must be non-empty")
-        # bool is an int subclass, but not a count.
-        for name, values in (("k", self.k_values), ("n", self.n_values)):
+        for name in ("k", "n"):
+            values = getattr(self, f"{name}_values")
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ValueError(f"{name} values must be a non-empty list, got {values!r}")
             for value in values:
                 if type(value) is not int:
                     raise ValueError(f"{name} values must be integers, got {value!r}")
                 if value < 1:
                     raise ValueError(f"{name} values must be >= 1, got {value}")
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} values must be distinct, got {list(values)}")
+            object.__setattr__(self, f"{name}_values", tuple(values))
         for name in ("period_minutes", "dp_cap", "jobs"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        day_periods(self.period_minutes)  # rejects periods below one minute
-        if self.dp_cap < 1:
-            raise ValueError(f"dp_cap must be >= 1, got {self.dp_cap}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def day_periods(period_minutes: int) -> int:
@@ -201,18 +211,6 @@ def _on_shared_dataset(fn, task):
     return fn(_dataset, task)
 
 
-def _map_ordered(jobs: int, fn, dataset: ArrivalDataset, tasks):
-    """``fn(dataset, task)`` for each task, in order.
-
-    With more than one job the tasks run in a process pool whose workers
-    each receive the dataset once, rather than with every task.
-    """
-    if jobs <= 1:
-        return [fn(dataset, task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_share_dataset, initargs=(dataset,)) as pool:
-        return list(pool.map(partial(_on_shared_dataset, fn), tasks))
-
-
 class Skip(NamedTuple):
     """Why a fit or a day's evaluation produced no result.
 
@@ -225,9 +223,18 @@ class Skip(NamedTuple):
 
 
 def _shared(jobs: int, fn, dataset: ArrivalDataset, keys: List):
-    """``fn(dataset, key)`` for each key, in key order; equal keys run once."""
+    """``fn(dataset, key)`` for each key, in key order; equal keys run once.
+
+    With more than one job the distinct keys run in a process pool whose
+    workers each receive the dataset once, rather than with every key.
+    """
     distinct = list(dict.fromkeys(keys))
-    done = dict(zip(distinct, _map_ordered(jobs, fn, dataset, distinct)))
+    if jobs <= 1:
+        results = [fn(dataset, key) for key in distinct]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_share_dataset, initargs=(dataset,)) as pool:
+            results = list(pool.map(partial(_on_shared_dataset, fn), distinct))
+    done = dict(zip(distinct, results))
     return [done[key] for key in keys]
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
-from .dp import ALL_STATES, LockState, lane, lane_path, path_actions, slot_cost_table, start_values
+from .dp import ALL_STATES, LockState, decode_lane, lane, slot_cost_table, start_values
 from .schedule import (
     Action,
     Direction,
@@ -145,7 +145,7 @@ def _window_optimum(counts: List[Tuple[int, int]], position: Optional[Direction]
     # A free entry takes the cheaper orientation, DOWN on a tie (min keeps the first).
     entries = (Direction.DOWN, Direction.UP) if position is None else (position,)
     cost, final, back, entry = min(map(lane_end, entries), key=itemgetter(0))
-    return WindowSolution(cost=cost, actions=path_actions(lane_path(back, final)), entry_alignment=entry)
+    return WindowSolution(cost=cost, actions=decode_lane(back, final)[1], entry_alignment=entry)
 
 
 # The gap scan reads the window's arrivals in blocks of this many periods,

@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import logging
+import re
 
 import pytest
 
-from locksched import experiment
-from locksched.cli import main
-from locksched.experiment import FIT_HEADER, SCHEDULE_HEADER
+from locksched import cli, experiment
+from locksched.cli import build_parser, main
+from locksched.experiment import FIT_HEADER, SCHEDULE_HEADER, ExperimentConfig
 
 
 @pytest.fixture
@@ -342,15 +344,16 @@ def test_experiment_config_rejects_zero_jobs(arrivals_csv, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "config, message",
-    [({"k": 2}, "k must be a non-empty list of positive ints, got 2"),
-     ({"k": []}, "k must be a non-empty list of positive ints, got []"),
-     ({"n": [20, 0]}, "n must be a non-empty list of positive ints, got [20, 0]"),
-     ({"n": ["20"]}, 'n must be a non-empty list of positive ints, got ["20"]'),
-     ({"k": [True]}, "k must be a non-empty list of positive ints, got [true]"),
-     ({"period_minutes": "21"}, 'period_minutes must be an int, got "21"'),
-     ({"dp_cap": 1.5}, "dp_cap must be an int, got 1.5"),
-     ({"jobs": None}, "jobs must be an int, got null")],
-    ids=["k-int", "k-empty", "n-zero", "n-str", "k-bool", "period-str", "dp-cap-float", "jobs-null"],
+    [({"k": 2}, "k values must be a non-empty list, got 2"),
+     ({"k": []}, "k values must be a non-empty list, got []"),
+     ({"n": [20, 0]}, "n values must be >= 1, got 0"),
+     ({"n": ["20"]}, "n values must be integers, got '20'"),
+     ({"k": [True]}, "k values must be integers, got True"),
+     ({"period_minutes": "21"}, "period_minutes must be an integer, got '21'"),
+     ({"dp_cap": 1.5}, "dp_cap must be an integer, got 1.5"),
+     ({"jobs": None}, "jobs must be an integer, got None"),
+     ({"n": [6, 6]}, "n values must be distinct, got [6, 6]")],
+    ids=["k-int", "k-empty", "n-zero", "n-str", "k-bool", "period-str", "dp-cap-float", "jobs-null", "n-repeated"],
 )
 def test_experiment_config_rejects_wrong_value_types(arrivals_csv, tmp_path, capsys, config, message):
     path = tmp_path / "config.json"
@@ -359,7 +362,7 @@ def test_experiment_config_rejects_wrong_value_types(arrivals_csv, tmp_path, cap
     code = main(["experiment", "--arrivals", str(arrivals_csv), "--config", str(path),
                  "--k-list", "2", "--n-list", "6", "--out-dir", str(out_dir)])
     assert code == 1
-    assert capsys.readouterr().err == f"error: --config key {message}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_dir.exists()
 
 
@@ -390,8 +393,9 @@ def test_fit_report_rejects_non_positive_k_and_n(arrivals_csv, tmp_path, capsys,
 @pytest.mark.parametrize(
     "grid, message",
     [(["--k-list", "3,0", "--n-list", "6"], "k values must be >= 1, got 0"),
-     (["--k-list", "2", "--n-list", "0"], "n values must be >= 1, got 0")],
-    ids=["k-zero", "n-zero"],
+     (["--k-list", "2", "--n-list", "0"], "n values must be >= 1, got 0"),
+     (["--k-list", "1,1", "--n-list", "6"], "k values must be distinct, got [1, 1]")],
+    ids=["k-zero", "n-zero", "k-repeated"],
 )
 def test_experiment_rejects_non_positive_k_and_n_before_any_work(arrivals_csv, tmp_path, capsys, monkeypatch, grid, message):
     """Rejected before the output directory is made or any cell is fitted."""
@@ -405,3 +409,45 @@ def test_experiment_rejects_non_positive_k_and_n_before_any_work(arrivals_csv, t
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_dir.exists()
+
+
+# Each ExperimentConfig field: the experiment flag and the --config key that
+# set it, and a value other than its default.
+_SETTERS = {
+    "k_values": ("--k-list", "k", [5]),
+    "n_values": ("--n-list", "n", [7]),
+    "period_minutes": ("--period-minutes", "period_minutes", 5),
+    "dp_cap": ("--dp-cap", "dp_cap", 9),
+    "jobs": ("--jobs", "jobs", 2),
+}
+
+
+def test_experiment_flags_and_config_keys_map_one_to_one_onto_config_fields(
+    arrivals_csv, tmp_path, capsys, monkeypatch
+):
+    """No config field that nothing sets, and no flag or key that sets nothing."""
+    assert set(_SETTERS) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    # Every experiment flag but the run's input and outputs sets a field.
+    args = build_parser().parse_args(["experiment", "--arrivals", "-"])
+    flag_dests = {flag[2:].replace("-", "_") for flag, _, _ in _SETTERS.values()}
+    assert set(vars(args)) - {"command", "func", "arrivals", "config", "out_dir"} == flag_dests
+
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment", lambda dataset, config: seen.append(config) or ([], [], 0))
+    run = ["experiment", "--arrivals", str(arrivals_csv), "--out-dir", str(tmp_path / "reports")]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"?": 1}))
+    assert main(run + ["--config", str(path)]) == 1
+    known = re.search(r"\(known: (.*)\)", capsys.readouterr().err).group(1).split(", ")
+    assert sorted(known) == sorted(key for _, key, _ in _SETTERS.values())
+
+    assert main(run) == 0
+    default = seen.pop()
+    for name, (flag, key, value) in _SETTERS.items():
+        expected = dataclasses.replace(default, **{name: value})
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        assert main(run + [flag, text]) == 0
+        path.write_text(json.dumps({key: value}))
+        assert main(run + ["--config", str(path)]) == 0
+        assert seen == [expected, expected]
+        seen.clear()

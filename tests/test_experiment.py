@@ -83,6 +83,36 @@ def test_config_rejects_non_integer_values(fields, message):
         ExperimentConfig(**fields)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [({"k_values": 5}, "k values must be a non-empty list, got 5"),
+     ({"n_values": "20"}, "n values must be a non-empty list, got '20'"),
+     ({"k_values": {2, 3}}, r"k values must be a non-empty list, got \{2, 3\}"),
+     ({"n_values": []}, r"n values must be a non-empty list, got \[\]"),
+     ({"k_values": (1, 1)}, r"k values must be distinct, got \[1, 1\]"),
+     ({"n_values": [20, 30, 20]}, r"n values must be distinct, got \[20, 30, 20\]")],
+    ids=["k-int", "n-str", "k-set", "n-empty", "k-repeated", "n-repeated"],
+)
+def test_config_rejects_grids_that_are_not_distinct_value_lists(fields, message):
+    """A repeated k or n would write its rows and count its skips twice."""
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**fields)
+
+
+def test_config_stores_lists_as_tuples():
+    """A list grid is stored as a tuple, so the config hashes and runs
+    exactly like the tuple one."""
+    listed = ExperimentConfig(k_values=[1], n_values=[5])
+    tupled = ExperimentConfig(k_values=(1,), n_values=(5,))
+    assert (listed.k_values, listed.n_values) == ((1,), (5,))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    dataset = synth_dataset(0, 2, TWO_STREAM_SPEC, 3.0)
+    fit_rows, schedule_rows, skipped = run_experiment(dataset, listed)
+    want_fit, want_schedule, want_skipped = run_experiment(dataset, tupled)
+    assert _without_runtime(fit_report_csv(fit_rows)) == _without_runtime(fit_report_csv(want_fit))
+    assert (schedule_rows, skipped) == (want_schedule, want_skipped)
+
+
 def test_rescale_exact_multiple():
     inst = rescale_streams([(Direction.DOWN, Stream(Fraction(21), Fraction(63), 3))], 21)
     assert inst.streams[0].lam == 3 and inst.streams[0].mu == 1
