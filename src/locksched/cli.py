@@ -65,16 +65,25 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    # The parser leaves every mode flag None, so that one given for the
+    # other mode (--day fits one day, no --day the grid) is caught here.
+    single = {"--direction": args.direction, "--k": args.k, "--n": args.n}
+    grid = {"--k-list": args.k_list, "--n-list": args.n_list, "--jobs": args.jobs}
+    for flag, value in (grid if args.day else single).items():
+        if value is not None:
+            raise ValueError(f"{flag} {'is not used with' if args.day else 'needs'} --day")
     dataset = _load_dataset(args.arrivals)
     if args.day:
         day = date.fromisoformat(args.day)
-        direction = Direction(args.direction)
-        instance = extract_instance(dataset, day, direction, args.n)
-        solution = best_fit(instance, args.k)
+        direction = Direction(args.direction or "D")
+        k, n = 2 if args.k is None else args.k, 20 if args.n is None else args.n
+        instance = extract_instance(dataset, day, direction, n)
+        solution = best_fit(instance, k)
         directions = [direction] * len(solution.streams.streams)
         _write(args.out, stream_set_to_json(solution.streams, directions) + "\n")
         return 0
-    config = ExperimentConfig(k_values=args.k_list, n_values=args.n_list, jobs=args.jobs)
+    given = {"k_values": args.k_list, "n_values": args.n_list, "jobs": args.jobs}
+    config = ExperimentConfig(**{field: value for field, value in given.items() if value is not None})
     rows, skipped = run_fit_experiment(dataset, config)
     _write(args.out, fit_report_csv(rows))
     return 2 if skipped else 0
@@ -196,12 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit periodic streams to arrival data")
     p.add_argument("--arrivals", required=True)
     p.add_argument("--day", help="fit a single day/direction and emit the stream-set JSON")
-    p.add_argument("--direction", choices=["D", "U"], default="D")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--n", type=int, default=20)
-    p.add_argument("--k-list", type=_int_list, default=grid.k_values)
-    p.add_argument("--n-list", type=_int_list, default=grid.n_values)
-    p.add_argument("--jobs", type=int, default=grid.jobs)
+    p.add_argument("--direction", choices=["D", "U"], help="with --day (default D)")
+    p.add_argument("--k", type=int, help="with --day (default 2)")
+    p.add_argument("--n", type=int, help="with --day (default 20)")
+    p.add_argument("--k-list", type=_int_list, help=f"without --day (default {','.join(map(str, grid.k_values))})")
+    p.add_argument("--n-list", type=_int_list, help=f"without --day (default {','.join(map(str, grid.n_values))})")
+    p.add_argument("--jobs", type=int, help=f"without --day (default {grid.jobs})")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_fit)
 

@@ -18,23 +18,23 @@ so far, or reaches the best carried from earlier compositions.  Anchors
 that repeat an earlier anchor's mu give the same row and are skipped.
 Moving a row's c points by d changes the cost by at most c*d; so once a row
 of the last stream is scored, rows whose mu lies within (cost - best - 1) / c
-of it are skipped too.  ``best_fit`` starts each stream budget's search
-from the best cost of the smaller budgets, and a later budget or
-composition must beat the best strictly.  Within a composition, equal costs
-break on the canonical key, the anchors in non-decreasing count order: the
-least key wins, which is the candidate a full enumeration in canonical
-order meets first.
+of it are skipped too.  ``best_fit`` searches every stream budget in one
+pass, smallest first, and a later budget or composition must beat the
+best strictly.  Within a composition, equal costs break on the canonical
+key, the anchors in non-decreasing count order: the least key wins, which
+is the candidate a full enumeration in canonical order meets first.  Each
+fit logs one DEBUG record with its search counters.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import sub
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import json
 import logging
@@ -47,8 +47,6 @@ _log = logging.getLogger(__name__)
 
 # An anchored row at scale ``count``: (anchor, first point, lower bound).
 _Rows = List[Tuple[int, int, int]]
-# A search result: (scaled cost, scale, counts, anchors).
-_Found = Tuple[int, int, Tuple[int, ...], Tuple[int, ...]]
 
 
 class CountMismatchError(ValueError):
@@ -210,34 +208,35 @@ def _anchor_rows(T: int, count: int, arrivals: Sequence[int]) -> _Rows:
     return rows
 
 
-def _search(
-    instance: MatchingInstance,
-    k: int,
-    cache: Dict[int, Tuple[_Rows, int]],
-    incumbent: Optional[_Found] = None,
-) -> Optional[_Found]:
-    """The least-key (counts, anchors) of least cost that strictly beats ``incumbent``.
+def _search(instance: MatchingInstance, budgets: Sequence[int]) -> MatchingSolution:
+    """The fit of least cost, then least key (counts, anchors), over ``budgets``.
 
-    Returns (scaled cost, scale, counts, anchors), or None when no k-stream
-    candidate costs less than the incumbent.  Compositions are visited
-    lexicographically.  Within one, the streams are placed largest count
-    first (``counts[::-1]``) with anchors not increasing within a run of
-    equal counts (swapping equal-count streams gives the same candidate), so
-    the visited anchors, reversed, are the canonical key.  A prefix of
-    anchors is pruned when its rows' bounds plus the least bound of each
-    unplaced stream's count reach ``limit``, and a row of the last stream
-    when a scored row of that prefix proves it cannot win (see ``leaf``).
-    ``cache`` holds ``_anchor_rows`` and their least bound per count.
+    One pass serves one fit: the compositions of each budget are visited in
+    the order given, then lexicographically, and a later composition must
+    beat the best so far strictly.  Within one, the streams are placed
+    largest count first (``counts[::-1]``) with anchors not increasing
+    within a run of equal counts (swapping equal-count streams gives the
+    same candidate), so the visited anchors, reversed, are the canonical
+    key.  A prefix of anchors is pruned when its rows' bounds plus the least
+    bound of each unplaced stream's count reach ``limit``, and a row of the
+    last stream when a scored row of that prefix proves it cannot win (see
+    ``leaf``).  The winner is rebuilt with ``Fraction`` arithmetic, and its
+    cost checked against the scaled search cost.
     """
     T, arrivals = instance.T, instance.arrival_minutes
-    best = incumbent
+    # Per count: its ``_anchor_rows`` and their least bound; and, once the
+    # count is placed last, its rows' first points in order, with the row
+    # of each.
+    cache: Dict[int, tuple] = {}
+    leaf_orders: Dict[int, tuple] = {}
+    best = None  # (scaled cost, scale, counts, anchors)
     compositions_pruned = prefixes_pruned = scored = 0
-    for counts in _compositions_nondecreasing(instance.n, k):
+    for counts in chain.from_iterable(_compositions_nondecreasing(instance.n, k) for k in budgets):
         scale = math.lcm(*counts)
-        # ``limit``: the best of earlier compositions (or the incumbent) at
-        # this scale, rounded up, which must be beaten strictly; then one
-        # above this composition's best, so that equal costs are still
-        # scored and the least key among them wins.
+        # ``limit``: the best of earlier compositions at this scale, rounded
+        # up, which must be beaten strictly; then one above this
+        # composition's best, so that equal costs are still scored and the
+        # least key among them wins.
         limit = math.inf if best is None else -(-best[0] * scale // best[1])
         order = counts[::-1]
         for c in order:
@@ -248,7 +247,7 @@ def _search(
         if sum(least) >= limit:
             compositions_pruned += 1
             continue
-        rest = [sum(least[i + 1:]) for i in range(k)]
+        rest = [sum(least[i + 1:]) for i in range(len(order))]
         table = {}
         for c in set(order):
             m = scale // c
@@ -260,16 +259,14 @@ def _search(
         options = [table[c] for c in order]
         bounds = [[bound for _, bound, _ in rows] for rows in options]
         target = [t * scale for t in arrivals]
-        last = k - 1
+        last = len(order) - 1
         found: Tuple[int, ...] = ()  # anchors in visit order
-        # The last stream's rows in the order of their first points.
-        leaves, leaf_bounds = options[last], bounds[last]
-        c_last, n_leaves = order[last], len(leaves)
-        by_first = sorted(range(n_leaves), key=lambda q: leaves[q][2][0])
-        firsts = [leaves[q][2][0] for q in by_first]
-        rank = [0] * n_leaves
-        for r, q in enumerate(by_first):
-            rank[q] = r
+        leaves, leaf_bounds, n_leaves = options[last], bounds[last], len(options[last])
+        c_last = counts[0]
+        leaf_rows = cache[c_last][0]
+        if c_last not in leaf_orders:
+            leaf_orders[c_last] = tuple(zip(*sorted((f, q) for q, (_, f, _) in enumerate(leaf_rows))))
+        firsts, by_first = leaf_orders[c_last]
 
         def leaf(end: int, partial: int, points: List[int], anchors: Tuple[int, ...]) -> None:
             nonlocal limit, found, prefixes_pruned, scored
@@ -293,8 +290,10 @@ def _search(
                 # a row whose first point lies within (cost - limit) / c of
                 # this one's costs at least the limit, which lies one above
                 # this composition's best once it has one: it cannot tie.
-                r = rank[pos]
-                reach = (cost - limit) // c_last
+                # At scale m*c the first points are scaled by m, so unscaled
+                # they lie within (cost - limit) / scale.
+                r = bisect_left(firsts, leaf_rows[pos][1])
+                reach = (cost - limit) // scale
                 up = r + 1
                 while up < n_leaves and firsts[up] - firsts[r] <= reach:
                     dominated[by_first[up]] = True
@@ -329,19 +328,14 @@ def _search(
             best = (limit - 1, scale, counts, found[::-1])
     _log.debug(
         "k=%d, n=%d: %d compositions pruned, %d anchor prefixes pruned, %d candidates scored",
-        k, instance.n, compositions_pruned, prefixes_pruned, scored,
+        budgets[-1], instance.n, compositions_pruned, prefixes_pruned, scored,
         extra={
             "compositions_pruned": compositions_pruned,
             "prefixes_pruned": prefixes_pruned,
             "candidates_scored": scored,
         },
     )
-    return None if best is incumbent else best
-
-
-def _solution(instance: MatchingInstance, found: _Found) -> MatchingSolution:
-    """Build the found candidate with ``Fraction`` arithmetic and check its cost."""
-    cost, scale, counts, anchors = found
+    cost, scale, counts, anchors = best
     solution = assignment_cost(instance, anchored_streams(instance, counts, anchors))
     if solution.cost != Fraction(cost, scale):
         raise ArithmeticError(
@@ -356,14 +350,13 @@ def solve_matching(instance: MatchingInstance, k: int) -> MatchingSolution:
     A candidate with counts c is scored in integers scaled by L = lcm(c),
     where every anchored point is whole; the best cost so far is carried to
     each composition's scale.  Ties break on the least (counts, anchors) in
-    canonical order, the first a full enumeration visits.
+    canonical order, the first a full enumeration visits.  The fit logs one
+    DEBUG record with its search counters.
     """
     n = instance.n
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n={n}, got {k}")
-    found = _search(instance, k, {})
-    assert found is not None
-    return _solution(instance, found)
+    return _search(instance, (k,))
 
 
 def best_fit(instance: MatchingInstance, k: int) -> MatchingSolution:
@@ -372,18 +365,14 @@ def best_fit(instance: MatchingInstance, k: int) -> MatchingSolution:
     The exactly-k problem is not monotone in k (a perfectly periodic
     3-arrival day fits one stream at cost 0 but any two-stream decomposition
     pays for the mismatched periodicities), so reported fit quality uses the
-    non-increasing envelope over stream budgets 1..k.  Each budget's search
-    starts from the best cost so far and must beat it strictly, so the first
-    budget reaching the least cost wins.
+    non-increasing envelope over stream budgets 1..k.  The budgets are
+    searched in one pass, smallest first, and each must beat the best cost
+    of the smaller ones strictly, so the first budget reaching the least
+    cost wins.  The fit logs one DEBUG record with its search counters.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    cache: Dict[int, Tuple[_Rows, int]] = {}
-    best: Optional[_Found] = None
-    for j in range(1, min(k, instance.n) + 1):
-        best = _search(instance, j, cache, best) or best
-    assert best is not None
-    return _solution(instance, best)
+    return _search(instance, range(1, min(k, instance.n) + 1))
 
 
 def stream_set_to_json(streams: StreamSet, directions: Sequence[Direction]) -> str:

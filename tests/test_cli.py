@@ -69,6 +69,22 @@ def test_fit_report(arrivals_csv, tmp_path):
     assert out.read_text().splitlines()[0] == ",".join(FIT_HEADER)
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--k", "1", "--n", "5"], "--k needs --day"),
+     (["--direction", "U"], "--direction needs --day"),
+     (["--day", "2019-01-02", "--k-list", "9", "--jobs", "4", "--k", "1", "--n", "3"],
+      "--k-list is not used with --day"),
+     (["--day", "2019-01-02", "--jobs", "4"], "--jobs is not used with --day")],
+    ids=["k-without-day", "direction-without-day", "k-list-with-day", "jobs-with-day"],
+)
+def test_fit_rejects_flags_of_the_other_mode(arrivals_csv, tmp_path, capsys, flags, message):
+    out = tmp_path / "fit.out"
+    assert main(["fit", "--arrivals", str(arrivals_csv), *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_schedule_command(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({

@@ -129,6 +129,15 @@ def test_solve_matching_k_bounds():
         solve_matching(inst, 4)
 
 
+def test_best_fit_k_bounds():
+    """k < 1 is rejected; a budget beyond n fits like a budget of n."""
+    inst = _inst([2, 5, 9, 11], T=12)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            best_fit(inst, k)
+    assert best_fit(inst, 6) == best_fit(inst, 5) == best_fit(inst, 4)
+
+
 def test_pruned_equals_unpruned():
     """The fast fitter equals the reference in both pruning modes: field for
     field against the pruned search, in cost against the unpruned one."""
@@ -269,7 +278,7 @@ def test_pinned_fits(case):
 
 
 def test_search_counters_logged(caplog):
-    """One DEBUG record per search, with its counters as record attributes."""
+    """One DEBUG record per fit, with its counters as record attributes."""
     inst = _inst([1, 2, 3], T=3)
     caplog.set_level(logging.DEBUG, logger="locksched.matching")
     assert solve_matching(inst, 2).cost == Fraction(1, 2)
@@ -286,10 +295,12 @@ def test_search_counters_logged(caplog):
     assert (record.compositions_pruned, record.prefixes_pruned, record.candidates_scored) == (0, 1, 8)
     assert "1 anchor prefixes pruned, 8 candidates scored" in record.getMessage()
     caplog.clear()
-    # best_fit searches each budget once; the 2-stream search cannot beat
-    # the 1-stream fit at cost 0, so its only composition is pruned.
+    # best_fit searches both budgets in one pass and logs once.  The
+    # 1-stream composition scores its one distinct row at cost 0; the
+    # 2-stream composition cannot beat that, so it is pruned.
     assert best_fit(inst, 2).cost == 0
-    assert [r.compositions_pruned for r in caplog.records] == [0, 1]
+    (record,) = caplog.records
+    assert (record.compositions_pruned, record.prefixes_pruned, record.candidates_scored) == (1, 0, 1)
 
 
 def test_oracle_identity_and_example():
