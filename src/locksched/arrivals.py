@@ -156,11 +156,11 @@ def bucket_to_periods(
         raise ValueError(f"period_minutes must be >= 1, got {period_minutes}")
     if horizon_periods < 1:
         raise ValueError(f"horizon_periods must be >= 1, got {horizon_periods}")
-    counts = [[0, 0] for _ in range(horizon_periods)]
-    for direction in (Direction.DOWN, Direction.UP):
-        idx = 0 if direction is Direction.DOWN else 1
+    down = [0] * horizon_periods
+    up = [0] * horizon_periods
+    for direction, column in ((Direction.DOWN, down), (Direction.UP, up)):
         for m in dataset.minutes_for(day, direction):
             period = -(-m // period_minutes)
             if period <= horizon_periods:
-                counts[period - 1][idx] += 1
-    return [(d, u) for d, u in counts]
+                column[period - 1] += 1
+    return list(zip(down, up))

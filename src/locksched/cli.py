@@ -109,15 +109,14 @@ def cmd_evaluate(args) -> int:
         raise ValueError(f"unknown policies: {', '.join(unknown)} (known: {', '.join(POLICY_NAMES)})")
     if not wanted:
         raise ValueError(f"no policies given (known: {', '.join(POLICY_NAMES)})")
-    dataset = _load_dataset(args.arrivals)
+    if "realized" in wanted and not args.schedule:
+        raise ValueError("--schedule is required for the realized policy")
+    if args.schedule is not None and "realized" not in wanted:
+        raise ValueError("--schedule is only used by the realized policy")
+    schedule = schedule_from_json(Path(args.schedule).read_text(encoding="utf-8")) if args.schedule else None
     period = args.period_minutes
     horizon = day_periods(period)
-    schedule = None
-    if "realized" in wanted:
-        if not args.schedule:
-            print("error: --schedule is required for the realized policy", file=sys.stderr)
-            return 1
-        schedule = schedule_from_json(Path(args.schedule).read_text(encoding="utf-8"))
+    dataset = _load_dataset(args.arrivals)
     lines = ["day,policy,per_vessel_minutes"]
     for day in dataset.days():
         counts = bucket_to_periods(dataset, day, period, horizon)

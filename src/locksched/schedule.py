@@ -184,17 +184,21 @@ def simulate(
     action does not match the lock's alignment.
 
     This is the only queue recurrence: every policy trace is scored here.
-    The loop zips the periods with an arrivals iterator (the callable mapped
-    over the periods, or the iterable padded with empty periods) and an
-    actions iterator (cycled only when shorter than the horizon), and tests
-    each action by identity against a boolean alignment.  It deliberately
-    avoids hashing ``Action`` members, whose ``__hash__`` is Python code.
+    The loop zips the arrivals with the actions, and only those: a list or
+    tuple of arrivals exactly ``horizon`` long, and a trace exactly that
+    long, are iterated as they are; otherwise the callable is mapped over
+    the periods, other arrivals are cut and padded with empty periods, and
+    the trace is cut or cycled to the horizon.  The period of an alignment
+    error is one past the costs recorded.  Each action is tested by identity
+    against a boolean alignment; the loop deliberately avoids hashing
+    ``Action`` members, whose ``__hash__`` is Python code.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    periods = range(1, horizon + 1)
     if callable(arrivals):
-        arriving: Iterable[Tuple[int, int]] = map(arrivals, periods)
+        arriving: Iterable[Tuple[int, int]] = map(arrivals, range(1, horizon + 1))
+    elif isinstance(arrivals, (list, tuple)) and len(arrivals) == horizon:
+        arriving = arrivals
     else:
         arriving = chain(islice(arrivals, horizon), repeat((0, 0)))
     if isinstance(actions, Schedule):
@@ -208,21 +212,22 @@ def simulate(
         if alignment is None:
             first = next((a for a in actions if a is not Action.WAIT), Action.PROCESS_DOWN)
             alignment = first.processes
-    steps: Iterable[Action] = trace if len(trace) >= horizon else islice(cycle(trace), horizon)
+    steps: Iterable[Action] = trace if len(trace) == horizon else islice(cycle(trace), horizon)
 
     wait, serve_down = Action.WAIT, Action.PROCESS_DOWN
     down = alignment is Direction.DOWN
     n_d = n_u = 0
     n_arrivals = 0
     costs: List[int] = []
-    for t, (a_d, a_u), action in zip(periods, arriving, steps):
+    for (a_d, a_u), action in zip(arriving, steps):
         n_arrivals += a_d + a_u
         if action is wait:
             n_d += a_d
             n_u += a_u
         elif (action is serve_down) is not down:
             raise InfeasibleScheduleError(
-                f"period {t}: action processes {action.value} but lock is aligned {'D' if down else 'U'}"
+                f"period {len(costs) + 1}: action processes {action.value} "
+                f"but lock is aligned {'D' if down else 'U'}"
             )
         elif down:
             down = False

@@ -1,7 +1,11 @@
 import io
-from datetime import date, datetime
+import math
+from datetime import date, datetime, timedelta
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locksched.arrivals import (
     ArrivalDataset,
@@ -175,3 +179,33 @@ def test_bucket_aggregates_duplicates():
 def test_bucket_drops_beyond_horizon():
     ds = _day_dataset([100])
     assert bucket_to_periods(ds, date(2019, 1, 2), 21, 2) == [(0, 0), (0, 0)]
+
+
+@st.composite
+def _bucketings(draw):
+    """A dataset of 1 to 3 days (one direction sometimes empty), a day of
+    it, a period length of 1 to 60 minutes and a horizon shorter or longer
+    than that day's periods."""
+    days = [date(2019, 1, 2) + timedelta(days=i) for i in range(draw(st.integers(1, 3)))]
+    directions = draw(st.sampled_from([tuple(Direction), (Direction.DOWN,), (Direction.UP,)]))
+    drawn = draw(st.lists(st.tuples(st.sampled_from(days), st.integers(1, 1440), st.sampled_from(directions)),
+                          max_size=60))
+    records = tuple(ArrivalRecord(datetime.combine(day, datetime.min.time()) + timedelta(minutes=m - 1), d)
+                    for day, m, d in drawn)
+    period_minutes = draw(st.integers(1, 60))
+    day_length = -(-1440 // period_minutes)
+    horizon = draw(st.integers(1, day_length - 1) | st.integers(day_length, 2 * day_length))
+    return records, draw(st.sampled_from(days)), period_minutes, horizon
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bucketings())
+def test_bucket_equals_per_record_reference(case):
+    records, day, period_minutes, horizon = case
+    expected = [[0, 0] for _ in range(horizon)]
+    for r in records:
+        period = math.ceil(Fraction(r.minute_of_day, period_minutes))
+        if r.day == day and period <= horizon:
+            expected[period - 1][r.direction is Direction.UP] += 1
+    counts = bucket_to_periods(ArrivalDataset(records), day, period_minutes, horizon)
+    assert counts == [tuple(c) for c in expected]

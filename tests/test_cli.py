@@ -236,6 +236,26 @@ def test_evaluate_realized_requires_schedule(arrivals_csv):
 
 
 @pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--policies", "realized"], "--schedule is required for the realized policy"),
+        (["--policies", "alternating,fifo", "--schedule", "schedule.json"],
+         "--schedule is only used by the realized policy"),
+        (["--period-minutes", "0"], "period_minutes must be >= 1, got 0"),
+    ],
+    ids=["realized-without-schedule", "schedule-without-realized", "zero-period"],
+)
+def test_evaluate_checks_flags_before_reading_arrivals(tmp_path, capsys, flags, message):
+    # The arrivals file does not exist, so only a check made before reading
+    # it can report the flag.
+    out = tmp_path / "eval.csv"
+    code = main(["evaluate", "--arrivals", str(tmp_path / "missing.csv"), *flags, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "document, message",
     [
         ("[1]", "schedule must be a JSON object, got [1]"),

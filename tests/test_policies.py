@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +37,40 @@ def test_alternating_picks_better_phase():
     run = alternating(arrivals, 12)
     assert run.result.total_wait == 0
     assert run.actions[0] is U
+
+
+@pytest.mark.parametrize("horizon", [0, -1, -7])
+@pytest.mark.parametrize("arrivals", [[], [(1, 0), (0, 2), (3, 1)]], ids=["empty", "three"])
+def test_alternating_rejects_horizon_below_one_like_reference(arrivals, horizon):
+    with pytest.raises(ValueError) as fast:
+        alternating(arrivals, horizon)
+    with pytest.raises(ValueError) as reference:
+        reference_alternating(arrivals, horizon)
+    assert (type(fast.value), str(fast.value)) == (type(reference.value), str(reference.value))
+    assert str(fast.value) == f"horizon must be >= 1, got {horizon}"
+
+
+_DAY = [((t * 7) % 5 // 2, (t * 11) % 7 // 3) for t in range(480)]
+
+
+@pytest.mark.parametrize(
+    "arrivals, horizon",
+    [
+        (tuple(_DAY[:9]), 9),
+        (_DAY[:8], 8),
+        (_DAY, 480),
+        (_DAY, 121),
+        (_DAY[:50], 480),
+        ([], 5),
+        ([(1, 0), (0, 1)], 2),
+        ([(0, 1), (1, 0)], 2),
+        ([(1, 1), (1, 1)], 2),
+    ],
+    ids=["tuple", "list-exact", "list-exact-day", "list-longer", "list-shorter", "empty",
+         "down-first-free", "up-first-free", "tie"],
+)
+def test_alternating_equals_reference_for_each_arrivals_shape(arrivals, horizon):
+    assert alternating(arrivals, horizon) == reference_alternating(arrivals, horizon)
 
 
 def test_fifo_single_arrival_served_immediately():

@@ -99,6 +99,21 @@ def test_simulate_detects_misaligned_action():
         simulate([(1, 0)], [U], 1, initial_alignment=Direction.DOWN)
 
 
+@pytest.mark.parametrize("shape", [list, tuple, iter, lambda seq: (lambda t: seq[t - 1])],
+                         ids=["list", "tuple", "iterator", "callable"])
+@pytest.mark.parametrize("trace", [[D, U, U, W], (D, U, U, W, D), Schedule((D, U, U), Direction.DOWN)],
+                         ids=["exact", "longer", "cycled"])
+def test_simulate_names_the_misaligned_period_for_each_input_shape(shape, trace):
+    with pytest.raises(InfeasibleScheduleError, match="^period 3: action processes U but lock is aligned D$"):
+        simulate(shape([(1, 0), (0, 1), (1, 1), (0, 0)]), trace, 4)
+
+
+def test_simulate_tuple_arrivals_equal_reference():
+    arrivals = ((2, 0), (0, 1), (1, 1), (0, 3), (1, 0))
+    for trace in ([D, U, W, D, U], [U, D, U, W, W, D]):
+        assert simulate(arrivals, trace, 5) == reference_simulate(arrivals, trace, 5)
+
+
 def test_simulate_sequence_arrivals_past_end_are_zero():
     result = simulate([(1, 0)], [D, U, D, U], 4)
     assert result.total_wait == 0
