@@ -10,11 +10,15 @@ import csv
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date, datetime
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, List, TextIO, Tuple, Union
 
 from .schedule import Direction
 
 CSV_HEADER = ("timestamp", "direction")
+# Token lookup for parsing: a dict read is far cheaper per row than Direction(token).
+_DIRECTION_TOKENS = {d.value: d for d in Direction}
 
 
 class MalformedRowError(ValueError):
@@ -51,10 +55,10 @@ class ArrivalDataset:
     records: Tuple[ArrivalRecord, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(sorted(self.records, key=lambda r: r.timestamp)))
+        object.__setattr__(self, "records", tuple(sorted(self.records, key=attrgetter("timestamp"))))
 
     def days(self) -> List[date]:
-        return sorted({r.day for r in self.records})
+        return sorted({r.timestamp.date() for r in self.records})
 
     def minutes_for(self, day: date, direction: Direction) -> List[int]:
         """Sorted 1-based arrival minutes for one day and direction."""
@@ -88,31 +92,40 @@ class MatchingInstance:
 def parse_arrivals(source: Union[TextIO, Iterable[str]]) -> ArrivalDataset:
     """Parse the `timestamp,direction` CSV format into a sorted dataset.
 
-    Timestamps keep their wall-clock minutes.  A file may use one UTC offset
-    throughout, or none; mixing offsets, or offset and naive timestamps,
-    raises ``MalformedRowError``.
+    The first non-blank row must be the header; a leading byte-order mark is
+    ignored.  Timestamps keep their wall-clock minutes, and a trailing ``Z``
+    reads as ``+00:00``.  A file may use one UTC offset throughout, or none;
+    mixing offsets, or offset and naive timestamps, raises
+    ``MalformedRowError``.
     """
-    reader = csv.reader(source)
+    lines = iter(source)
+    first = next(lines, "")
+    rows = enumerate(csv.reader(chain((first.removeprefix("\ufeff"),), lines)), start=1)
+    for line_number, row in rows:
+        if row:
+            if tuple(cell.strip() for cell in row) != CSV_HEADER:
+                raise MalformedRowError(
+                    line_number, f"expected header {','.join(CSV_HEADER)}, got {','.join(row)!r}"
+                )
+            break
     records = []
     first_offset = first_ts = None
-    for line_number, row in enumerate(reader, start=1):
+    for line_number, row in rows:
         if not row:
-            continue
-        if line_number == 1:
-            if tuple(cell.strip() for cell in row) != CSV_HEADER:
-                raise MalformedRowError(line_number, f"expected header {','.join(CSV_HEADER)}")
             continue
         if len(row) != 2:
             raise MalformedRowError(line_number, f"expected 2 fields, got {len(row)}")
         raw_ts, raw_dir = row[0].strip(), row[1].strip()
+        # Python 3.10's fromisoformat does not read "Z"; 3.11's does.
+        text = raw_ts[:-1] + "+00:00" if raw_ts.endswith("Z") else raw_ts
         try:
-            ts = datetime.fromisoformat(raw_ts)
+            ts = datetime.fromisoformat(text)
         except ValueError as exc:
-            raise MalformedRowError(line_number, f"bad timestamp {raw_ts!r}: {exc}") from None
-        try:
-            direction = Direction(raw_dir)
-        except ValueError:
-            raise MalformedRowError(line_number, f"unknown direction token {raw_dir!r}") from None
+            reason = str(exc).replace(repr(text), repr(raw_ts))
+            raise MalformedRowError(line_number, f"bad timestamp {raw_ts!r}: {reason}") from None
+        direction = _DIRECTION_TOKENS.get(raw_dir)
+        if direction is None:
+            raise MalformedRowError(line_number, f"unknown direction token {raw_dir!r}")
         # Minutes are wall-clock minutes, which order correctly only under
         # one UTC offset (or none) for the whole file.
         if first_ts is None:
@@ -121,15 +134,19 @@ def parse_arrivals(source: Union[TextIO, Iterable[str]]) -> ArrivalDataset:
             raise MalformedRowError(
                 line_number, f"timestamp {raw_ts!r} has a different UTC offset from {first_ts!r}"
             )
-        records.append(ArrivalRecord(ts.replace(second=0, microsecond=0, tzinfo=None), direction))
+        if ts.second or ts.microsecond or ts.tzinfo is not None:
+            ts = ts.replace(second=0, microsecond=0, tzinfo=None)
+        records.append(ArrivalRecord(ts, direction))
     return ArrivalDataset(tuple(records))
 
 
 def serialize_arrivals(dataset: ArrivalDataset) -> str:
     """Inverse of parse_arrivals (LF line endings)."""
+    # An identity test reads the token without Enum's Python-level ``value``.
     lines = [",".join(CSV_HEADER)]
-    for r in dataset.records:
-        lines.append(f"{r.timestamp.isoformat()},{r.direction.value}")
+    lines += [
+        f"{r.timestamp.isoformat()},{'D' if r.direction is Direction.DOWN else 'U'}" for r in dataset.records
+    ]
     return "\n".join(lines) + "\n"
 
 

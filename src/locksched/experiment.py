@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate, repeat
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .arrivals import (
@@ -41,8 +42,8 @@ from .schedule import (
 
 DAY_MINUTES = 1440
 DIRECTIONS = (Direction.DOWN, Direction.UP)
-# The first day of every synthetic dataset.
-_SYNTH_START_DAY = date(2019, 1, 2)
+# Midnight of the first day of every synthetic dataset.
+_SYNTH_START = datetime(2019, 1, 2)
 
 FIT_HEADER = ("k", "n", "Runtime", "Fit")
 SCHEDULE_HEADER = ("k", "n", "periodicOpt", "alternating", "FIFO", "advFIFO", "realisedPeriodic")
@@ -146,19 +147,21 @@ def synth_dataset(
     for direction, specs in streams_spec.items():
         _check_stream_pairs(direction, specs)
     rng = random.Random(seed)
+    streams = sorted(streams_spec.items(), key=lambda kv: kv[0].value)
+    # Minute m of a day is midnight + offsets[m - 1]: one datetime sum a record.
+    # The offsets are summed in C; building 1,440 timedeltas one by one would
+    # cost more than a dataset of a few days saves.
+    offsets = list(accumulate(repeat(timedelta(minutes=1), DAY_MINUTES - 1), initial=timedelta(0)))
     records = []
     for d in range(days):
-        day = _SYNTH_START_DAY + timedelta(days=d)
-        for direction, specs in sorted(streams_spec.items(), key=lambda kv: kv[0].value):
+        midnight = _SYNTH_START + timedelta(days=d)
+        for direction, specs in streams:
             for mu, lam in specs:
-                t = mu
-                while t <= DAY_MINUTES:
+                for t in range(mu, DAY_MINUTES + 1, lam):
                     minute = t
                     if jitter_sigma > 0:
                         minute = min(max(t + round(rng.gauss(0, jitter_sigma)), 1), DAY_MINUTES)
-                    ts = datetime(day.year, day.month, day.day) + timedelta(minutes=minute - 1)
-                    records.append(ArrivalRecord(ts, direction))
-                    t += lam
+                    records.append(ArrivalRecord(midnight + offsets[minute - 1], direction))
     return ArrivalDataset(tuple(records))
 
 

@@ -39,18 +39,22 @@ to it; it checks the table at large periods against ``slot_costs``.
 ``reference_run_experiment`` is the experiment with no sharing: it fits every
 (k, n, day, direction) and evaluates every (k, n, day) on its own with the
 references above, and formats both reports with the package's writers.
+``reference_parse_arrivals`` parses well-formed arrival text one row at a
+time by the rule that ``parse_arrivals`` replaced: ``Direction(token)`` and
+``fromisoformat(...).replace(second=0, microsecond=0, tzinfo=None)`` on
+every row.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from datetime import date
+from datetime import date, datetime
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from locksched.arrivals import ArrivalDataset, MatchingInstance
+from locksched.arrivals import CSV_HEADER, ArrivalDataset, ArrivalRecord, MatchingInstance
 from locksched.dp import (
     _INF,
     _SHIFT,
@@ -837,3 +841,28 @@ def reference_run_experiment(dataset: ArrivalDataset, config: ExperimentConfig) 
                 means = (float(sum(column) / len(evaluations)) for column in zip(*evaluations))
                 schedule_rows.append(ScheduleRow(k, n, *means))
     return fit_report_csv(fit_rows), schedule_report_csv(schedule_rows), skipped
+
+
+def reference_parse_arrivals(text: str) -> ArrivalDataset:
+    """``parse_arrivals`` on well-formed text, one row at a time.
+
+    A leading byte-order mark is dropped, empty lines are skipped, the first
+    other line must be the header, and cells are split on commas and
+    stripped.  Each row is read by the per-row rule: ``Direction(token)``,
+    and ``fromisoformat`` (which reads a trailing ``Z`` from Python 3.11)
+    truncated with ``replace(second=0, microsecond=0, tzinfo=None)``.  Every
+    timestamp must share one UTC offset, or none.
+    """
+    rows = [[cell.strip() for cell in line.split(",")] for line in text.removeprefix("\ufeff").split("\n") if line]
+    if not rows:
+        return ArrivalDataset(())
+    if tuple(rows[0]) != CSV_HEADER:
+        raise ValueError(f"expected header, got {rows[0]}")
+    records, offsets = [], set()
+    for raw_ts, token in rows[1:]:
+        ts = datetime.fromisoformat(raw_ts)
+        offsets.add(ts.utcoffset())
+        records.append(ArrivalRecord(ts.replace(second=0, microsecond=0, tzinfo=None), Direction(token)))
+    if len(offsets) > 1:
+        raise ValueError(f"mixed UTC offsets {offsets}")
+    return ArrivalDataset(tuple(records))

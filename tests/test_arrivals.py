@@ -1,5 +1,6 @@
 import io
 import math
+import sys
 from datetime import date, datetime, timedelta
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from locksched.arrivals import (
     serialize_arrivals,
 )
 from locksched.schedule import Direction
+from oracles import reference_parse_arrivals
 
 
 def _parse(text: str) -> ArrivalDataset:
@@ -49,8 +51,31 @@ def test_parse_sorts_out_of_order_rows():
 
 
 def test_parse_rejects_bad_header():
-    with pytest.raises(MalformedRowError):
+    with pytest.raises(MalformedRowError) as exc:
         _parse("time,dir\n")
+    assert str(exc.value) == "line 1: expected header timestamp,direction, got 'time,dir'"
+    # An invisible character is visible in the repr.
+    with pytest.raises(MalformedRowError, match=r"got 'timestamp,\\ufeffdirection'"):
+        _parse("timestamp,\ufeffdirection\n")
+
+
+def test_parse_checks_header_on_first_non_blank_row():
+    with pytest.raises(MalformedRowError) as exc:
+        _parse("\n2019-01-02T09:30:00,D\n")
+    assert str(exc.value) == "line 2: expected header timestamp,direction, got '2019-01-02T09:30:00,D'"
+    ds = _parse("\n\ntimestamp,direction\n2019-01-02T09:30:00,D\n")
+    assert ds == _parse("timestamp,direction\n2019-01-02T09:30:00,D\n")
+    assert len(ds.records) == 1
+
+
+def test_parse_ignores_a_leading_byte_order_mark():
+    plain = "timestamp,direction\n2019-01-02T09:30:00,D\n2019-01-02T10:00:00,U\n"
+    assert _parse("\ufeff" + plain) == _parse(plain)
+    assert _parse("\ufeff\n" + plain) == _parse(plain)
+    assert parse_arrivals(["\ufefftimestamp,direction\n", "2019-01-02T09:30:00,D\n"]).records == (
+        ArrivalRecord(datetime(2019, 1, 2, 9, 30), Direction.DOWN),
+    )
+    assert _parse("\ufeff").records == ()
 
 
 def test_parse_rejects_bad_direction():
@@ -86,6 +111,26 @@ def test_parse_single_offset_keeps_wall_clock_minutes():
     ds = _parse("timestamp,direction\n2019-01-02T10:00:00+02:00,D\n2019-01-02T09:30:00+02:00,U\n")
     assert [r.timestamp for r in ds.records] == [datetime(2019, 1, 2, 9, 30), datetime(2019, 1, 2, 10, 0)]
     assert [r.minute_of_day for r in ds.records] == [571, 601]
+
+
+def test_parse_reads_trailing_z_as_utc():
+    utc = _parse("timestamp,direction\n2019-01-02T09:30:00+00:00,D\n2019-01-02T09:45:10.500000+00:00,U\n")
+    z = _parse("timestamp,direction\n2019-01-02T09:30:00Z,D\n2019-01-02T09:45:10.500000Z,U\n")
+    assert z == utc
+    # Z and +00:00 are one offset; Z and +02:00 are two.
+    mixed = _parse("timestamp,direction\n2019-01-02T09:30:00Z,D\n2019-01-02T09:45:10.500000+00:00,U\n")
+    assert mixed == utc
+    with pytest.raises(MalformedRowError, match="line 3: timestamp '2019-01-02T10:00:00Z' has a different"):
+        _parse("timestamp,direction\n2019-01-02T09:30:00+02:00,D\n2019-01-02T10:00:00Z,U\n")
+    with pytest.raises(MalformedRowError, match="line 3: timestamp '2019-01-02T10:00:00Z' has a different"):
+        _parse("timestamp,direction\n2019-01-02T09:30:00,D\n2019-01-02T10:00:00Z,U\n")
+
+
+def test_parse_bad_z_timestamp_error_keeps_the_raw_text():
+    with pytest.raises(MalformedRowError) as exc:
+        _parse("timestamp,direction\nnot-a-timeZ,D\n")
+    assert str(exc.value).startswith("line 2: bad timestamp 'not-a-timeZ': ")
+    assert "+00:00" not in str(exc.value)
 
 
 def test_serialize_round_trip():
@@ -209,3 +254,55 @@ def test_bucket_equals_per_record_reference(case):
             expected[period - 1][r.direction is Direction.UP] += 1
     counts = bucket_to_periods(ArrivalDataset(records), day, period_minutes, horizon)
     assert counts == [tuple(c) for c in expected]
+
+
+_MINUTE_RECORDS = st.lists(
+    st.builds(
+        lambda day, minute, direction: ArrivalRecord(datetime(2019, 1, 2) + timedelta(days=day, minutes=minute), direction),
+        st.integers(0, 4), st.integers(0, 1439), st.sampled_from(Direction),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MINUTE_RECORDS)
+def test_serialize_then_parse_equals_dataset(records):
+    dataset = ArrivalDataset(tuple(records))
+    assert parse_arrivals(io.StringIO(serialize_arrivals(dataset))) == dataset
+
+
+# Each file uses one of these offset sets; "Z" and "+00:00" are one offset.
+# Python 3.10's fromisoformat, which the reference parser calls, cannot read "Z".
+_OFFSETS = [[""], ["+00:00"], ["+02:00"], ["-05:30"]]
+if sys.version_info >= (3, 11):
+    _OFFSETS += [["Z"], ["Z", "+00:00"]]
+
+
+@st.composite
+def _arrival_texts(draw):
+    """Well-formed arrival text: seconds, microseconds, one offset, blank
+    lines, padded cells, a space or ``T`` separator and sometimes a
+    byte-order mark."""
+    offsets = draw(st.sampled_from(_OFFSETS))
+    pad = st.sampled_from(["", " ", "  "])
+    lines = ["timestamp,direction"]
+    for _ in range(draw(st.integers(0, 25))):
+        stamp = datetime(2019, 1, 2) + timedelta(
+            days=draw(st.integers(0, 2)),
+            minutes=draw(st.integers(0, 1439)),
+            seconds=draw(st.integers(0, 59)),
+            microseconds=draw(st.sampled_from([0, 123, 500000, 999999])),
+        )
+        timespec = draw(st.sampled_from(["auto", "minutes", "seconds", "milliseconds"]))
+        text = stamp.isoformat(draw(st.sampled_from("T ")), timespec) + draw(st.sampled_from(offsets))
+        lines.append(f"{draw(pad)}{text}{draw(pad)},{draw(pad)}{draw(st.sampled_from('DU'))}{draw(pad)}")
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    return draw(st.sampled_from(["", "\ufeff"])) + "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_arrival_texts())
+def test_parse_equals_per_row_reference(text):
+    assert parse_arrivals(io.StringIO(text)) == reference_parse_arrivals(text)

@@ -195,6 +195,18 @@ def test_evaluate_command(arrivals_csv, capsys):
     assert len(lines) == 1 + 2 * 3  # two days, three policies
 
 
+def test_evaluate_reads_a_file_with_a_byte_order_mark(arrivals_csv, tmp_path, capsys):
+    """Spreadsheet exports start with a UTF-8 byte-order mark."""
+    bom_csv = tmp_path / "bom.csv"
+    bom_csv.write_bytes(b"\xef\xbb\xbf" + arrivals_csv.read_bytes())
+    outputs = []
+    for path in (arrivals_csv, bom_csv):
+        assert main(["evaluate", "--arrivals", str(path)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out.count("\n") > 1
+
+
 def test_evaluate_rejects_zero_period(arrivals_csv, tmp_path, capsys):
     out = tmp_path / "eval.csv"
     code = main(["evaluate", "--arrivals", str(arrivals_csv), "--period-minutes", "0", "--out", str(out)])

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 from collections import Counter
 from dataclasses import replace
@@ -131,8 +132,9 @@ def test_rescale_clamps_mu():
 
 
 def test_synth_zero_sigma_is_exactly_periodic():
-    ds = synth_dataset(0, 1, {Direction.DOWN: [(180, 480)]})
+    ds = synth_dataset(0, 1, {Direction.DOWN: [(180, 480)], Direction.UP: [(240, 600)]})
     assert ds.minutes_for(date(2019, 1, 2), Direction.DOWN) == [180, 660, 1140]
+    assert ds.minutes_for(date(2019, 1, 2), Direction.UP) == [240, 840, 1440]
 
 
 def test_synth_deterministic_per_seed():
@@ -146,6 +148,29 @@ def test_synth_jitter_stays_in_day():
     for day in ds.days():
         for m in ds.minutes_for(day, Direction.UP):
             assert 1 <= m <= 1440
+
+
+REPLAY_SPEC = {
+    Direction.DOWN: [(63, 126), (126, 126), (40, 90), (7, 35)],
+    Direction.UP: [(21, 126), (126, 126), (11, 45)],
+}
+CLI_DEFAULT_SPEC = {Direction.DOWN: [[63, 126], [126, 126]], Direction.UP: [[21, 126], [126, 126]]}
+
+
+@pytest.mark.parametrize(
+    "seed, days, spec, sigma, sha256",
+    [
+        (0, 365, REPLAY_SPEC, 5.0, "aacdf5c49a721379b2ccb11fb8191c1c5dbe0862dfbe06dc27e10feee6853773"),
+        (3, 30, CLI_DEFAULT_SPEC, 0.0, "8554d9df1513c8650f22a7bc208efb2424f6badb8872e3c09120934e475f45dc"),
+    ],
+    ids=["replay-year", "cli-default"],
+)
+def test_synth_serialized_bytes_are_pinned(seed, days, spec, sigma, sha256):
+    """The benchmark's replay year and the ``synth`` command's default
+    streams; any change to the sampler's call order or to the CSV text
+    changes these digests."""
+    text = serialize_arrivals(synth_dataset(seed, days, spec, sigma))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 def test_synth_rejects_negative_sigma():
