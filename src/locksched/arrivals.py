@@ -7,6 +7,7 @@ day starts at 1.
 from __future__ import annotations
 
 import csv
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -19,6 +20,9 @@ from .schedule import Direction
 CSV_HEADER = ("timestamp", "direction")
 # Token lookup for parsing: a dict read is far cheaper per row than Direction(token).
 _DIRECTION_TOKENS = {d.value: d for d in Direction}
+# A fraction of a second just past YYYY-MM-DDTHH:MM:SS (index 19); one that
+# runs into a second fraction is left for fromisoformat to reject.
+_FRACTION = re.compile(r"[.,][0-9]+(?![.,0-9])")
 
 
 class MalformedRowError(ValueError):
@@ -93,8 +97,9 @@ def parse_arrivals(source: Union[TextIO, Iterable[str]]) -> ArrivalDataset:
     """Parse the `timestamp,direction` CSV format into a sorted dataset.
 
     The first non-blank row must be the header; a leading byte-order mark is
-    ignored.  Timestamps keep their wall-clock minutes, and a trailing ``Z``
-    reads as ``+00:00``.  A file may use one UTC offset throughout, or none;
+    ignored.  Timestamps keep their wall-clock minutes, a fraction of a
+    second (after ``.`` or ``,``) is dropped, and a trailing ``Z`` reads as
+    ``+00:00``.  A file may use one UTC offset throughout, or none;
     mixing offsets, or offset and naive timestamps, raises
     ``MalformedRowError``.
     """
@@ -116,8 +121,12 @@ def parse_arrivals(source: Union[TextIO, Iterable[str]]) -> ArrivalDataset:
         if len(row) != 2:
             raise MalformedRowError(line_number, f"expected 2 fields, got {len(row)}")
         raw_ts, raw_dir = row[0].strip(), row[1].strip()
-        # Python 3.10's fromisoformat does not read "Z"; 3.11's does.
+        # Python 3.10's fromisoformat does not read "Z", nor a fraction of
+        # other than 3 or 6 digits; 3.11's does.  Minutes drop the fraction.
         text = raw_ts[:-1] + "+00:00" if raw_ts.endswith("Z") else raw_ts
+        fraction = len(text) > 19 and _FRACTION.match(text, 19)
+        if fraction:
+            text = text[:19] + text[fraction.end():]
         try:
             ts = datetime.fromisoformat(text)
         except ValueError as exc:

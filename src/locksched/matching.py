@@ -16,20 +16,21 @@ found for all rows in one sweep.  A prefix of anchors (or a whole
 composition) is pruned when its bound exceeds the composition's best cost
 so far, or reaches the best carried from earlier compositions.  Anchors
 that repeat an earlier anchor's mu give the same row and are skipped.
-Moving a row's c points by d changes the cost by at most c*d; so once a row
-of the last stream is scored, rows whose mu lies within (cost - best - 1) / c
-of it are skipped too.  ``best_fit`` searches every stream budget in one
-pass, smallest first, and a later budget or composition must beat the
-best strictly.  Within a composition, equal costs break on the canonical
-key, the anchors in non-decreasing count order: the least key wins, which
-is the candidate a full enumeration in canonical order meets first.  Each
-fit logs one DEBUG record with its search counters.
+Moving a row's c points by d changes the cost by at most c*d; so the last
+stream's rows are walked in order of mu, and a scored row that misses the
+best by m jumps the walk over the rows whose mu lies at most m / c past it.
+``best_fit`` searches every stream budget in one pass, smallest first, and
+a later budget or composition must beat the best strictly.  Within a
+composition, equal costs break on the canonical key, the anchors in
+non-decreasing count order: the least key wins, which is the candidate a
+full enumeration in canonical order meets first.  Each fit logs one DEBUG
+record with its search counters.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
@@ -138,8 +139,6 @@ def anchored_streams(
         lam = Fraction(instance.T, count)
         t_anchor = instance.arrival_minutes[anchor]
         j = math.ceil(Fraction(t_anchor) / lam) - 1  # largest j with j*lam < t_anchor
-        if j < 0:
-            j = 0
         streams.append(Stream(mu=t_anchor - j * lam, lam=lam, count=count))
     return StreamSet(streams=tuple(streams), T=instance.T)
 
@@ -218,17 +217,17 @@ def _search(instance: MatchingInstance, budgets: Sequence[int]) -> MatchingSolut
     within a run of equal counts (swapping equal-count streams gives the
     same candidate), so the visited anchors, reversed, are the canonical
     key.  A prefix of anchors is pruned when its rows' bounds plus the least
-    bound of each unplaced stream's count reach ``limit``, and a row of the
-    last stream when a scored row of that prefix proves it cannot win (see
-    ``leaf``).  The winner is rebuilt with ``Fraction`` arithmetic, and its
-    cost checked against the scaled search cost.
+    bound of each unplaced stream's count reach ``limit``.  The last
+    stream's rows are walked in first-point order, and a scored row that
+    fails jumps the walk over the rows just past it that it proves cannot
+    win (see ``leaf``); "prefixes pruned" counts these rows too.  The
+    winner is rebuilt with ``Fraction`` arithmetic, and its cost checked
+    against the scaled search cost.
     """
     T, arrivals = instance.T, instance.arrival_minutes
-    # Per count: its ``_anchor_rows`` and their least bound; and, once the
-    # count is placed last, its rows' first points in order, with the row
-    # of each.
+    # Per count: its ``_anchor_rows``, their least bound, and the rows' first
+    # points in order with the row of each.
     cache: Dict[int, tuple] = {}
-    leaf_orders: Dict[int, tuple] = {}
     best = None  # (scaled cost, scale, counts, anchors)
     compositions_pruned = prefixes_pruned = scored = 0
     for counts in chain.from_iterable(_compositions_nondecreasing(instance.n, k) for k in budgets):
@@ -242,7 +241,8 @@ def _search(instance: MatchingInstance, budgets: Sequence[int]) -> MatchingSolut
         for c in order:
             if c not in cache:
                 rows = _anchor_rows(T, c, arrivals)
-                cache[c] = rows, min(bound for _, _, bound in rows)
+                firsts, by_first = zip(*sorted((f, q) for q, (_, f, _) in enumerate(rows)))
+                cache[c] = rows, min(bound for _, _, bound in rows), firsts, by_first
         least = [cache[c][1] * (scale // c) for c in order]
         if sum(least) >= limit:
             compositions_pruned += 1
@@ -261,19 +261,17 @@ def _search(instance: MatchingInstance, budgets: Sequence[int]) -> MatchingSolut
         target = [t * scale for t in arrivals]
         last = len(order) - 1
         found: Tuple[int, ...] = ()  # anchors in visit order
-        leaves, leaf_bounds, n_leaves = options[last], bounds[last], len(options[last])
-        c_last = counts[0]
-        leaf_rows = cache[c_last][0]
-        if c_last not in leaf_orders:
-            leaf_orders[c_last] = tuple(zip(*sorted((f, q) for q, (_, f, _) in enumerate(leaf_rows))))
-        firsts, by_first = leaf_orders[c_last]
+        leaves, leaf_bounds = options[last], bounds[last]
+        _, _, firsts, by_first = cache[counts[0]]
+        n_leaves = len(firsts)
 
         def leaf(end: int, partial: int, points: List[int], anchors: Tuple[int, ...]) -> None:
             nonlocal limit, found, prefixes_pruned, scored
-            dominated = [False] * n_leaves
-            tried = 0
-            for pos in range(end):
-                if dominated[pos] or partial + leaf_bounds[pos] >= limit:
+            tried = rank = 0
+            while rank < n_leaves:
+                pos = by_first[rank]
+                rank += 1
+                if pos >= end or partial + leaf_bounds[pos] >= limit:
                     continue
                 tried += 1
                 a, _, row = leaves[pos]
@@ -287,21 +285,12 @@ def _search(instance: MatchingInstance, budgets: Sequence[int]) -> MatchingSolut
                     continue
                 # Rows of one count are translates of each other, and moving
                 # a row's c points by d changes the cost by at most c*d.  So
-                # a row whose first point lies within (cost - limit) / c of
+                # a row whose first point lies at most (cost - limit) / c past
                 # this one's costs at least the limit, which lies one above
-                # this composition's best once it has one: it cannot tie.
-                # At scale m*c the first points are scaled by m, so unscaled
-                # they lie within (cost - limit) / scale.
-                r = bisect_left(firsts, leaf_rows[pos][1])
-                reach = (cost - limit) // scale
-                up = r + 1
-                while up < n_leaves and firsts[up] - firsts[r] <= reach:
-                    dominated[by_first[up]] = True
-                    up += 1
-                down = r - 1
-                while down >= 0 and firsts[r] - firsts[down] <= reach:
-                    dominated[by_first[down]] = True
-                    down -= 1
+                # this composition's best once it has one: it cannot tie, and
+                # the walk jumps over it.  At scale m*c the first points are
+                # scaled by m, so unscaled they lie within (cost - limit) / scale.
+                rank = bisect_right(firsts, firsts[rank - 1] + (cost - limit) // scale, rank)
             scored += tried
             prefixes_pruned += end - tried
 

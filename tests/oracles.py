@@ -1,12 +1,15 @@
 """Slow, independent references that the fast code is tested against.
 
-``reference_solve_matching`` is the original Fraction enumerator: it builds
-every candidate stream set with ``anchored_streams`` and scores it with the
-sorted ``assignment_cost``.  ``oracle_min_cost_bijection`` does not use the
-sorted assignment at all.  Both are test-only, so scipy and numpy are test
-dependencies, not runtime ones.  ``reference_anchor_rows`` finds each
-anchored row's lower bound with one bisect per point, where
-``matching._anchor_rows`` sweeps all rows of a count at once.
+``reference_solve_matching`` enumerates every candidate stream set and
+scores its sorted assignment in integers, with the anchor rule of the
+``anchored_streams`` docstring; ``fraction_solve_matching``, the original
+enumerator, builds each candidate with ``anchored_streams`` and scores it
+with ``assignment_cost``, and checks the integer one on fixed instances.
+``oracle_min_cost_bijection`` does not use the sorted assignment at all.
+They are test-only, so scipy and numpy are test dependencies, not runtime
+ones.  ``reference_anchor_rows`` finds each anchored row's lower bound with
+one bisect per point, where ``matching._anchor_rows`` sweeps all rows of a
+count at once.
 ``oracle_windowed_cost`` checks the rolling windows by simulating every
 process/wait sequence.  ``reference_generate`` is the two-pass plan assembly
 that ``rolling.generate`` replaced: it requests every chunk first, then fills
@@ -51,7 +54,8 @@ import math
 from bisect import bisect_left
 from datetime import date, datetime
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
+from operator import sub
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from locksched.arrivals import CSV_HEADER, ArrivalDataset, ArrivalRecord, MatchingInstance
@@ -134,13 +138,49 @@ def _anchor_tuples(counts: Tuple[int, ...], n: int, pruned: bool) -> Iterator[Tu
 
 
 def reference_solve_matching(instance: MatchingInstance, k: int, prune: bool = True) -> MatchingSolution:
-    """Optimal k-stream fit by enumeration of compositions and anchors.
+    """Optimal k-stream fit by enumeration of compositions and anchors,
+    scored in integers.
 
-    With ``prune`` the search visits only non-decreasing count tuples and
-    multiplicity-aware anchor tuples; the unpruned search is kept for
-    equivalence testing.  Ties break on the lexicographically smallest
-    (counts, anchors) visited.
+    By the rule of ``anchored_streams``, the stream of count c anchored at
+    arrival t has period lam = T/c and its first point at t - j*lam, for the
+    largest j with j*lam < t: j = ceil(t*c/T) - 1.  Scaled by the lcm L of a
+    composition's counts, every such point is whole, so each candidate's
+    sorted assignment cost is an integer over L.  With ``prune`` the search
+    visits only non-decreasing count tuples and multiplicity-aware anchor
+    tuples; the unpruned search is kept for equivalence testing.  Ties break
+    on the lexicographically smallest (counts, anchors) visited.  The winner
+    is built once, at the end, with ``anchored_streams`` and
+    ``assignment_cost``.
     """
+    n, T, arrivals = instance.n, instance.T, instance.arrival_minutes
+    if not 1 <= k <= n:
+        raise ValueError(f"k must satisfy 1 <= k <= n={n}, got {k}")
+    comps = _compositions_nondecreasing(n, k) if prune else _compositions_all(n, k)
+    best = None  # (scaled cost, scale, counts, anchors)
+    for counts in comps:
+        scale = math.lcm(*counts)
+        target = [t * scale for t in arrivals]
+        rows = {}
+        for c in set(counts):
+            step = T * scale // c
+            firsts = [t * scale - (-(-t * c // T) - 1) * step for t in arrivals]
+            rows[c] = [list(range(first, first + c * step, step)) for first in firsts]
+        for anchors in _anchor_tuples(counts, n, prune):
+            points = sorted(chain.from_iterable(rows[c][a] for c, a in zip(counts, anchors)))
+            cost = sum(map(abs, map(sub, points, target)))
+            if best is None or cost * best[1] < best[0] * scale:
+                best = (cost, scale, counts, anchors)
+    assert best is not None
+    cost, scale, counts, anchors = best
+    solution = assignment_cost(instance, anchored_streams(instance, counts, anchors))
+    assert solution.cost == Fraction(cost, scale)
+    return solution
+
+
+def fraction_solve_matching(instance: MatchingInstance, k: int, prune: bool = True) -> MatchingSolution:
+    """``reference_solve_matching`` with ``Fraction`` arithmetic: every
+    candidate built with ``anchored_streams`` and scored with
+    ``assignment_cost``.  A cross-check of the integer scoring."""
     n = instance.n
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n={n}, got {k}")

@@ -157,14 +157,13 @@ REPLAY_SPEC = {
 CLI_DEFAULT_SPEC = {Direction.DOWN: [[63, 126], [126, 126]], Direction.UP: [[21, 126], [126, 126]]}
 
 
-@pytest.mark.parametrize(
-    "seed, days, spec, sigma, sha256",
-    [
-        (0, 365, REPLAY_SPEC, 5.0, "aacdf5c49a721379b2ccb11fb8191c1c5dbe0862dfbe06dc27e10feee6853773"),
-        (3, 30, CLI_DEFAULT_SPEC, 0.0, "8554d9df1513c8650f22a7bc208efb2424f6badb8872e3c09120934e475f45dc"),
-    ],
-    ids=["replay-year", "cli-default"],
-)
+SYNTH_PINS = [
+    (0, 365, REPLAY_SPEC, 5.0, "aacdf5c49a721379b2ccb11fb8191c1c5dbe0862dfbe06dc27e10feee6853773"),
+    (3, 30, CLI_DEFAULT_SPEC, 0.0, "8554d9df1513c8650f22a7bc208efb2424f6badb8872e3c09120934e475f45dc"),
+]
+
+
+@pytest.mark.parametrize("seed, days, spec, sigma, sha256", SYNTH_PINS, ids=["replay-year", "cli-default"])
 def test_synth_serialized_bytes_are_pinned(seed, days, spec, sigma, sha256):
     """The benchmark's replay year and the ``synth`` command's default
     streams; any change to the sampler's call order or to the CSV text

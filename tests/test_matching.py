@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    fraction_solve_matching,
     oracle_min_cost_bijection,
     reference_anchor_rows,
     reference_best_fit,
@@ -152,6 +153,46 @@ def test_pruned_equals_unpruned():
             fast = solve_matching(inst, k)
             assert fast == reference_solve_matching(inst, k, prune=True)
             assert fast.cost == reference_solve_matching(inst, k, prune=False).cost
+
+
+def _cross_check_instances():
+    """Fixed instances with many tied fits (progressions, repeats, shared
+    mu), then seeded random ones of each layout."""
+    instances = [
+        _inst([1, 2, 3], T=3),
+        _inst([1, 1, 1], T=1),
+        _inst([2, 5, 9, 11], T=12),
+        _inst([5, 15, 25, 35], T=40),
+        _inst([1, 2, 5, 6, 9, 10], T=12),
+        _inst([3, 3, 7, 7, 7], T=20),
+        _inst([4, 8, 12, 14, 16, 18], T=18),
+    ]
+    rng = random.Random(13)
+    for layout in ("random", "repeats", "progressions") * 6:
+        n = rng.randint(2, 7)
+        if layout == "random":
+            minutes = [rng.randint(1, 60) for _ in range(n)]
+        elif layout == "repeats":
+            pool = [rng.randint(1, 60) for _ in range(rng.randint(1, 3))]
+            minutes = [rng.choice(pool) for _ in range(n)]
+        else:
+            minutes = []
+            while len(minutes) < n:
+                start, step = rng.randint(1, 10), rng.randint(1, 10)
+                minutes += [start + i * step for i in range(rng.randint(1, n - len(minutes)))]
+        minutes.sort()
+        instances.append(_inst(minutes, T=rng.choice([minutes[-1], max(minutes[-1], 60)])))
+    return instances
+
+
+def test_integer_reference_equals_fraction_reference():
+    """The integer-scored reference picks the same fit, field for field, as
+    the one that builds and scores every candidate with ``Fraction``s."""
+    for inst in _cross_check_instances():
+        for k in range(1, min(4 if inst.n <= 5 else 3, inst.n) + 1):
+            assert reference_solve_matching(inst, k) == fraction_solve_matching(inst, k)
+        k = min(2, inst.n)
+        assert reference_solve_matching(inst, k, prune=False) == fraction_solve_matching(inst, k, prune=False)
 
 
 def test_best_fit_monotone_in_k():
@@ -301,6 +342,21 @@ def test_search_counters_logged(caplog):
     assert best_fit(inst, 2).cost == 0
     (record,) = caplog.records
     assert (record.compositions_pruned, record.prefixes_pruned, record.candidates_scored) == (1, 0, 1)
+    caplog.clear()
+    # The last stream is walked in first-point order, and a failed row jumps
+    # the walk over the rows just past it.  Arrivals 5, 9, 10, 11, T = 11:
+    # composition (1, 3) finds cost 3, the limit 6 at scale 2 for (2, 2).
+    # There the 2-stream rows of anchors 0-3 have first points 10, 7, 9 and
+    # 11 (scaled by 2: 20, 14, 18, 22), walked as 7, 9, 10, 11.  Under the
+    # first stream at anchor 2, anchors 0-2 may follow: the row at 7 costs
+    # 16, so every row with its first point up to 7 + (16 - 6) // 2 = 12 is
+    # jumped over, and the rows at 9 and 10 go unscored.  A walk in anchor
+    # order that marks rows on both sides would score the row at 10 first
+    # (cost 10), which reaches only 9 and 11, then the row at 7, and count
+    # (0, 5, 21).
+    assert solve_matching(_inst([5, 9, 10, 11], T=11), 2).cost == 3
+    (record,) = caplog.records
+    assert (record.compositions_pruned, record.prefixes_pruned, record.candidates_scored) == (0, 6, 20)
 
 
 def test_oracle_identity_and_example():
