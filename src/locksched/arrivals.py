@@ -59,15 +59,24 @@ class ArrivalDataset:
     records: Tuple[ArrivalRecord, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(sorted(self.records, key=attrgetter("timestamp"))))
+        # Minutes are wall-clock minutes, so timestamps must be naive.  A sort
+        # that succeeds compared naive with naive or aware with aware only,
+        # so the first record speaks for all.
+        try:
+            records = tuple(sorted(self.records, key=attrgetter("timestamp")))
+        except TypeError as exc:
+            raise ValueError(f"arrival timestamps must be naive datetimes: {exc}") from None
+        if records and records[0].timestamp.tzinfo is not None:
+            raise ValueError(f"arrival timestamps must be naive datetimes, got {records[0].timestamp.isoformat()}")
+        object.__setattr__(self, "records", records)
 
     def days(self) -> List[date]:
         return sorted({r.timestamp.date() for r in self.records})
 
     def minutes_for(self, day: date, direction: Direction) -> List[int]:
         """Sorted 1-based arrival minutes for one day and direction."""
-        # Records are sorted by timestamp; under one UTC offset (or none), as
-        # parse_arrivals enforces, each day is one contiguous slice.
+        # Records are sorted by naive timestamp, so each day is one
+        # contiguous slice.
         lo = bisect_left(self.records, day, key=_record_day)
         hi = bisect_right(self.records, day, lo=lo, key=_record_day)
         return [r.minute_of_day for r in self.records[lo:hi] if r.direction is direction]

@@ -1,7 +1,7 @@
 """Command-line interface for the lock-scheduling toolkit.
 
 Exit codes: 0 on success, 2 when some per-instance computations were skipped,
-1 on fatal errors.
+1 on fatal errors and usage errors.
 """
 
 from __future__ import annotations
@@ -262,7 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means skipped instances
+        # here; --help and --version exit 0.
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

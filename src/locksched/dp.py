@@ -23,19 +23,21 @@ Each distinct (piece, end state) pair of the winning lane is decoded once.
 Two transition-cost conventions are provided.  The canonical convention
 weights an arrival i periods before its service by i (so arrivals served in
 their own period cost nothing), which matches the per-period queue-length
-recurrence exactly; every reconstructed schedule is verified against
-simulation (``cyclic_average``: a warm-up to the schedule's second service,
-then one hyper-period when the schedule repeats every Lambda periods, else
-one joint cycle).
-The paper-literal convention shifts the service window back by one period and
-is kept for comparison only.
+recurrence exactly.  The paper-literal convention, kept for comparison only,
+shifts the service window back by one period: it is the canonical DP on the
+pattern delayed by one period (each mu becomes mu mod lambda + 1).  Every
+reconstructed schedule is verified against simulation of the pattern solved
+(``cyclic_average``: a warm-up to the schedule's second service, then one
+hyper-period when the schedule repeats every Lambda periods, else one joint
+cycle).
 
 Every period's six slot costs (one per served side and window length) come
 from one builder, ``slot_cost_table``, over a list of per-period arrival
-counts with a lead-in, all read by ``schedule.arrival_counts`` over a period
-range: periods -shift - 2..Lambda for ``solve`` (periods <= 0 repeat the
-pattern, so the lead-in is the hyper-period's last periods), and the rolling
-windows' own periods behind three empty ones.
+counts behind a three-period lead-in, all read by ``schedule.arrival_counts``
+over a period range: periods -2..Lambda for ``solve`` (periods <= 0 repeat
+the pattern, so the lead-in is the hyper-period's last periods), and the
+rolling windows' own periods behind three empty ones and before one more,
+whose row prices the terminal charges.
 
 The forward pass (``lane``) is one straight-line step per period over the
 eight state values and the period's six slot costs: four copies for the
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
@@ -66,7 +68,6 @@ from .schedule import (
 
 CANONICAL = "canonical"
 PAPER_LITERAL = "paper-literal"
-_SHIFT = {CANONICAL: 0, PAPER_LITERAL: 1}  # periods the service window is shifted back
 
 DEFAULT_PERIOD_CAP = 1_000_000
 
@@ -125,18 +126,17 @@ def predecessors(state: LockState) -> Tuple[LockState, ...]:
     return (LockState(state.alignment, state.own_waits - 1, state.other_waits),)
 
 
-def slot_cost_table(counts: Sequence[Tuple[int, int]], shift: int = 0) -> List[Tuple[int, ...]]:
+def slot_cost_table(counts: Sequence[Tuple[int, int]]) -> List[Tuple[int, ...]]:
     """The six slot costs of every period of ``counts`` after a lead-in.
 
-    ``counts`` holds per-period (down, up) arrival counts whose first
-    ``shift + 3`` entries are the lead-in: the periods before the first one
-    costed.  Serving a side (0 = DOWN, 1 = UP) at period t after a window of
-    w in {2, 3, 4} periods costs slot ``3 * side + w - 2``: each arrival i
-    periods before t - shift, for 1 <= i < w, is charged i.  ``shift`` is 0
-    in the canonical convention and 1 in the paper-literal one.  The arrivals
-    1, 2 and 3 periods back are read as shifted slices of the two columns.
+    ``counts`` holds per-period (down, up) arrival counts whose first three
+    entries are the lead-in: the periods before the first one costed.
+    Serving a side (0 = DOWN, 1 = UP) at period t after a window of w in
+    {2, 3, 4} periods costs slot ``3 * side + w - 2``: each arrival i periods
+    before t, for 1 <= i < w, is charged i.  The arrivals 1, 2 and 3 periods
+    back are read as shifted slices of the two columns.
     """
-    n = len(counts) - shift - 3
+    n = len(counts) - 3
     down = [c[0] for c in counts]
     up = [c[1] for c in counts]
     return [
@@ -243,7 +243,7 @@ def solve(
     instance: PeriodicInstance, mode: str = CANONICAL, period_cap: int = DEFAULT_PERIOD_CAP
 ) -> OptimalResult:
     """Minimum long-run average waiting time and an achieving cyclic schedule."""
-    if mode not in _SHIFT:
+    if mode not in (CANONICAL, PAPER_LITERAL):
         raise ValueError(f"unknown mode {mode!r}")
     lam = lcm_period(instance)
     T = 8 * lam
@@ -251,11 +251,12 @@ def solve(
         raise PeriodCapExceededError(T, period_cap)
     # Costs depend on t only through t mod Lambda.  The lane from s0 starts at
     # t = 1 and runs eight turns of t = 2..Lambda then t = 1, the last step
-    # being the wrap-around one back into s0.  The lead-in is periods
-    # -shift - 2..0, the cyclic pattern's last ones.
-    shift = _SHIFT[mode]
-    counts = arrival_counts(instance, -shift - 2, lam)
-    phase_costs = slot_cost_table(counts, shift)
+    # being the wrap-around one back into s0.  The lead-in is periods -2..0,
+    # the cyclic pattern's last ones.
+    if mode == PAPER_LITERAL:
+        instance = PeriodicInstance(tuple(replace(s, mu=s.mu % s.lam + 1) for s in instance.streams))
+    counts = arrival_counts(instance, -2, lam)
+    phase_costs = slot_cost_table(counts)
     turn = phase_costs[1:] + phase_costs[:1]
     pieces = (turn[:_HEAD], turn[_HEAD:])
 
@@ -298,12 +299,9 @@ def solve(
     schedule = Schedule(actions=actions, initial_alignment=initial_alignment)
 
     avg = Fraction(total, T)
-    if mode == CANONICAL:
-        simulated = _cyclic_average(counts[shift + 3 :], schedule)
-        if simulated != avg:
-            raise AssertionError(
-                f"reconstructed schedule simulates to {simulated}, DP value is {avg}"
-            )
+    simulated = _cyclic_average(counts[3:], schedule)
+    if simulated != avg:
+        raise AssertionError(f"reconstructed schedule simulates to {simulated}, DP value is {avg}")
     _log.debug(
         "%s: lcm=%d, T=%d, initial state %s, total cost %d, %d lane steps",
         mode, lam, T, ALL_STATES[s0_id], total, lane_steps,

@@ -138,10 +138,11 @@ def synth_dataset(
     ``streams_spec`` maps each direction to (mu, lambda) pairs in minutes,
     integers with 1 <= mu <= 1440 and lambda >= 1; jittered times are clamped
     to [1, 1440].  A sigma of zero yields exactly periodic data.  The days run
-    from 2019-01-02.
+    from 2019-01-02.  A sigma that is negative, not finite, or so large that
+    a draw overflows raises ``ValueError``.
     """
-    if not jitter_sigma >= 0:  # also rejects NaN
-        raise ValueError("jitter sigma must be >= 0")
+    if not 0 <= jitter_sigma < math.inf:  # also rejects NaN
+        raise ValueError(f"jitter sigma must be >= 0 and finite, got {jitter_sigma}")
     if days < 0:
         raise ValueError(f"days must be >= 0, got {days}")
     for direction, specs in streams_spec.items():
@@ -160,7 +161,12 @@ def synth_dataset(
                 for t in range(mu, DAY_MINUTES + 1, lam):
                     minute = t
                     if jitter_sigma > 0:
-                        minute = min(max(t + round(rng.gauss(0, jitter_sigma)), 1), DAY_MINUTES)
+                        try:
+                            minute = min(max(t + round(rng.gauss(0, jitter_sigma)), 1), DAY_MINUTES)
+                        except OverflowError:
+                            raise ValueError(
+                                f"jitter sigma must be >= 0 and small enough for finite draws, got {jitter_sigma}"
+                            ) from None
                     records.append(ArrivalRecord(midnight + offsets[minute - 1], direction))
     return ArrivalDataset(tuple(records))
 
@@ -228,14 +234,16 @@ class Skip(NamedTuple):
 def _shared(jobs: int, fn, dataset: ArrivalDataset, keys: List):
     """``fn(dataset, key)`` for each key, in key order; equal keys run once.
 
-    With more than one job the distinct keys run in a process pool whose
-    workers each receive the dataset once, rather than with every key.
+    With more than one job and more than one distinct key, the distinct keys
+    run in a process pool of at most one worker per key, each worker
+    receiving the dataset once, rather than with every key.
     """
     distinct = list(dict.fromkeys(keys))
-    if jobs <= 1:
+    workers = min(jobs, len(distinct))
+    if workers <= 1:
         results = [fn(dataset, key) for key in distinct]
     else:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_share_dataset, initargs=(dataset,)) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_share_dataset, initargs=(dataset,)) as pool:
             results = list(pool.map(partial(_on_shared_dataset, fn), distinct))
     done = dict(zip(distinct, results))
     return [done[key] for key in keys]

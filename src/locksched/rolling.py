@@ -82,26 +82,20 @@ class WindowSolution:
     entry_alignment: Direction
 
 
-def _terminal_charges(counts: Sequence[Tuple[int, int]]) -> List[int]:
+def _terminal_charges(past: Sequence[int]) -> List[int]:
     """The end-of-window charge of each state in ``ALL_STATES``, by state id.
 
-    Arrivals still queued when the window closes, `back` periods before its
-    last, have accrued back + 1 waits each; the state's counters say which
-    arrivals are unserved: the current side since its service before the
-    last switch, the opposite side since the switch itself.  Periods before
+    ``past`` is the slot-cost row of the period just past the window, which
+    charges each arrival ``back`` periods before the window's last one
+    back + 1, the waits it has accrued.  A state's unserved arrivals reach
+    back own + other + 1 periods on its aligned side (the window
+    own + other + 2) and ``own`` periods on the other side.  Periods before
     the window contribute nothing.
     """
-    charges = []
-    for state in ALL_STATES:
-        total = 0
-        for back, (a_d, a_u) in enumerate(counts[-1:-4:-1]):
-            own, other = (a_d, a_u) if state.alignment is Direction.DOWN else (a_u, a_d)
-            if back <= state.own_waits + state.other_waits:
-                total += own * (back + 1)
-            if back < state.own_waits:
-                total += other * (back + 1)
-        charges.append(total)
-    return charges
+    return [
+        past[3 * (alignment is Direction.UP) + own + other] + (past[3 * (alignment is Direction.DOWN)] if own else 0)
+        for alignment, own, other in ALL_STATES
+    ]
 
 
 def windowed_optimum(
@@ -131,9 +125,10 @@ def _check_window(t_start: int, t_end: int) -> None:
 def _window_optimum(counts: List[Tuple[int, int]], position: Optional[Direction]) -> WindowSolution:
     """``windowed_optimum`` over the window's arrival counts ``counts``."""
     # Arrivals clipped to the window: periods before t_start contribute nothing,
-    # so costs count exactly the in-window waits of in-window arrivals.
-    steps = slot_cost_table([(0, 0)] * 3 + counts)
-    charges = _terminal_charges(counts)
+    # so costs count exactly the in-window waits of in-window arrivals.  The
+    # row of one empty period past the window prices the terminal charges.
+    steps = slot_cost_table([(0, 0)] * 3 + counts + [(0, 0)])
+    charges = _terminal_charges(steps.pop())
 
     def lane_end(entry: Direction) -> Tuple[int, int, List[int], Direction]:
         # The lane starts in the virtual state (entry, 0, 0): the lock

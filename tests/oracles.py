@@ -37,8 +37,13 @@ fast replay: a closure per arrival lookup and a cyclic index per period.
 ``reference_alternating``, ``reference_fifo``, ``reference_adv_fifo`` and
 ``reference_realized_periodic`` are the policies as they were, scored by
 ``reference_simulate``.  ``transition_cost`` is the cost of one transition
-at one period, built by ``dp.slot_cost_table`` from the shift + 4 periods up
-to it; it checks the table at large periods against ``slot_costs``.
+at one period, built by ``dp.slot_cost_table`` from the four periods up to
+period t - shift; it checks the table at large periods against
+``slot_costs``.  These references keep the paper-literal convention's
+definition as a window shifted back by one period (``_SHIFT``), while
+``dp.solve`` solves the canonical DP on the pattern delayed by one period.
+``reference_terminal_charges`` is the per-state, per-period loop that
+``rolling._terminal_charges`` replaced with one slot-cost row.
 ``reference_run_experiment`` is the experiment with no sharing: it fits every
 (k, n, day, direction) and evaluates every (k, n, day) on its own with the
 references above, and formats both reports with the package's writers.
@@ -61,10 +66,10 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 from locksched.arrivals import CSV_HEADER, ArrivalDataset, ArrivalRecord, MatchingInstance
 from locksched.dp import (
     _INF,
-    _SHIFT,
     ALL_STATES,
     CANONICAL,
     DEFAULT_PERIOD_CAP,
+    PAPER_LITERAL,
     OptimalResult,
     LockState,
     PeriodCapExceededError,
@@ -96,6 +101,10 @@ from locksched.schedule import (
     lcm_period,
     simulate,
 )
+
+
+# Periods the service window is shifted back, per transition-cost convention.
+_SHIFT = {CANONICAL: 0, PAPER_LITERAL: 1}
 
 
 class OracleSizeError(ValueError):
@@ -297,6 +306,28 @@ def oracle_windowed_cost(instance: PeriodicInstance, t_start: int, t_end: int, e
     return best
 
 
+def reference_terminal_charges(counts: Sequence[Tuple[int, int]]) -> List[int]:
+    """The end-of-window charge of each state in ``ALL_STATES``, by state id.
+
+    Arrivals still queued when the window closes, `back` periods before its
+    last, have accrued back + 1 waits each; the state's counters say which
+    arrivals are unserved: the current side since its service before the
+    last switch, the opposite side since the switch itself.  Periods before
+    the window contribute nothing.
+    """
+    charges = []
+    for state in ALL_STATES:
+        total = 0
+        for back, (a_d, a_u) in enumerate(counts[-1:-4:-1]):
+            own, other = (a_d, a_u) if state.alignment is Direction.DOWN else (a_u, a_d)
+            if back <= state.own_waits + state.other_waits:
+                total += own * (back + 1)
+            if back < state.own_waits:
+                total += other * (back + 1)
+        charges.append(total)
+    return charges
+
+
 def _reference_alignment_after(actions: Iterable[Action], entry: Direction) -> Direction:
     alignment = entry
     for action in actions:
@@ -484,7 +515,7 @@ def transition_cost(
     if prev not in predecessors(state):
         raise ValueError(f"{prev} is not a predecessor of {state}")
     shift = _SHIFT[mode]
-    (costs,) = slot_cost_table(arrival_counts(instance, t - shift - 3, t), shift)
+    (costs,) = slot_cost_table(arrival_counts(instance, t - shift - 3, t - shift))
     return _cost(costs, _slot(prev, state))
 
 

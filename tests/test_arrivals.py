@@ -1,7 +1,8 @@
 import io
 import math
+import re
 import sys
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, timedelta, timezone
 from fractions import Fraction
 
 import pytest
@@ -166,6 +167,28 @@ def test_minutes_for_matches_full_scan():
     assert ds.minutes_for(date(2019, 1, 4), Direction.DOWN) == []
     assert ds.minutes_for(date(2019, 1, 5), Direction.DOWN) == [1, 751, 1440]
     assert ds.minutes_for(date(2019, 1, 5), Direction.UP) == [1, 1440]
+
+
+_UTC = timezone.utc
+_PLUS_5 = timezone(timedelta(hours=5))
+
+
+@pytest.mark.parametrize(
+    "timestamps, message",
+    [
+        # Sorted by instant, the 01-03 record at +05:00 falls between two of
+        # 01-02, so 01-02 would not be one slice of the records.
+        ([datetime(2019, 1, 2, 23, 30, tzinfo=_UTC), datetime(2019, 1, 3, 1, 0, tzinfo=_PLUS_5),
+          datetime(2019, 1, 2, 22, 0, tzinfo=_UTC)], "got 2019-01-03T01:00:00+05:00"),
+        ([datetime(2019, 1, 2, 6, 0, tzinfo=_UTC)], "got 2019-01-02T06:00:00+00:00"),
+        ([datetime(2019, 1, 2, 6, 0), datetime(2019, 1, 2, 7, 0, tzinfo=_UTC)], "can't compare"),
+    ],
+    ids=["two-offsets", "one-aware", "naive-and-aware"],
+)
+def test_dataset_rejects_aware_timestamps(timestamps, message):
+    records = tuple(ArrivalRecord(ts, Direction.DOWN) for ts in timestamps)
+    with pytest.raises(ValueError, match=f"arrival timestamps must be naive datetimes.*{re.escape(message)}"):
+        ArrivalDataset(records)
 
 
 def test_extract_instance_prefix_selection():

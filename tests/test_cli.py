@@ -48,6 +48,39 @@ def test_synth_rejects_negative_days(tmp_path, capsys):
     assert "error: days must be >= 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sigma", ["inf", "1e308", "nan"])
+def test_synth_rejects_sigma_without_finite_draws(tmp_path, capsys, sigma):
+    out = tmp_path / "arrivals.csv"
+    assert main(["synth", "--sigma", sigma, "--out", str(out)]) == 1
+    assert "error: jitter sigma must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["experiment", "--arrivals", "a.csv", "--k-list", "a"], "argument --k-list: invalid _int_list value: 'a'"),
+        (["synth", "--bogus"], "unrecognized arguments: --bogus"),
+        (["fit"], "the following arguments are required: --arrivals"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["bad-value", "unknown-flag", "missing-flag", "no-command"],
+)
+def test_usage_errors_exit_1(capsys, argv, message):
+    """Exit code 2 means skipped instances, so a usage error exits 1, with
+    argparse's usage line and message on stderr."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: locksched")
+    assert f"error: {message}" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["experiment", "--help"]], ids=" ".join)
+def test_help_and_version_exit_0(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+
+
 def test_fit_single_day(arrivals_csv, capsys):
     code = main([
         "fit", "--arrivals", str(arrivals_csv), "--day", "2019-01-02",

@@ -255,6 +255,16 @@ def test_paper_literal_solve_matches_recorded(record, data):
     assert result.schedule.initial_alignment.value == initial_alignment
 
 
+@pytest.mark.parametrize("mode", [CANONICAL, PAPER_LITERAL])
+def test_solve_checks_its_schedule_by_simulation(monkeypatch, mode):
+    """Both modes check the reconstructed schedule against ``cyclic_average``
+    of the pattern they solved, so a wrong simulation is caught."""
+    inst = _inst((Direction.DOWN, 3, 1), (Direction.UP, 2, 2))
+    monkeypatch.setattr(dp, "_cyclic_average", lambda pattern, schedule: Fraction(-1))
+    with pytest.raises(AssertionError, match="simulates to -1"):
+        solve(inst, mode)
+
+
 def _assert_same_result(result, reference):
     assert result.avg_cost == reference.avg_cost
     assert result.total_cost == reference.total_cost
@@ -333,17 +343,20 @@ def test_slot_cost_table_equals_per_period_slot_costs(counts, shift, t_start):
     """The columnar table against ``slot_costs`` period by period, on a
     cyclic pattern (its lead-in wrapped from the pattern's end, as in
     ``solve``) and on a window with zero arrivals before it (as in
-    ``rolling.windowed_optimum``)."""
+    ``rolling.windowed_optimum``).  A window shifted back by ``shift``
+    periods is the table of the counts delayed by ``shift`` periods, which
+    is how ``solve`` computes the paper-literal convention."""
     lam = len(counts)
-    lead_in = [counts[t % lam] for t in range(-shift - 3, 0)]
+    delayed = [counts[(t - shift) % lam] for t in range(lam)]
+    lead_in = [delayed[t % lam] for t in range(-3, 0)]
     cyclic = [slot_costs(_cyclic(counts), t, shift) for t in range(1, lam + 1)]
-    assert slot_cost_table(lead_in + counts, shift) == cyclic
+    assert slot_cost_table(lead_in + delayed) == cyclic
 
     def window(t):
         return counts[t - t_start] if t_start <= t < t_start + lam else (0, 0)
 
     padded = [slot_costs(window, t, shift) for t in range(t_start, t_start + lam)]
-    assert slot_cost_table([(0, 0)] * (shift + 3) + counts, shift) == padded
+    assert slot_cost_table([(0, 0)] * (3 + shift) + counts)[:lam] == padded
 
 
 def _brute_force_work(lam, periods):

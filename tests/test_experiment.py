@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import re
 from collections import Counter
 from dataclasses import replace
 from datetime import date
@@ -216,6 +217,16 @@ def test_synth_rejects_nan_sigma():
         synth_dataset(0, 1, TWO_STREAM_SPEC, float("nan"))
 
 
+@pytest.mark.parametrize(
+    "sigma, message",
+    [(float("inf"), "and finite, got inf"), (1e308, "and small enough for finite draws, got 1e+308")],
+    ids=["inf", "overflowing-draw"],
+)
+def test_synth_rejects_sigma_without_finite_draws(sigma, message):
+    with pytest.raises(ValueError, match=re.escape(f"jitter sigma must be >= 0 {message}")):
+        synth_dataset(0, 1, TWO_STREAM_SPEC, sigma)
+
+
 def test_fit_day_direction_recovers_ground_truth():
     ds = synth_dataset(0, 1, TWO_STREAM_SPEC)
     fit = fit_day_direction(ds, date(2019, 1, 2), Direction.DOWN, 2, 20)
@@ -288,6 +299,37 @@ def test_parallel_matches_sequential():
     assert [(r.k, r.n, r.fit_minutes) for r in seq_fit] == [
         (r.k, r.n, r.fit_minutes) for r in par_fit
     ]
+
+
+@pytest.mark.parametrize(
+    "jobs, keys, workers",
+    [(8, [1, 2, 1], 2), (2, [1, 2, 3], 2), (8, [1, 1], None), (8, [], None), (1, [1, 2], None)],
+    ids=["jobs-over-keys", "keys-over-jobs", "one-key", "no-keys", "one-job"],
+)
+def test_shared_starts_at_most_one_worker_per_distinct_key(monkeypatch, jobs, keys, workers):
+    """A pool starts all its workers at once, so ``_shared`` sizes it by the
+    distinct keys and runs one key, or none, without a pool.  A stand-in
+    executor records the size and runs the tasks in process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiment, "_dataset", None)
+    assert experiment._shared(jobs, lambda data, key: (data, key), "data", keys) == [("data", key) for key in keys]
+    assert sizes == ([] if workers is None else [workers])
 
 
 @st.composite

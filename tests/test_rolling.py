@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_windowed_cost, reference_generate
+from oracles import oracle_windowed_cost, reference_generate, reference_terminal_charges
 
 from locksched.rolling import (
     CASE_CHEAP,
@@ -19,6 +19,7 @@ from locksched.rolling import (
     default_window,
     generate,
     next_chunk,
+    _terminal_charges,
     windowed_optimum,
 )
 from locksched.schedule import (
@@ -30,7 +31,7 @@ from locksched.schedule import (
     arrival_counts,
     simulate,
 )
-from locksched.dp import solve
+from locksched.dp import slot_cost_table, solve
 
 
 def _inst(*specs):
@@ -119,6 +120,16 @@ def test_windowed_optimum_equals_exhaustive_oracle(inst, t_start, n):
     expected = Direction.UP if costs[Direction.UP] < costs[Direction.DOWN] else Direction.DOWN
     free = windowed_optimum(inst, t_start, t_end)
     assert (free.cost, free.entry_alignment) == (costs[expected], expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=6))
+def test_terminal_charges_equal_per_period_reference(counts):
+    """One slot-cost row past the window gives every state's terminal
+    charge, for windows shorter than the three periods a charge reaches
+    back as well."""
+    past = slot_cost_table([(0, 0)] * 3 + counts + [(0, 0)])[-1]
+    assert _terminal_charges(past) == reference_terminal_charges(counts)
 
 
 def test_windowed_optimum_cap():
