@@ -42,8 +42,18 @@ whose row prices the terminal charges.
 The forward pass (``lane``) is one straight-line step per period over the
 eight state values and the period's six slot costs: four copies for the
 wait states and four two-way minimums for the switch states.  Each step keeps
-one int of four choice bits as its backpointers.  The rolling-horizon windows
-in ``rolling`` run through the same lane.
+one int of four choice bits as its backpointers.
+
+``solve_window`` is the finite-horizon variant that solves each window of the
+rolling-horizon scheme in ``rolling``: one lane over the window's periods
+from its entry state (the lock position, fresh wait counters), plus each end
+state's terminal charge for the arrivals still queued, priced by the slot-cost
+row of one empty period past the window.  A free entry starts the one lane in
+both entry states at once, Down at 0 and Up at 1/2.  A lane is min-plus linear
+in its start, so it ends at the lower of the two entries' own lanes; the half
+makes every comparison between a Down-origin and an Up-origin path strict, so
+the winning path keeps its own entry's choice bits, and a tie between the
+entries goes Down.
 """
 
 from __future__ import annotations
@@ -53,7 +63,8 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, List, NamedTuple, Sequence, Tuple
+from operator import add
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .schedule import (
     Action,
@@ -221,6 +232,49 @@ def decode_lane(back: Sequence[int], final: int) -> Tuple[int, Tuple[Action, ...
         s_id = _FIRST_PRED[s_id] + (bits >> s_id & 1)
     actions.reverse()
     return s_id, tuple(actions)
+
+
+@dataclass(frozen=True)
+class WindowSolution:
+    cost: int
+    actions: Tuple[Action, ...]
+    entry_alignment: Direction
+
+
+def _terminal_charges(past: Sequence[int]) -> List[int]:
+    """The end-of-window charge of each state in ``ALL_STATES``, by state id.
+
+    ``past`` is the slot-cost row of the period just past the window, which
+    charges each arrival ``back`` periods before the window's last one
+    back + 1, the waits it has accrued.  A state's unserved arrivals reach
+    back own + other + 1 periods on its aligned side (the window
+    own + other + 2) and ``own`` periods on the other side.  Periods before
+    the window contribute nothing.
+    """
+    return [
+        past[3 * (alignment is Direction.UP) + own + other] + (past[3 * (alignment is Direction.DOWN)] if own else 0)
+        for alignment, own, other in ALL_STATES
+    ]
+
+
+def solve_window(counts: List[Tuple[int, int]], position: Optional[Direction]) -> WindowSolution:
+    """Exact minimum waiting within a window of per-period (down, up) ``counts``.
+
+    Queues are empty entering the window, and arrivals still queued after it
+    are charged their waits so far.  ``position`` fixes the lock's
+    orientation entering the window; None means free, taking the cheaper
+    orientation and DOWN on a tie.  A free entry runs one lane from Down at 0
+    and Up at 1/2 and truncates the end value; the half is exact because lane
+    values stay far below 2**53 (windows are capped at 200,000 periods).
+    """
+    steps = slot_cost_table([(0, 0)] * 3 + counts + [(0, 0)])
+    charges = _terminal_charges(steps.pop())
+    entries = {Direction.DOWN: 0, Direction.UP: 0.5} if position is None else {position: 0}
+    start = [entries.get(alignment, _INF) if own == other == 0 else _INF for alignment, own, other in ALL_STATES]
+    values, back = lane(start, steps)
+    cost, final = min(zip(map(add, values, charges), range(8)))
+    start_id, actions = decode_lane(back, final)
+    return WindowSolution(cost=int(cost), actions=actions, entry_alignment=ALL_STATES[start_id].alignment)
 
 
 def _normalised(values: Sequence[float]) -> Tuple[float, Tuple[float, ...]]:

@@ -13,10 +13,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
-from .dp import ALL_STATES, LockState, decode_lane, lane, slot_cost_table, start_values
+from .dp import WindowSolution, solve_window
 from .schedule import (
     Action,
     Direction,
@@ -40,7 +39,10 @@ def default_window(k: int, epsilon: float) -> int:
     """40*k^2/eps rounded up to an even integer, floored at 4."""
     if not epsilon > 0:  # also rejects NaN
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    w = math.ceil(40 * k * k / epsilon)
+    quotient = 40 * k * k / epsilon
+    if not math.isfinite(quotient):
+        raise ValueError(f"epsilon {epsilon} is too small: 40*k^2/epsilon overflows")
+    w = math.ceil(quotient)
     if w % 2:
         w += 1
     return max(w, 4)
@@ -75,29 +77,6 @@ class Chunk:
     next_position: Optional[Direction]  # None = free
 
 
-@dataclass(frozen=True)
-class WindowSolution:
-    cost: int
-    actions: Tuple[Action, ...]
-    entry_alignment: Direction
-
-
-def _terminal_charges(past: Sequence[int]) -> List[int]:
-    """The end-of-window charge of each state in ``ALL_STATES``, by state id.
-
-    ``past`` is the slot-cost row of the period just past the window, which
-    charges each arrival ``back`` periods before the window's last one
-    back + 1, the waits it has accrued.  A state's unserved arrivals reach
-    back own + other + 1 periods on its aligned side (the window
-    own + other + 2) and ``own`` periods on the other side.  Periods before
-    the window contribute nothing.
-    """
-    return [
-        past[3 * (alignment is Direction.UP) + own + other] + (past[3 * (alignment is Direction.DOWN)] if own else 0)
-        for alignment, own, other in ALL_STATES
-    ]
-
-
 def windowed_optimum(
     instance: PeriodicInstance,
     t_start: int,
@@ -110,7 +89,7 @@ def windowed_optimum(
     free, taking the better of the two orientations.
     """
     _check_window(t_start, t_end)
-    return _window_optimum(arrival_counts(instance, t_start, t_end), position)
+    return solve_window(arrival_counts(instance, t_start, t_end), position)
 
 
 def _check_window(t_start: int, t_end: int) -> None:
@@ -120,27 +99,6 @@ def _check_window(t_start: int, t_end: int) -> None:
         raise WindowCapExceededError(f"window of {t_end - t_start + 1} periods exceeds cap {DEFAULT_WINDOW_CAP}")
     if t_start < 1:
         raise ValueError(f"period must be >= 1, got {t_start}")
-
-
-def _window_optimum(counts: List[Tuple[int, int]], position: Optional[Direction]) -> WindowSolution:
-    """``windowed_optimum`` over the window's arrival counts ``counts``."""
-    # Arrivals clipped to the window: periods before t_start contribute nothing,
-    # so costs count exactly the in-window waits of in-window arrivals.  The
-    # row of one empty period past the window prices the terminal charges.
-    steps = slot_cost_table([(0, 0)] * 3 + counts + [(0, 0)])
-    charges = _terminal_charges(steps.pop())
-
-    def lane_end(entry: Direction) -> Tuple[int, int, List[int], Direction]:
-        # The lane starts in the virtual state (entry, 0, 0): the lock
-        # position entering t_start, with fresh wait counters.
-        values, back = lane(start_values(ALL_STATES.index(LockState(entry, 0, 0))), steps)
-        cost, final = min((v + charge, s_id) for s_id, (v, charge) in enumerate(zip(values, charges)) if v != math.inf)
-        return cost, final, back, entry
-
-    # A free entry takes the cheaper orientation, DOWN on a tie (min keeps the first).
-    entries = (Direction.DOWN, Direction.UP) if position is None else (position,)
-    cost, final, back, entry = min(map(lane_end, entries), key=itemgetter(0))
-    return WindowSolution(cost=cost, actions=decode_lane(back, final)[1], entry_alignment=entry)
 
 
 # The gap scan reads the window's arrivals in blocks of this many periods,
@@ -179,7 +137,7 @@ def next_chunk(instance: PeriodicInstance, request: ChunkRequest) -> Chunk:
         # makes clearing every queue within the arrival-free gap optimal, so
         # nothing carries over to the next chunk.
         counts = counts[: gap + 2]
-        sol = _window_optimum(counts, request.position)
+        sol = solve_window(counts, request.position)
         run = simulate(counts, list(sol.actions), len(sol.actions), initial_alignment=sol.entry_alignment)
         # Trailing gap periods count as rewritable only once the queues are
         # empty entering them (a zero per-period cost means an empty queue).
@@ -203,7 +161,7 @@ def next_chunk(instance: PeriodicInstance, request: ChunkRequest) -> Chunk:
         case, cost, next_position = CASE_GAP, run.total_wait, None
     else:
         _check_window(t, t_end)
-        sol = _window_optimum(counts, request.position)
+        sol = solve_window(counts, request.position)
         if sol.cost <= 2 * instance.k / request.epsilon:
             # Case: cheap window; keep periods t..t + window // 2 + 1 and hand
             # off the lock position.

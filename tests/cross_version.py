@@ -6,12 +6,15 @@ Standard library only, so that it runs under any supported interpreter with
     PYTHONPATH=src python -B tests/cross_version.py < request.json
 
 The request is ``{"synth": [[seed, days, {"D": [[mu, lambda], ...], ...},
-sigma], ...], "parse": text}``.  The reply holds the SHA-256 of each
-serialised synthetic dataset, the records parsed from ``text`` as
-(timestamp, token) pairs, and the exit codes and reports of ``locksched
-experiment --k-list 2,3 --n-list 10,20`` on ``locksched synth --seed 0
---days 3 --sigma 5``: ``fit.csv`` without its Runtime column, and
-``schedule.csv``.
+sigma], ...], "parse": text, "instance": document}``.  The reply holds the
+SHA-256 of each serialised synthetic dataset, the records parsed from
+``text`` as (timestamp, token) pairs, and the exit codes and outputs of four
+commands: ``locksched experiment --k-list 2,3 --n-list 10,20`` on
+``locksched synth --seed 0 --days 3 --sigma 5`` (``fit.csv`` without its
+Runtime column, and ``schedule.csv``), then ``locksched schedule`` (its JSON)
+and ``locksched rolling --epsilon 0.5 --chunks 4`` (its JSON lines) on the
+instance ``document``.  A free rolling window runs one lane with its Up
+entry half a unit higher, so the chunks also check that float start.
 """
 
 import csv
@@ -44,12 +47,23 @@ def results(request):
         fit = list(csv.reader(io.StringIO(Path(tmp, "fit.csv").read_text(encoding="utf-8"))))
         runtime = fit[0].index("Runtime")
         schedule = Path(tmp, "schedule.csv").read_text(encoding="utf-8")
+        instance = Path(tmp, "instance.json")
+        instance.write_text(json.dumps(request["instance"]), encoding="utf-8")
+        optimal, chunks = (Path(tmp, name) for name in ("optimal.json", "chunks.jsonl"))
+        codes += [
+            main(["schedule", "--instance", str(instance), "--out", str(optimal)]),
+            main(["rolling", "--instance", str(instance), "--epsilon", "0.5", "--chunks", "4", "--out", str(chunks)]),
+        ]
+        optimal_json = json.loads(optimal.read_text(encoding="utf-8"))
+        chunk_lines = chunks.read_text(encoding="utf-8").splitlines()
     return {
         "codes": codes,
         "synth": digests,
         "parse": parsed,
         "fit": [row[:runtime] + row[runtime + 1:] for row in fit],
         "schedule": schedule,
+        "optimal": optimal_json,
+        "rolling": chunk_lines,
     }
 
 

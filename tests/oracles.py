@@ -43,7 +43,10 @@ period t - shift; it checks the table at large periods against
 definition as a window shifted back by one period (``_SHIFT``), while
 ``dp.solve`` solves the canonical DP on the pattern delayed by one period.
 ``reference_terminal_charges`` is the per-state, per-period loop that
-``rolling._terminal_charges`` replaced with one slot-cost row.
+``dp._terminal_charges`` replaced with one slot-cost row.
+``reference_solve_window`` is the window solve with one lane per entry
+orientation, which ``dp.solve_window`` replaced with one lane from both
+entries, Up a half higher.
 ``reference_run_experiment`` is the experiment with no sharing: it fits every
 (k, n, day, direction) and evaluates every (k, n, day) on its own with the
 references above, and formats both reports with the package's writers.
@@ -60,7 +63,7 @@ from bisect import bisect_left
 from datetime import date, datetime
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product
-from operator import sub
+from operator import itemgetter, sub
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from locksched.arrivals import CSV_HEADER, ArrivalDataset, ArrivalRecord, MatchingInstance
@@ -73,8 +76,13 @@ from locksched.dp import (
     OptimalResult,
     LockState,
     PeriodCapExceededError,
+    WindowSolution,
+    _terminal_charges,
+    decode_lane,
+    lane,
     predecessors,
     slot_cost_table,
+    start_values,
 )
 from locksched.experiment import ExperimentConfig, FitRow, ScheduleRow, fit_report_csv, schedule_report_csv
 from locksched.matching import (
@@ -326,6 +334,28 @@ def reference_terminal_charges(counts: Sequence[Tuple[int, int]]) -> List[int]:
                 total += other * (back + 1)
         charges.append(total)
     return charges
+
+
+def reference_solve_window(counts: List[Tuple[int, int]], position: Optional[Direction]) -> WindowSolution:
+    """``dp.solve_window`` with one lane per entry orientation, the cheaper
+    one kept: the window solve as it was before a free entry ran one lane."""
+    # Arrivals clipped to the window: periods before t_start contribute nothing,
+    # so costs count exactly the in-window waits of in-window arrivals.  The
+    # row of one empty period past the window prices the terminal charges.
+    steps = slot_cost_table([(0, 0)] * 3 + counts + [(0, 0)])
+    charges = _terminal_charges(steps.pop())
+
+    def lane_end(entry: Direction) -> Tuple[int, int, List[int], Direction]:
+        # The lane starts in the virtual state (entry, 0, 0): the lock
+        # position entering t_start, with fresh wait counters.
+        values, back = lane(start_values(ALL_STATES.index(LockState(entry, 0, 0))), steps)
+        cost, final = min((v + charge, s_id) for s_id, (v, charge) in enumerate(zip(values, charges)) if v != math.inf)
+        return cost, final, back, entry
+
+    # A free entry takes the cheaper orientation, DOWN on a tie (min keeps the first).
+    entries = (Direction.DOWN, Direction.UP) if position is None else (position,)
+    cost, final, back, entry = min(map(lane_end, entries), key=itemgetter(0))
+    return WindowSolution(cost=cost, actions=decode_lane(back, final)[1], entry_alignment=entry)
 
 
 def _reference_alignment_after(actions: Iterable[Action], entry: Direction) -> Direction:

@@ -169,6 +169,20 @@ def test_rolling_command_rejects_nan_epsilon(tmp_path, capsys, window):
     assert err.startswith("error: epsilon must be positive")
 
 
+@pytest.mark.parametrize(
+    "epsilon, message",
+    [("1e-320", "error: epsilon 1e-320 is too small"), ("1e-300", "error: window of ")],
+    ids=["overflow", "window-cap"],
+)
+def test_rolling_command_rejects_tiny_epsilon(tmp_path, capsys, epsilon, message):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"streams": [{"direction": "D", "lambda": 2, "mu": 1},
+                                            {"direction": "U", "lambda": 3, "mu": 2}]}))
+    code = main(["rolling", "--instance", str(inst), "--epsilon", epsilon])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(message)
+
+
 @pytest.mark.parametrize("command", [["schedule"], ["rolling", "--epsilon", "1.0"]], ids=["schedule", "rolling"])
 @pytest.mark.parametrize(
     "document, message",

@@ -1,6 +1,7 @@
-"""The same synth bytes, parse and experiment reports on every supported
-Python: ``cross_version.py`` runs under each interpreter found in pyenv's
-versions directory, and its reply must equal the one computed in process."""
+"""The same synth bytes, parse, experiment reports, optimal schedule and
+rolling chunks on every supported Python: ``cross_version.py`` runs under
+each interpreter found in pyenv's versions directory, and its reply must
+equal the one computed in process."""
 
 import json
 import os
@@ -32,6 +33,15 @@ REQUEST = {
         for seed, days, spec, sigma, _ in SYNTH_PINS
     ],
     "parse": PARSE_TEXT,
+    # Every rolling chunk here is a gap chunk with a free entry that the
+    # one-lane window solve gives to UP, the entry started half a unit higher.
+    "instance": {
+        "streams": [
+            {"direction": "D", "lambda": 5, "mu": 2},
+            {"direction": "U", "lambda": 3, "mu": 1},
+            {"direction": "U", "lambda": 7, "mu": 7},
+        ]
+    },
 }
 
 
@@ -46,6 +56,10 @@ def expected():
         ["2019-01-03T00:00:00", "U"],
         ["2019-01-03T23:59:00", "D"],
     ]
+    assert reply["codes"] == [0, 0, 0, 0]
+    chunks = [json.loads(line) for line in reply["rolling"]]
+    assert [(c["case"], c["entry_alignment"]) for c in chunks] == [("gap", "U")] * 4
+    assert reply["optimal"].keys() == {"canonical", "paper-literal"}
     return reply
 
 

@@ -357,6 +357,14 @@ def test_search_counters_logged(caplog):
     assert solve_matching(_inst([5, 9, 10, 11], T=11), 2).cost == 3
     (record,) = caplog.records
     assert (record.compositions_pruned, record.prefixes_pruned, record.candidates_scored) == (0, 6, 20)
+    caplog.clear()
+    # The last two streams both have count 1 in the best composition, so the
+    # last one's walk, which runs over all rows in first-point order, must
+    # skip the anchors past the one before it (each pair is visited once),
+    # not score them: scoring them too counts (1, 3, 23) for the same fit.
+    assert best_fit(_inst([3, 4, 9, 16], T=16), 3).cost == 1
+    (record,) = caplog.records
+    assert (record.compositions_pruned, record.prefixes_pruned, record.candidates_scored) == (1, 8, 18)
 
 
 def test_oracle_identity_and_example():

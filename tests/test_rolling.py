@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_windowed_cost, reference_generate, reference_terminal_charges
+from oracles import oracle_windowed_cost, reference_generate, reference_solve_window, reference_terminal_charges
 
+from locksched import dp
 from locksched.rolling import (
     CASE_CHEAP,
     CASE_FULL,
@@ -19,7 +20,6 @@ from locksched.rolling import (
     default_window,
     generate,
     next_chunk,
-    _terminal_charges,
     windowed_optimum,
 )
 from locksched.schedule import (
@@ -31,7 +31,7 @@ from locksched.schedule import (
     arrival_counts,
     simulate,
 )
-from locksched.dp import slot_cost_table, solve
+from locksched.dp import _terminal_charges, slot_cost_table, solve, solve_window
 
 
 def _inst(*specs):
@@ -50,6 +50,10 @@ def test_default_window():
         default_window(2, 0)
     with pytest.raises(ValueError, match="epsilon must be positive"):
         default_window(2, float("nan"))
+    # 40*k^2/epsilon overflows to inf, which has no ceiling.
+    with pytest.raises(ValueError, match="epsilon 1e-320 is too small"):
+        default_window(2, 1e-320)
+    assert default_window(2, 1e-300) > DEFAULT_WINDOW_CAP
 
 
 def test_chunk_request_validation():
@@ -130,6 +134,44 @@ def test_terminal_charges_equal_per_period_reference(counts):
     back as well."""
     past = slot_cost_table([(0, 0)] * 3 + counts + [(0, 0)])[-1]
     assert _terminal_charges(past) == reference_terminal_charges(counts)
+
+
+_COUNTS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_COUNTS, st.sampled_from((None, Direction.DOWN, Direction.UP)))
+def test_solve_window_equals_two_lane_reference(counts, position):
+    """One lane from both entries, Up a half higher, gives the cost, the
+    actions and the entry of the cheaper entry's own lane."""
+    assert solve_window(counts, position) == reference_solve_window(counts, position)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [[(0, 0)], [(0, 0)] * 7, [(1, 1)] * 5, [(2, 2), (0, 0), (0, 0), (1, 1)], [(3, 3), (0, 0), (1, 1), (1, 1), (0, 0)]],
+    ids=["empty-1", "empty-7", "both-every-period", "both-after-gap", "mixed"],
+)
+def test_solve_window_free_tie_enters_down(counts):
+    """Windows with equal counts on both sides cost the same from either
+    entry, and a free entry then takes DOWN."""
+    down, up = (reference_solve_window(counts, entry) for entry in (Direction.DOWN, Direction.UP))
+    assert down.cost == up.cost
+    free = solve_window(counts, None)
+    assert free == down and free.entry_alignment is Direction.DOWN
+
+
+def test_free_window_runs_one_lane(monkeypatch):
+    run_lane = dp.lane
+    starts = []
+
+    def counted_lane(start, steps):
+        starts.append(start)
+        return run_lane(start, steps)
+
+    monkeypatch.setattr(dp, "lane", counted_lane)
+    windowed_optimum(_inst((Direction.DOWN, 3, 1), (Direction.UP, 4, 2)), 1, 30)
+    assert len(starts) == 1
 
 
 def test_windowed_optimum_cap():
