@@ -1,7 +1,11 @@
 """Online baseline policies and replay of a fixed periodic schedule.
 
-All policies emit an explicit action trace; the reported result is always
-reproducible by feeding the trace back through the simulator.
+All policies emit an explicit action trace with its result.  FIFO, advanced
+FIFO and alternation score their own traces: the FIFO loop that decides each
+action already keeps both queues, and strict alternation's queue in each
+period is that period's arrivals on the side not served.  Periodic replay
+scores its trace with ``schedule.simulate``, the reference recurrence that
+the tests replay every policy's trace against.
 """
 
 from __future__ import annotations
@@ -9,13 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle, islice
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .schedule import (
     Action,
     Direction,
     Schedule,
     SimulationResult,
+    _simulation_result,
     simulate,
 )
 
@@ -33,59 +38,69 @@ class PolicyRun:
         return self.result.avg_wait_per_vessel * period_minutes
 
 
-def _run(policy: str, arrivals: Arrivals, actions: List[Action], horizon: int, alignment: Direction) -> PolicyRun:
-    result = simulate(arrivals, actions, horizon, initial_alignment=alignment)
-    return PolicyRun(policy=policy, actions=tuple(actions), initial_alignment=alignment, result=result)
-
-
 def alternating(arrivals: Arrivals, horizon: int) -> PolicyRun:
     """Strict alternation with no waits; the better of the two phases wins.
 
     Under strict alternation a vessel that arrives in a period serving its
     side waits no period, and one that arrives in a period serving the other
-    side waits exactly one.  So the downstream-first phase waits for the
-    downstream arrivals of even periods and the upstream arrivals of odd
-    ones, and the upstream-first phase for every other arrival.  The phase
-    is picked from those sums, ties going to the downstream-first phase, and
-    only the winner's trace is simulated.
+    side waits exactly one, so each period's queue after the lockage is that
+    period's arrivals on the side not served.  The downstream-first phase
+    therefore waits for the upstream arrivals of odd periods and the
+    downstream arrivals of even ones, and the upstream-first phase for every
+    other arrival.  The phase is picked from those sums, ties going to the
+    downstream-first phase, and the winner's per-period costs are the two
+    interleaved columns.
     """
-    # Slicing never raises, so a horizon below 1 is still rejected by simulate.
     window = arrivals[:horizon]
     down, up = zip(*window) if window else ((), ())
     down_first_wait = sum(down[1::2]) + sum(up[::2])
     up_first_wait = sum(down[::2]) + sum(up[1::2])
     first = Direction.DOWN if down_first_wait <= up_first_wait else Direction.UP
-    actions = [Action.process(first), Action.process(first.flip())] * (horizon // 2 + 1)
-    del actions[horizon:]
-    return _run("alternating", arrivals, actions, horizon, first)
+    # Periods 1, 3, ... serve ``first``: their queue is the other side's column.
+    costs, other = (list(up), down) if first is Direction.DOWN else (list(down), up)
+    costs[1::2] = other[1::2]
+    costs += [0] * (horizon - len(costs))
+    # Each arrival waits in exactly one of the two phases.
+    result = _simulation_result(horizon, costs, down_first_wait + up_first_wait)
+    actions = (Action.process(first), Action.process(first.flip())) * (horizon // 2 + 1)
+    return PolicyRun("alternating", actions[:horizon], first, result)
 
 
-def _fifo_actions(arrivals: Arrivals, horizon: int, alignment: Direction, lookahead: bool) -> List[Action]:
-    """The action trace of ``fifo``, or of ``adv_fifo`` with ``lookahead``."""
+def _fifo(policy: str, arrivals: Arrivals, horizon: int, alignment: Direction, lookahead: bool) -> PolicyRun:
+    """The run of ``fifo``, or of ``adv_fifo`` with ``lookahead``.
+
+    The loop keeps both queues as ``simulate`` does and records their total
+    after each lockage.  A wait happens only with both queues empty and
+    nothing arriving, so a waiting period keeps its preset wait action and
+    cost 0 and adds no arrival.
+    """
     # Periods 1..horizon+1, so the lookahead can read one period past the end.
     padded = list(arrivals[: horizon + 1])
     padded += [(0, 0)] * (horizon + 1 - len(padded))
-    wait, serve_down, serve_up = Action.WAIT, Action.PROCESS_DOWN, Action.PROCESS_UP
+    serve_down, serve_up = Action.PROCESS_DOWN, Action.PROCESS_UP
     down = alignment is Direction.DOWN
-    n_d = n_u = 0
-    actions: List[Action] = []
+    n_d = n_u = n_arrivals = 0
+    actions = [Action.WAIT] * horizon
+    costs = [0] * horizon
     for t in range(horizon):
         a_d, a_u = padded[t]
         # Idle lookahead: the next period's arrival on the side opposite the
         # alignment, which is index 1 (up) when aligned down and 0 otherwise.
-        if n_d + n_u + a_d + a_u > 0 or (lookahead and padded[t + 1][down] > 0):
+        if n_d or n_u or a_d or a_u or (lookahead and padded[t + 1][down]):
+            n_arrivals += a_d + a_u
             if down:
-                actions.append(serve_down)
+                actions[t] = serve_down
                 n_d = 0
                 n_u += a_u
+                costs[t] = n_u
             else:
-                actions.append(serve_up)
+                actions[t] = serve_up
                 n_u = 0
                 n_d += a_d
+                costs[t] = n_d
             down = not down
-        else:
-            actions.append(wait)
-    return actions
+    result = _simulation_result(horizon, costs, n_arrivals)
+    return PolicyRun(policy, tuple(actions), alignment, result)
 
 
 def fifo(arrivals: Arrivals, horizon: int, initial_alignment: Direction = Direction.DOWN) -> PolicyRun:
@@ -94,8 +109,7 @@ def fifo(arrivals: Arrivals, horizon: int, initial_alignment: Direction = Direct
     The lockage always runs from the current alignment; an empty lockage is
     the only way to reach vessels stuck on the opposite side.
     """
-    actions = _fifo_actions(arrivals, horizon, initial_alignment, lookahead=False)
-    return _run("fifo", arrivals, actions, horizon, initial_alignment)
+    return _fifo("fifo", arrivals, horizon, initial_alignment, lookahead=False)
 
 
 def adv_fifo(arrivals: Arrivals, horizon: int, initial_alignment: Direction = Direction.DOWN) -> PolicyRun:
@@ -105,8 +119,7 @@ def adv_fifo(arrivals: Arrivals, horizon: int, initial_alignment: Direction = Di
     current alignment, run an empty lockage now so that arrival is served on
     arrival.
     """
-    actions = _fifo_actions(arrivals, horizon, initial_alignment, lookahead=True)
-    return _run("advfifo", arrivals, actions, horizon, initial_alignment)
+    return _fifo("advfifo", arrivals, horizon, initial_alignment, lookahead=True)
 
 
 def realized_periodic(
@@ -117,5 +130,7 @@ def realized_periodic(
     The schedule is applied exactly as produced, anchored at period 1; no
     rotation or alignment search is performed.
     """
-    actions = list(islice(cycle(schedule.actions), horizon))
-    return _run("realizedPeriodic", arrivals, actions, horizon, schedule.initial_alignment)
+    # Simulated first: it rejects a horizon below 1 before islice can.
+    result = simulate(arrivals, schedule, horizon)
+    actions = tuple(islice(cycle(schedule.actions), horizon))
+    return PolicyRun("realizedPeriodic", actions, schedule.initial_alignment, result)

@@ -165,6 +165,25 @@ class SimulationResult:
     avg_wait_per_vessel: Fraction
 
 
+def _simulation_result(horizon: int, costs: Sequence[int], n_arrivals: int) -> SimulationResult:
+    """The result of a run over [1, horizon] with these per-period queue totals.
+
+    Rejects a horizon below 1 with ``simulate``'s message, so a policy that
+    scores its own trace rejects one as the simulator does.
+    """
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    total = sum(costs)
+    return SimulationResult(
+        horizon=horizon,
+        per_period_cost=tuple(costs),
+        total_wait=total,
+        n_arrivals=n_arrivals,
+        avg_wait_per_period=Fraction(total, horizon),
+        avg_wait_per_vessel=Fraction(total, n_arrivals) if n_arrivals else Fraction(0),
+    )
+
+
 ArrivalSource = Union[Callable[[int], Tuple[int, int]], Iterable[Tuple[int, int]]]
 
 
@@ -183,15 +202,18 @@ def simulate(
     covering the horizon.  Raises InfeasibleScheduleError if a processing
     action does not match the lock's alignment.
 
-    This is the only queue recurrence: every policy trace is scored here.
-    The loop zips the arrivals with the actions, and only those: a list or
-    tuple of arrivals exactly ``horizon`` long, and a trace exactly that
-    long, are iterated as they are; otherwise the callable is mapped over
-    the periods, other arrivals are cut and padded with empty periods, and
-    the trace is cut or cycled to the horizon.  The period of an alignment
-    error is one past the costs recorded.  Each action is tested by identity
-    against a boolean alignment; the loop deliberately avoids hashing
-    ``Action`` members, whose ``__hash__`` is Python code.
+    This is the reference queue recurrence.  FIFO, advanced FIFO and
+    alternation score their own traces, and the tests replay those traces
+    here; periodic replay, rolling plans and cyclic averages are scored here
+    directly.  The horizon is checked first, before the arrivals and the
+    trace are cut to it.  The loop zips the arrivals with the actions, and
+    only those: a list or tuple of arrivals exactly ``horizon`` long, and a
+    trace exactly that long, are iterated as they are; otherwise the
+    callable is mapped over the periods, other arrivals are cut and padded
+    with empty periods, and the trace is cut or cycled to the horizon.  The
+    period of an alignment error is one past the costs recorded.  Each action
+    is tested by identity against a boolean alignment; the loop deliberately
+    avoids hashing ``Action`` members, whose ``__hash__`` is Python code.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -238,16 +260,7 @@ def simulate(
             n_u = 0
             n_d += a_d
         costs.append(n_d + n_u)
-    total = sum(costs)
-    per_vessel = Fraction(total, n_arrivals) if n_arrivals else Fraction(0)
-    return SimulationResult(
-        horizon=horizon,
-        per_period_cost=tuple(costs),
-        total_wait=total,
-        n_arrivals=n_arrivals,
-        avg_wait_per_period=Fraction(total, horizon),
-        avg_wait_per_vessel=per_vessel,
-    )
+    return _simulation_result(horizon, costs, n_arrivals)
 
 
 def cyclic_average(instance: PeriodicInstance, schedule: Schedule) -> Fraction:

@@ -2,8 +2,9 @@
 
 Each digest covers one output, as JSON lines: ``dp.solve`` in each mode,
 ``rolling.windowed_optimum`` (free and fixed entry, windows of 1 to 40
-periods) and ``rolling.generate`` (plans of 1 to 4 chunks).  Any change to a
-cost, a tie-break, an action or a handoff changes a digest.
+periods), ``rolling.generate`` (plans of 1 to 4 chunks) and every policy run
+on 30 synthetic days at 3-minute periods.  Any change to a cost, a
+tie-break, an action or a handoff changes a digest.
 """
 
 import hashlib
@@ -12,7 +13,10 @@ import random
 
 import pytest
 
+from locksched.arrivals import bucket_to_periods
 from locksched.dp import CANONICAL, PAPER_LITERAL, result_to_json_dict, solve
+from locksched.experiment import synth_dataset
+from locksched.policies import adv_fifo, alternating, fifo, realized_periodic
 from locksched.rolling import chunk_to_json, generate, windowed_optimum
 from locksched.schedule import Direction, PeriodicInstance, StreamSpec
 
@@ -53,11 +57,41 @@ def _plan_lines():
         yield from map(chunk_to_json, plan.chunks)
 
 
+# The replay generator's streams in minutes (offset, spacing), and the same
+# streams in 3-minute periods (direction, lambda, mu) for the periodic schedule.
+_REPLAY_SPEC = {
+    Direction.DOWN: [(63, 126), (126, 126), (40, 90), (7, 35)],
+    Direction.UP: [(21, 126), (126, 126), (11, 45)],
+}
+_REPLAY_STREAMS = (
+    (Direction.DOWN, 42, 21), (Direction.DOWN, 42, 42), (Direction.DOWN, 30, 13), (Direction.DOWN, 12, 2),
+    (Direction.UP, 42, 7), (Direction.UP, 42, 42), (Direction.UP, 15, 4),
+)
+
+
+def _policy_lines(days=30, period_minutes=3, horizon=480):
+    dataset = synth_dataset(0, days, _REPLAY_SPEC, 5.0)
+    schedule = solve(PeriodicInstance(tuple(StreamSpec(*s) for s in _REPLAY_STREAMS))).schedule
+    for day in dataset.days():
+        counts = bucket_to_periods(dataset, day, period_minutes, horizon)
+        runs = [alternating(counts, horizon)]
+        for start in _DIRECTIONS:
+            runs += [fifo(counts, horizon, start), adv_fifo(counts, horizon, start)]
+        runs.append(realized_periodic(schedule, counts, horizon))
+        for run in runs:
+            result = run.result
+            yield json.dumps([
+                run.policy, "".join(a.value for a in run.actions), run.initial_alignment.value,
+                result.total_wait, result.n_arrivals, list(result.per_period_cost),
+            ])
+
+
 PINS = [
     ("solve-canonical", lambda: _solve_lines(CANONICAL), "0528cdf511d245b60c75c2167cf73928e1b19b619e51e6f9ae876ca6b57baeab"),
     ("solve-paper-literal", lambda: _solve_lines(PAPER_LITERAL), "306467ade3e36afbbaf80632b7350e5a9a42c921f5bbc461828c6345273c6399"),
     ("windowed-optimum", _window_lines, "1fd5e1611a671831c6d50ae1553f05be7188b471f29177d8c884decd4b9ac61b"),
     ("generate", _plan_lines, "f380364df2c04ceb581333dba45ac771623965521de404dfa586678f8a5a4bc2"),
+    ("policies", _policy_lines, "a184e01a5594dd01ac4dc0857eb3918b98b2f5645934f9c4118c5bd8e36c0d80"),
 ]
 
 

@@ -39,38 +39,95 @@ def test_alternating_picks_better_phase():
     assert run.actions[0] is U
 
 
-@pytest.mark.parametrize("horizon", [0, -1, -7])
-@pytest.mark.parametrize("arrivals", [[], [(1, 0), (0, 2), (3, 1)]], ids=["empty", "three"])
-def test_alternating_rejects_horizon_below_one_like_reference(arrivals, horizon):
+_ALTERNATION = Schedule((D, U), Direction.DOWN)
+
+
+def _replay(schedule_run):
+    return lambda arrivals, horizon: schedule_run(_ALTERNATION, arrivals, horizon)
+
+
+def _from(run, start):
+    return lambda arrivals, horizon: run(arrivals, horizon, start)
+
+
+def _cases(runs, shapes):
+    """One case per (policy, reference) pair of ``runs`` and per shape.
+
+    The alternating cases keep the shape's bare id; the others prefix it
+    with the run's name.
+    """
+    return [
+        pytest.param(fast, reference, *shape.values, id=shape.id if name == "alternating" else f"{name}-{shape.id}")
+        for name, (fast, reference) in runs.items()
+        for shape in shapes
+    ]
+
+
+_ALL_POLICIES = {
+    "alternating": (alternating, reference_alternating),
+    "fifo": (fifo, reference_fifo),
+    "adv_fifo": (adv_fifo, reference_adv_fifo),
+    "realized_periodic": (_replay(realized_periodic), _replay(reference_realized_periodic)),
+}
+
+
+@pytest.mark.parametrize(
+    "policy, reference, arrivals, horizon",
+    _cases(_ALL_POLICIES, [
+        pytest.param(arrivals, horizon, id=f"{name}-{horizon}")
+        for horizon in (0, -1, -7)
+        for name, arrivals in (("empty", []), ("three", [(1, 0), (0, 2), (3, 1)]))
+    ]),
+)
+def test_alternating_rejects_horizon_below_one_like_reference(policy, reference, arrivals, horizon):
+    """Every policy, alternation included, rejects a horizon below 1 with
+    the reference's error, though only periodic replay goes through
+    ``simulate``."""
     with pytest.raises(ValueError) as fast:
-        alternating(arrivals, horizon)
-    with pytest.raises(ValueError) as reference:
-        reference_alternating(arrivals, horizon)
-    assert (type(fast.value), str(fast.value)) == (type(reference.value), str(reference.value))
+        policy(arrivals, horizon)
+    with pytest.raises(ValueError) as expected:
+        reference(arrivals, horizon)
+    assert (type(fast.value), str(fast.value)) == (type(expected.value), str(expected.value))
     assert str(fast.value) == f"horizon must be >= 1, got {horizon}"
 
 
 _DAY = [((t * 7) % 5 // 2, (t * 11) % 7 // 3) for t in range(480)]
 
+_SHAPES = [
+    pytest.param(arrivals, horizon, id=name)
+    for name, arrivals, horizon in (
+        ("tuple", tuple(_DAY[:9]), 9),
+        ("list-exact", _DAY[:8], 8),
+        ("list-exact-day", _DAY, 480),
+        ("list-longer", _DAY, 121),
+        ("list-shorter", _DAY[:50], 480),
+        ("empty", [], 5),
+        ("down-first-free", [(1, 0), (0, 1)], 2),
+        ("up-first-free", [(0, 1), (1, 0)], 2),
+        ("tie", [(1, 1), (1, 1)], 2),
+        # Idle through the horizon, so advanced FIFO's lookahead reads the
+        # arrivals on both sides one period past it.
+        ("one-past-horizon", [(0, 0)] * 4 + [(1, 1)], 4),
+    )
+]
+
 
 @pytest.mark.parametrize(
-    "arrivals, horizon",
-    [
-        (tuple(_DAY[:9]), 9),
-        (_DAY[:8], 8),
-        (_DAY, 480),
-        (_DAY, 121),
-        (_DAY[:50], 480),
-        ([], 5),
-        ([(1, 0), (0, 1)], 2),
-        ([(0, 1), (1, 0)], 2),
-        ([(1, 1), (1, 1)], 2),
-    ],
-    ids=["tuple", "list-exact", "list-exact-day", "list-longer", "list-shorter", "empty",
-         "down-first-free", "up-first-free", "tie"],
+    "policy, reference, arrivals, horizon",
+    _cases({
+        "alternating": (alternating, reference_alternating),
+        **{
+            f"{name}-{start.value}": (_from(run, start), _from(reference, start))
+            for name, run, reference in (("fifo", fifo, reference_fifo), ("adv_fifo", adv_fifo, reference_adv_fifo))
+            for start in Direction
+        },
+    }, _SHAPES),
 )
-def test_alternating_equals_reference_for_each_arrivals_shape(arrivals, horizon):
-    assert alternating(arrivals, horizon) == reference_alternating(arrivals, horizon)
+def test_alternating_equals_reference_for_each_arrivals_shape(policy, reference, arrivals, horizon):
+    """Alternation, FIFO and advanced FIFO from either alignment score their
+    own traces; each whole run equals the reference's, which replays the
+    trace through the reference simulator."""
+    assert policy(arrivals, horizon) == reference(arrivals, horizon)
 
 
 def test_fifo_single_arrival_served_immediately():
@@ -104,6 +161,8 @@ def test_adv_fifo_preorients_one_period_early():
     assert adv.actions[0] is D
     assert adv.result.total_wait == 0
     assert fifo(arrivals, 3).result.total_wait == 1
+    # The lookahead also reads the period just past the horizon.
+    assert adv_fifo(arrivals, 1).actions == (D,)
 
 
 def test_adv_fifo_matches_alternating_on_alternating_arrivals():
