@@ -31,7 +31,6 @@ from .schedule import (
     Direction,
     instance_from_json,
     schedule_from_json,
-    schedule_to_json,
 )
 from .two_stream import TwoStreamParams, closed_form_action, lambda_one_schedule
 
@@ -113,6 +112,8 @@ def cmd_evaluate(args) -> int:
         raise ValueError("--schedule is required for the realized policy")
     if args.schedule is not None and "realized" not in wanted:
         raise ValueError("--schedule is only used by the realized policy")
+    if args.best_of_two and not {"fifo", "advfifo"} & set(wanted):
+        raise ValueError("--best-of-two is only used by the fifo and advfifo policies")
     schedule = schedule_from_json(Path(args.schedule).read_text(encoding="utf-8")) if args.schedule else None
     period = args.period_minutes
     horizon = day_periods(period)
@@ -150,10 +151,13 @@ def cmd_policy(args) -> int:
     params = TwoStreamParams(
         mu_d=args.mu_d, mu_u=args.mu_u, lambda_d=args.lambda_d, lambda_u=args.lambda_u
     )
+    if args.t < 1:
+        raise ValueError(f"period must be >= 1, got {args.t}")
     if params.lambda_d == 1 or params.lambda_u == 1:
-        print(schedule_to_json(lambda_one_schedule(params)))
+        action = lambda_one_schedule(params).action_at(args.t)
     else:
-        print(closed_form_action(params, args.t).value)
+        action = closed_form_action(params, args.t)
+    print(action.value)
     return 0
 
 

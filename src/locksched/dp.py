@@ -299,6 +299,8 @@ def solve(
     """Minimum long-run average waiting time and an achieving cyclic schedule."""
     if mode not in (CANONICAL, PAPER_LITERAL):
         raise ValueError(f"unknown mode {mode!r}")
+    if period_cap < 1:
+        raise ValueError(f"period_cap must be >= 1, got {period_cap}")
     lam = lcm_period(instance)
     T = 8 * lam
     if T > period_cap:

@@ -19,12 +19,12 @@ that repeat an earlier anchor's mu give the same row and are skipped.
 Moving a row's c points by d changes the cost by at most c*d; so the last
 stream's rows are walked in order of mu, and a scored row that misses the
 best by m jumps the walk over the rows whose mu lies at most m / c past it.
-``best_fit`` searches every stream budget in one pass, smallest first, and
-a later budget or composition must beat the best strictly.  Within a
-composition, equal costs break on the canonical key, the anchors in
-non-decreasing count order: the least key wins, which is the candidate a
-full enumeration in canonical order meets first.  Each fit logs one DEBUG
-record with its search counters.
+``best_fit`` searches every stream budget in one pass, smallest first, with
+one incumbent: a later budget or composition must beat it strictly, and a
+row of its own composition that ties it replaces it when its canonical key,
+the anchors in non-decreasing count order, is less.  The least key is the
+candidate a full enumeration in canonical order meets first.  Each fit logs
+one DEBUG record with its search counters.
 """
 
 from __future__ import annotations
@@ -210,13 +210,14 @@ def _anchor_rows(T: int, count: int, arrivals: Sequence[int]) -> _Rows:
 def _search(instance: MatchingInstance, budgets: Sequence[int]) -> MatchingSolution:
     """The fit of least cost, then least key (counts, anchors), over ``budgets``.
 
-    One pass serves one fit: the compositions of each budget are visited in
-    the order given, then lexicographically, and a later composition must
-    beat the best so far strictly.  Within one, the streams are placed
-    largest count first (``counts[::-1]``) with anchors not increasing
-    within a run of equal counts (swapping equal-count streams gives the
-    same candidate), so the visited anchors, reversed, are the canonical
-    key.  A prefix of anchors is pruned when its rows' bounds plus the least
+    One pass and one incumbent ``best`` serve one fit: the compositions of
+    each budget are visited in the order given, then lexicographically, and
+    a later composition must beat ``best`` strictly.  Within one, the
+    streams go largest count first (``counts[::-1]``) with anchors not
+    increasing within a run of equal counts (swapping equal-count streams
+    gives the same candidate), so the visited anchors, reversed, are the
+    canonical key, and a tie replaces ``best`` when its key is less.  A
+    prefix of anchors is pruned when its rows' bounds plus the least
     bound of each unplaced stream's count reach ``limit``.  The last
     stream's rows are walked in first-point order, and a scored row that
     fails jumps the walk over the rows just past it that it proves cannot
@@ -228,14 +229,14 @@ def _search(instance: MatchingInstance, budgets: Sequence[int]) -> MatchingSolut
     # Per count: its ``_anchor_rows``, their least bound, and the rows' first
     # points in order with the row of each.
     cache: Dict[int, tuple] = {}
-    best = None  # (scaled cost, scale, counts, anchors)
+    best = None  # (scaled cost, scale, counts, anchors in canonical order)
     compositions_pruned = prefixes_pruned = scored = 0
     for counts in chain.from_iterable(_compositions_nondecreasing(instance.n, k) for k in budgets):
         scale = math.lcm(*counts)
         # ``limit``: the best of earlier compositions at this scale, rounded
-        # up, which must be beaten strictly; then one above this
-        # composition's best, so that equal costs are still scored and the
-        # least key among them wins.
+        # up, which must be beaten strictly; then, once a row of this
+        # composition is the best, one above it, so that equal costs are
+        # still scored and the least key among them wins.
         limit = math.inf if best is None else -(-best[0] * scale // best[1])
         order = counts[::-1]
         for c in order:
@@ -260,13 +261,12 @@ def _search(instance: MatchingInstance, budgets: Sequence[int]) -> MatchingSolut
         bounds = [[bound for _, bound, _ in rows] for rows in options]
         target = [t * scale for t in arrivals]
         last = len(order) - 1
-        found: Tuple[int, ...] = ()  # anchors in visit order
         leaves, leaf_bounds = options[last], bounds[last]
         _, _, firsts, by_first = cache[counts[0]]
         n_leaves = len(firsts)
 
         def leaf(end: int, partial: int, points: List[int], anchors: Tuple[int, ...]) -> None:
-            nonlocal limit, found, prefixes_pruned, scored
+            nonlocal best, limit, prefixes_pruned, scored
             tried = rank = 0
             while rank < n_leaves:
                 pos = by_first[rank]
@@ -279,15 +279,15 @@ def _search(instance: MatchingInstance, budgets: Sequence[int]) -> MatchingSolut
                 pts.sort()
                 cost = sum(map(abs, map(sub, pts, target)))
                 if cost < limit:
-                    key = anchors + (a,)
-                    if not found or cost < limit - 1 or key[::-1] < found[::-1]:
-                        limit, found = cost + 1, key
+                    key = (anchors + (a,))[::-1]
+                    if best is None or (cost * best[1], key) < (best[0] * scale, best[3]):
+                        best, limit = (cost, scale, counts, key), cost + 1
                     continue
                 # Rows of one count are translates of each other, and moving
                 # a row's c points by d changes the cost by at most c*d.  So
                 # a row whose first point lies at most (cost - limit) / c past
                 # this one's costs at least the limit, which lies one above
-                # this composition's best once it has one: it cannot tie, and
+                # the best once this composition holds it: it cannot tie, and
                 # the walk jumps over it.  At scale m*c the first points are
                 # scaled by m, so unscaled they lie within (cost - limit) / scale.
                 rank = bisect_right(firsts, firsts[rank - 1] + (cost - limit) // scale, rank)
@@ -313,8 +313,6 @@ def _search(instance: MatchingInstance, budgets: Sequence[int]) -> MatchingSolut
         # The closure refers to itself; dropping the name frees this
         # composition's tables now rather than at the next cycle collection.
         del visit
-        if found:
-            best = (limit - 1, scale, counts, found[::-1])
     _log.debug(
         "k=%d, n=%d: %d compositions pruned, %d anchor prefixes pruned, %d candidates scored",
         budgets[-1], instance.n, compositions_pruned, prefixes_pruned, scored,
@@ -337,10 +335,10 @@ def solve_matching(instance: MatchingInstance, k: int) -> MatchingSolution:
     """Optimal k-stream fit: branch-and-bound over compositions and anchors.
 
     A candidate with counts c is scored in integers scaled by L = lcm(c),
-    where every anchored point is whole; the best cost so far is carried to
-    each composition's scale.  Ties break on the least (counts, anchors) in
-    canonical order, the first a full enumeration visits.  The fit logs one
-    DEBUG record with its search counters.
+    where every anchored point is whole; one incumbent, the best fit so far,
+    is carried to each composition's scale.  A tie replaces it only with a
+    less (counts, anchors) in canonical order, the first a full enumeration
+    visits.  The fit logs one DEBUG record with its search counters.
     """
     n = instance.n
     if not 1 <= k <= n:
@@ -355,9 +353,9 @@ def best_fit(instance: MatchingInstance, k: int) -> MatchingSolution:
     3-arrival day fits one stream at cost 0 but any two-stream decomposition
     pays for the mismatched periodicities), so reported fit quality uses the
     non-increasing envelope over stream budgets 1..k.  The budgets are
-    searched in one pass, smallest first, and each must beat the best cost
-    of the smaller ones strictly, so the first budget reaching the least
-    cost wins.  The fit logs one DEBUG record with its search counters.
+    searched in one pass, smallest first, against one incumbent that each
+    must beat strictly, so the first budget reaching the least cost wins.
+    The fit logs one DEBUG record with its search counters.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -132,6 +132,15 @@ def test_schedule_command(tmp_path, capsys):
     assert "paper-literal" in data
 
 
+def test_schedule_rejects_dp_cap_below_one(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"streams": [{"direction": "D", "lambda": 2, "mu": 1}]}))
+    out = tmp_path / "schedule.json"
+    assert main(["schedule", "--instance", str(inst), "--dp-cap", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: period_cap must be >= 1, got 0\n"
+    assert not out.exists()
+
+
 def test_rolling_command_emits_json_lines(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({
@@ -233,6 +242,32 @@ def test_policy_command(capsys):
     assert capsys.readouterr().out.strip() == "D"
 
 
+@pytest.mark.parametrize(
+    "lambda_d, lambda_u, mu_d, mu_u, letters",
+    [
+        # lambda_D = 1, mu_U = 3 odd: Up is served on odd periods.
+        (1, 3, 1, 3, "UD"),
+        # lambda_U = 1, mu_D = 2 even: Down is served on even periods.
+        (2, 1, 2, 1, "UD"),
+        (1, 4, 1, 2, "DU"),
+    ],
+    ids=["lambda-d-1", "lambda-u-1", "lambda-d-1-even"],
+)
+def test_policy_command_with_periodicity_one_reads_t(capsys, lambda_d, lambda_u, mu_d, mu_u, letters):
+    flags = ["--lambda-d", str(lambda_d), "--lambda-u", str(lambda_u), "--mu-d", str(mu_d), "--mu-u", str(mu_u)]
+    for t, letter in zip((1, 2, 3, 4), letters * 2):
+        assert main(["policy", "two-stream", *flags, "--t", str(t)]) == 0
+        assert capsys.readouterr().out == f"{letter}\n"
+
+
+@pytest.mark.parametrize("lambda_d, lambda_u", [(1, 3), (3, 1), (2, 3)])
+def test_policy_command_rejects_t_below_one(capsys, lambda_d, lambda_u):
+    code = main(["policy", "two-stream", "--lambda-d", str(lambda_d), "--lambda-u", str(lambda_u),
+                 "--mu-d", "1", "--mu-u", "1", "--t", "0"])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: period must be >= 1, got 0\n")
+
+
 def test_evaluate_command(arrivals_csv, capsys):
     code = main(["evaluate", "--arrivals", str(arrivals_csv),
                  "--policies", "alternating,fifo,advfifo"])
@@ -301,8 +336,10 @@ def test_evaluate_realized_requires_schedule(arrivals_csv):
         (["--policies", "alternating,fifo", "--schedule", "schedule.json"],
          "--schedule is only used by the realized policy"),
         (["--period-minutes", "0"], "period_minutes must be >= 1, got 0"),
+        (["--policies", "alternating", "--best-of-two"],
+         "--best-of-two is only used by the fifo and advfifo policies"),
     ],
-    ids=["realized-without-schedule", "schedule-without-realized", "zero-period"],
+    ids=["realized-without-schedule", "schedule-without-realized", "zero-period", "best-of-two-without-fifo"],
 )
 def test_evaluate_checks_flags_before_reading_arrivals(tmp_path, capsys, flags, message):
     # The arrivals file does not exist, so only a check made before reading

@@ -1,6 +1,7 @@
-"""The README's library example runs, its commands parse, and every exported
-name exists."""
+"""The README's library example runs, its commands parse, it names the
+subcommands that take ``--out``, and every exported name exists."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -40,6 +41,14 @@ def test_readme_commands_parse():
             build_parser().parse_args(shlex.split(command)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
+
+
+def test_readme_names_the_subcommands_that_accept_out():
+    (sentence,) = re.findall(r"The subcommands (.*?) accept\s+`--out -`", README.read_text(encoding="utf-8"))
+    named = set(re.findall(r"`(\w+)`", sentence))
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    with_out = {name for name, p in subparsers.choices.items() if "--out" in p._option_string_actions}
+    assert named == with_out
 
 
 def test_exported_names_exist():

@@ -160,6 +160,14 @@ def test_solve_period_cap():
         solve(_inst((Direction.DOWN, 7, 1), (Direction.UP, 11, 1)), period_cap=100)
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_solve_rejects_period_cap_below_one(cap):
+    with pytest.raises(ValueError) as exc:
+        solve(_inst((Direction.DOWN, 2, 1)), period_cap=cap)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"period_cap must be >= 1, got {cap}"
+
+
 def test_solve_period_cap_checked_before_the_pattern(monkeypatch):
     # lcm(997, 991, 983) is about 9.7e8: building its arrival pattern alone
     # takes over a minute, so the cap must be checked from the lcm first.
