@@ -110,51 +110,58 @@ def parse_arrivals(source: Union[TextIO, Iterable[str]]) -> ArrivalDataset:
     second (after ``.`` or ``,``) is dropped, and a trailing ``Z`` reads as
     ``+00:00``.  A file may use one UTC offset throughout, or none;
     mixing offsets, or offset and naive timestamps, raises
-    ``MalformedRowError``.
+    ``MalformedRowError``, as does a row the ``csv`` module cannot read,
+    such as one opening a quote it never closes.
     """
     lines = iter(source)
     first = next(lines, "")
     rows = enumerate(csv.reader(chain((first.removeprefix("\ufeff"),), lines)), start=1)
-    for line_number, row in rows:
-        if row:
-            if tuple(cell.strip() for cell in row) != CSV_HEADER:
-                raise MalformedRowError(
-                    line_number, f"expected header {','.join(CSV_HEADER)}, got {','.join(row)!r}"
-                )
-            break
     records = []
     first_offset = first_ts = None
-    for line_number, row in rows:
-        if not row:
-            continue
-        if len(row) != 2:
-            raise MalformedRowError(line_number, f"expected 2 fields, got {len(row)}")
-        raw_ts, raw_dir = row[0].strip(), row[1].strip()
-        # Python 3.10's fromisoformat does not read "Z", nor a fraction of
-        # other than 3 or 6 digits; 3.11's does.  Minutes drop the fraction.
-        text = raw_ts[:-1] + "+00:00" if raw_ts.endswith("Z") else raw_ts
-        fraction = len(text) > 19 and _FRACTION.match(text, 19)
-        if fraction:
-            text = text[:19] + text[fraction.end():]
-        try:
-            ts = datetime.fromisoformat(text)
-        except ValueError as exc:
-            reason = str(exc).replace(repr(text), repr(raw_ts))
-            raise MalformedRowError(line_number, f"bad timestamp {raw_ts!r}: {reason}") from None
-        direction = _DIRECTION_TOKENS.get(raw_dir)
-        if direction is None:
-            raise MalformedRowError(line_number, f"unknown direction token {raw_dir!r}")
-        # Minutes are wall-clock minutes, which order correctly only under
-        # one UTC offset (or none) for the whole file.
-        if first_ts is None:
-            first_offset, first_ts = ts.utcoffset(), raw_ts
-        elif ts.utcoffset() != first_offset:
-            raise MalformedRowError(
-                line_number, f"timestamp {raw_ts!r} has a different UTC offset from {first_ts!r}"
-            )
-        if ts.second or ts.microsecond or ts.tzinfo is not None:
-            ts = ts.replace(second=0, microsecond=0, tzinfo=None)
-        records.append(ArrivalRecord(ts, direction))
+    line_number = 0
+    try:
+        for line_number, row in rows:
+            if row:
+                if tuple(cell.strip() for cell in row) != CSV_HEADER:
+                    raise MalformedRowError(
+                        line_number, f"expected header {','.join(CSV_HEADER)}, got {','.join(row)!r}"
+                    )
+                break
+        for line_number, row in rows:
+            if not row:
+                continue
+            if len(row) != 2:
+                raise MalformedRowError(line_number, f"expected 2 fields, got {len(row)}")
+            raw_ts, raw_dir = row[0].strip(), row[1].strip()
+            # Python 3.10's fromisoformat does not read "Z", nor a fraction of
+            # other than 3 or 6 digits; 3.11's does.  Minutes drop the fraction.
+            text = raw_ts[:-1] + "+00:00" if raw_ts.endswith("Z") else raw_ts
+            fraction = len(text) > 19 and _FRACTION.match(text, 19)
+            if fraction:
+                text = text[:19] + text[fraction.end():]
+            try:
+                ts = datetime.fromisoformat(text)
+            except ValueError as exc:
+                reason = str(exc).replace(repr(text), repr(raw_ts))
+                raise MalformedRowError(line_number, f"bad timestamp {raw_ts!r}: {reason}") from None
+            direction = _DIRECTION_TOKENS.get(raw_dir)
+            if direction is None:
+                raise MalformedRowError(line_number, f"unknown direction token {raw_dir!r}")
+            # Minutes are wall-clock minutes, which order correctly only under
+            # one UTC offset (or none) for the whole file.
+            if first_ts is None:
+                first_offset, first_ts = ts.utcoffset(), raw_ts
+            elif ts.utcoffset() != first_offset:
+                raise MalformedRowError(
+                    line_number, f"timestamp {raw_ts!r} has a different UTC offset from {first_ts!r}"
+                )
+            if ts.second or ts.microsecond or ts.tzinfo is not None:
+                ts = ts.replace(second=0, microsecond=0, tzinfo=None)
+            records.append(ArrivalRecord(ts, direction))
+    except csv.Error as exc:
+        # An unclosed quote runs on to the field size limit; the bad field
+        # starts on the row after the last one read.
+        raise MalformedRowError(line_number + 1, f"unreadable CSV: {exc}") from None
     return ArrivalDataset(tuple(records))
 
 

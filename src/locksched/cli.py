@@ -13,18 +13,19 @@ from datetime import date
 from pathlib import Path
 
 from . import __version__
-from .arrivals import bucket_to_periods, extract_instance, parse_arrivals, serialize_arrivals
+from .arrivals import bucket_to_periods, parse_arrivals, serialize_arrivals
 from .dp import CANONICAL, PAPER_LITERAL, result_to_json_dict, solve as dp_solve, DEFAULT_PERIOD_CAP
 from .experiment import (
     ExperimentConfig,
     day_periods,
+    fit_day_direction,
     fit_report_csv,
     run_experiment,
     run_fit_experiment,
     schedule_report_csv,
     synth_dataset,
 )
-from .matching import best_fit, stream_set_to_json
+from .matching import stream_set_to_json
 from .policies import adv_fifo, alternating, fifo, realized_periodic
 from .rolling import chunk_to_json, generate
 from .schedule import (
@@ -76,8 +77,7 @@ def cmd_fit(args) -> int:
         day = date.fromisoformat(args.day)
         direction = Direction(args.direction or "D")
         k, n = 2 if args.k is None else args.k, 20 if args.n is None else args.n
-        instance = extract_instance(dataset, day, direction, n)
-        solution = best_fit(instance, k)
+        solution = fit_day_direction(dataset, day, direction, k, n).solution
         directions = [direction] * len(solution.streams.streams)
         _write(args.out, stream_set_to_json(solution.streams, directions) + "\n")
         return 0

@@ -138,7 +138,7 @@ def next_chunk(instance: PeriodicInstance, request: ChunkRequest) -> Chunk:
         # nothing carries over to the next chunk.
         counts = counts[: gap + 2]
         sol = solve_window(counts, request.position)
-        run = simulate(counts, list(sol.actions), len(sol.actions), initial_alignment=sol.entry_alignment)
+        run = simulate(counts, sol.actions, len(sol.actions), initial_alignment=sol.entry_alignment)
         # Trailing gap periods count as rewritable only once the queues are
         # empty entering them (a zero per-period cost means an empty queue).
         # Rewriting them changes no cost: they have no arrivals and, from
@@ -173,7 +173,7 @@ def next_chunk(instance: PeriodicInstance, request: ChunkRequest) -> Chunk:
             actions = sol.actions + (Action.WAIT, Action.WAIT)
             counts += arrival_counts(instance, t_end + 1, t_end + 2)
             case, free_tail, next_position = CASE_FULL, 2, None
-        cost = simulate(counts, list(actions), len(actions), initial_alignment=sol.entry_alignment).total_wait
+        cost = simulate(counts, actions, len(actions), initial_alignment=sol.entry_alignment).total_wait
     end = t + len(actions) - 1
     return Chunk(
         start=t,

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, cycle, islice, repeat
+from itertools import chain, count, cycle, islice, repeat
 from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
 
@@ -195,34 +195,24 @@ def simulate(
 ) -> SimulationResult:
     """Run the per-period queue recurrence over [1, horizon].
 
-    ``arrivals`` is either a callable t -> (a_D, a_U) or an iterable of
-    counts from period 1 (a sequence or an iterator); periods past its end
-    contribute no arrivals.
-    ``actions`` is a Schedule (replayed cyclically) or a finite sequence
-    covering the horizon.  Raises InfeasibleScheduleError if a processing
-    action does not match the lock's alignment.
+    ``arrivals`` is a callable t -> (a_D, a_U) or an iterable of counts from
+    period 1, padded with empty periods past its end.  ``actions`` is a
+    Schedule or a sequence covering the horizon, cycled and cut to it.  The
+    trace comes first in the loop's ``zip``, so arrivals are read for periods
+    1..p only: p is the horizon, or the period an InfeasibleScheduleError
+    names when a processing action does not match the lock's alignment.
 
     This is the reference queue recurrence.  FIFO, advanced FIFO and
     alternation score their own traces, and the tests replay those traces
     here; periodic replay, rolling plans and cyclic averages are scored here
-    directly.  The horizon is checked first, before the arrivals and the
-    trace are cut to it.  The loop zips the arrivals with the actions, and
-    only those: a list or tuple of arrivals exactly ``horizon`` long, and a
-    trace exactly that long, are iterated as they are; otherwise the
-    callable is mapped over the periods, other arrivals are cut and padded
-    with empty periods, and the trace is cut or cycled to the horizon.  The
-    period of an alignment error is one past the costs recorded.  Each action
-    is tested by identity against a boolean alignment; the loop deliberately
-    avoids hashing ``Action`` members, whose ``__hash__`` is Python code.
+    directly.  Each action is tested by identity against a boolean alignment;
+    the loop deliberately avoids hashing ``Action`` members, whose
+    ``__hash__`` is Python code.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if callable(arrivals):
-        arriving: Iterable[Tuple[int, int]] = map(arrivals, range(1, horizon + 1))
-    elif isinstance(arrivals, (list, tuple)) and len(arrivals) == horizon:
-        arriving = arrivals
-    else:
-        arriving = chain(islice(arrivals, horizon), repeat((0, 0)))
+        arrivals = map(arrivals, count(1))
     if isinstance(actions, Schedule):
         trace: Sequence[Action] = actions.actions
         alignment = actions.initial_alignment if initial_alignment is None else initial_alignment
@@ -234,14 +224,13 @@ def simulate(
         if alignment is None:
             first = next((a for a in actions if a is not Action.WAIT), Action.PROCESS_DOWN)
             alignment = first.processes
-    steps: Iterable[Action] = trace if len(trace) == horizon else islice(cycle(trace), horizon)
 
     wait, serve_down = Action.WAIT, Action.PROCESS_DOWN
     down = alignment is Direction.DOWN
     n_d = n_u = 0
     n_arrivals = 0
     costs: List[int] = []
-    for (a_d, a_u), action in zip(arriving, steps):
+    for action, (a_d, a_u) in zip(islice(cycle(trace), horizon), chain(arrivals, repeat((0, 0)))):
         n_arrivals += a_d + a_u
         if action is wait:
             n_d += a_d
@@ -296,7 +285,7 @@ def _cyclic_average(pattern: Sequence[Tuple[int, int]], schedule: Schedule) -> F
     else:
         span = math.lcm(lam, schedule.period)
     horizon = warm_up - 1 + span
-    result = simulate(islice(cycle(pattern), horizon), schedule, horizon)
+    result = simulate(cycle(pattern), schedule, horizon)
     return Fraction(sum(result.per_period_cost[warm_up - 1 :]), span)
 
 

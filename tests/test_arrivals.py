@@ -97,6 +97,20 @@ def test_parse_rejects_wrong_field_count():
         _parse("timestamp,direction\n2019-01-02T06:30:00,D,extra\n")
 
 
+def test_parse_names_the_row_of_an_unclosed_quote():
+    # The quote swallows the rest of the file into one field, past the csv
+    # module's 128 KiB field limit; the error names the row it opens on.
+    rows = "2019-01-02T06:30:00,D\n" * 7000
+    with pytest.raises(MalformedRowError) as exc:
+        _parse('timestamp,direction\n2019-01-02T06:00:00,U\n"' + rows)
+    assert exc.value.line_number == 3
+    assert str(exc.value).startswith("line 3: unreadable CSV: field larger than field limit")
+    for text, line in (('"timestamp,direction\n' + rows, 1), ('\n"timestamp,direction\n' + rows, 2)):
+        with pytest.raises(MalformedRowError) as exc:
+            _parse(text)
+        assert exc.value.line_number == line
+
+
 def test_parse_rejects_mixed_utc_offsets():
     # 10:00+02:00 is 08:00 UTC, before 09:30+00:00, yet its wall clock is later.
     with pytest.raises(MalformedRowError, match="line 3"):

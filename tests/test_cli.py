@@ -289,6 +289,22 @@ def test_evaluate_reads_a_file_with_a_byte_order_mark(arrivals_csv, tmp_path, ca
     assert outputs[0].out.count("\n") > 1
 
 
+def test_evaluate_names_the_line_of_an_unclosed_quote(tmp_path, capsys):
+    """An unclosed quote in a file past the csv module's 128 KiB field limit
+    exits 1 naming the line where the quote opens, as in a smaller file."""
+    big = tmp_path / "big.csv"
+    assert main(["synth", "--days", "200", "--out", str(big)]) == 0
+    lines = big.read_text().splitlines(keepends=True)
+    assert len(big.read_bytes()) > 131072
+    lines[2] = '"' + lines[2]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(lines))
+    assert main(["evaluate", "--arrivals", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_evaluate_rejects_zero_period(arrivals_csv, tmp_path, capsys):
     out = tmp_path / "eval.csv"
     code = main(["evaluate", "--arrivals", str(arrivals_csv), "--period-minutes", "0", "--out", str(out)])

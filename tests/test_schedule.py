@@ -1,3 +1,5 @@
+import re
+from collections.abc import Iterator
 from fractions import Fraction
 
 import pytest
@@ -201,16 +203,17 @@ _pairs = st.tuples(st.integers(0, 3), st.integers(0, 3))
 
 @st.composite
 def _simulations(draw):
-    """Arguments for ``simulate``: arrivals as a sequence shorter than, equal
-    to or longer than the horizon, or as a callable; actions as a cyclic
-    Schedule (period up to twice the horizon) or as a list (some too short).
-    Actions alternate sides from a drawn start, and one of them is sometimes
-    overwritten, so infeasible traces are drawn too."""
+    """Arguments for ``simulate``: arrivals as a list, tuple or iterator
+    shorter than, equal to or longer than the horizon, or as a callable;
+    actions as a cyclic Schedule (period up to twice the horizon) or as a
+    list (some too short).  Actions alternate sides from a drawn start, and
+    one of them is sometimes overwritten, so infeasible traces are drawn too.
+    ``seq`` is the arrivals as a list."""
     horizon = draw(st.integers(1, 40))
     shape = draw(st.sampled_from(["shorter", "equal", "longer", "callable"]))
     sizes = {"shorter": (0, horizon - 1), "equal": (horizon, horizon)}.get(shape, (horizon + 1, horizon + 10))
     seq = draw(st.lists(_pairs, min_size=sizes[0], max_size=sizes[1]))
-    arrivals = (lambda t: seq[t - 1]) if shape == "callable" else seq
+    arrivals = (lambda t: seq[t - 1]) if shape == "callable" else draw(st.sampled_from([list, tuple, iter]))(seq)
 
     as_schedule = draw(st.booleans())
     length = draw(st.integers(1, 2 * horizon) if as_schedule else st.integers(max(0, horizon - 2), horizon + 5))
@@ -236,9 +239,24 @@ def _outcome(fn, *args):
 @settings(max_examples=400, deadline=None)
 @given(_simulations())
 def test_simulate_equals_reference_and_keeps_invariants(case):
+    """Besides matching the reference, ``simulate`` reads the arrivals for
+    periods 1..p only: p is the horizon, the period an alignment error names,
+    or 0 for a trace too short to cover the horizon."""
     arrivals, actions, horizon, alignment, seq = case
-    fast = _outcome(simulate, arrivals, actions, horizon, alignment)
-    assert fast == _outcome(reference_simulate, arrivals, actions, horizon, alignment)
+    calls = []
+    source = (lambda t: calls.append(t) or arrivals(t)) if callable(arrivals) else arrivals
+    fast = _outcome(simulate, source, actions, horizon, alignment)
+    assert fast == _outcome(reference_simulate, arrivals if callable(arrivals) else seq, actions, horizon, alignment)
+    if not isinstance(fast, tuple):
+        read = horizon
+    elif fast[0] is InfeasibleScheduleError:
+        read = int(re.match(r"period (\d+): ", fast[1]).group(1))
+    else:
+        read = 0
+    if callable(arrivals):
+        assert calls == list(range(1, read + 1))
+    elif isinstance(arrivals, Iterator):
+        assert next(arrivals, None) == (seq[read] if read < len(seq) else None)
     if isinstance(fast, tuple):
         return
     assert len(fast.per_period_cost) == horizon
