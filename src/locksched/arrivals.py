@@ -115,23 +115,26 @@ def parse_arrivals(source: Union[TextIO, Iterable[str]]) -> ArrivalDataset:
     """
     lines = iter(source)
     first = next(lines, "")
-    rows = enumerate(csv.reader(chain((first.removeprefix("\ufeff"),), lines)), start=1)
+    reader = csv.reader(chain((first.removeprefix("\ufeff"),), lines))
     records = []
     first_offset = first_ts = None
-    line_number = 0
+    # File lines read before the current row, which starts on line done + 1:
+    # a quoted field may hold newlines, so rows and lines can differ.
+    done = 0
     try:
-        for line_number, row in rows:
+        for row in reader:
             if row:
                 if tuple(cell.strip() for cell in row) != CSV_HEADER:
-                    raise MalformedRowError(
-                        line_number, f"expected header {','.join(CSV_HEADER)}, got {','.join(row)!r}"
-                    )
+                    raise MalformedRowError(done + 1, f"expected header {','.join(CSV_HEADER)}, got {','.join(row)!r}")
                 break
-        for line_number, row in rows:
+            done = reader.line_num
+        done = reader.line_num
+        for row in reader:
             if not row:
+                done = reader.line_num
                 continue
             if len(row) != 2:
-                raise MalformedRowError(line_number, f"expected 2 fields, got {len(row)}")
+                raise MalformedRowError(done + 1, f"expected 2 fields, got {len(row)}")
             raw_ts, raw_dir = row[0].strip(), row[1].strip()
             # Python 3.10's fromisoformat does not read "Z", nor a fraction of
             # other than 3 or 6 digits; 3.11's does.  Minutes drop the fraction.
@@ -143,25 +146,26 @@ def parse_arrivals(source: Union[TextIO, Iterable[str]]) -> ArrivalDataset:
                 ts = datetime.fromisoformat(text)
             except ValueError as exc:
                 reason = str(exc).replace(repr(text), repr(raw_ts))
-                raise MalformedRowError(line_number, f"bad timestamp {raw_ts!r}: {reason}") from None
+                raise MalformedRowError(done + 1, f"bad timestamp {raw_ts!r}: {reason}") from None
             direction = _DIRECTION_TOKENS.get(raw_dir)
             if direction is None:
-                raise MalformedRowError(line_number, f"unknown direction token {raw_dir!r}")
+                raise MalformedRowError(done + 1, f"unknown direction token {raw_dir!r}")
             # Minutes are wall-clock minutes, which order correctly only under
             # one UTC offset (or none) for the whole file.
             if first_ts is None:
                 first_offset, first_ts = ts.utcoffset(), raw_ts
             elif ts.utcoffset() != first_offset:
                 raise MalformedRowError(
-                    line_number, f"timestamp {raw_ts!r} has a different UTC offset from {first_ts!r}"
+                    done + 1, f"timestamp {raw_ts!r} has a different UTC offset from {first_ts!r}"
                 )
             if ts.second or ts.microsecond or ts.tzinfo is not None:
                 ts = ts.replace(second=0, microsecond=0, tzinfo=None)
             records.append(ArrivalRecord(ts, direction))
+            done = reader.line_num
     except csv.Error as exc:
         # An unclosed quote runs on to the field size limit; the bad field
-        # starts on the row after the last one read.
-        raise MalformedRowError(line_number + 1, f"unreadable CSV: {exc}") from None
+        # starts on the line after the last row read.
+        raise MalformedRowError(done + 1, f"unreadable CSV: {exc}") from None
     return ArrivalDataset(tuple(records))
 
 

@@ -36,8 +36,8 @@ from .schedule import (
 from .two_stream import TwoStreamParams, closed_form_action, lambda_one_schedule
 
 
-def _write(path: str | None, text: str) -> None:
-    if path is None or path == "-":
+def _write(path: str, text: str) -> None:
+    if path == "-":
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")

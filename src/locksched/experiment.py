@@ -369,15 +369,15 @@ def _evaluate_fits(
         (fit.direction, s) for fit in fits for s in fit.solution.streams.streams
     ]
     instance = rescale_streams(tagged, period)
-    optimal = dp_solve(instance, period_cap=config.dp_cap)
+    schedule = dp_solve(instance, period_cap=config.dp_cap).schedule
 
-    opt_run = simulate(arrival_counts(instance, 1, horizon), optimal.schedule, horizon)
+    opt_run = simulate(arrival_counts(instance, 1, horizon), schedule.actions, horizon, schedule.initial_alignment)
 
     counts = bucket_to_periods(dataset, day, period, horizon)
     alt = alternating(counts, horizon)
     fifo_run = fifo(counts, horizon)
     adv_run = adv_fifo(counts, horizon)
-    realised = realized_periodic(optimal.schedule, counts, horizon)
+    realised = realized_periodic(schedule, counts, horizon)
     return DayEvaluation(
         periodic_opt=opt_run.avg_wait_per_vessel * period,
         alternating=alt.per_vessel_minutes(period),

@@ -131,6 +131,6 @@ def realized_periodic(
     rotation or alignment search is performed.
     """
     # Simulated first: it rejects a horizon below 1 before islice can.
-    result = simulate(arrivals, schedule, horizon)
+    result = simulate(arrivals, schedule.actions, horizon, schedule.initial_alignment)
     actions = tuple(islice(cycle(schedule.actions), horizon))
     return PolicyRun("realizedPeriodic", actions, schedule.initial_alignment, result)

@@ -189,18 +189,20 @@ ArrivalSource = Union[Callable[[int], Tuple[int, int]], Iterable[Tuple[int, int]
 
 def simulate(
     arrivals: ArrivalSource,
-    actions: Union[Schedule, Sequence[Action]],
+    actions: Sequence[Action],
     horizon: int,
-    initial_alignment: Direction | None = None,
+    initial_alignment: Direction,
 ) -> SimulationResult:
     """Run the per-period queue recurrence over [1, horizon].
 
     ``arrivals`` is a callable t -> (a_D, a_U) or an iterable of counts from
     period 1, padded with empty periods past its end.  ``actions`` is a
-    Schedule or a sequence covering the horizon, cycled and cut to it.  The
-    trace comes first in the loop's ``zip``, so arrivals are read for periods
-    1..p only: p is the horizon, or the period an InfeasibleScheduleError
-    names when a processing action does not match the lock's alignment.
+    non-empty sequence (an empty one raises ValueError), cycled and cut to
+    the horizon and run from the lock's ``initial_alignment``; a Schedule is
+    passed as its actions and initial alignment.  The trace comes first in
+    the loop's ``zip``, so arrivals are read for periods 1..p only: p is the
+    horizon, or the period an InfeasibleScheduleError names when a
+    processing action does not match the lock's alignment.
 
     This is the reference queue recurrence.  FIFO, advanced FIFO and
     alternation score their own traces, and the tests replay those traces
@@ -211,26 +213,17 @@ def simulate(
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if not actions:
+        raise ValueError("action sequence must be non-empty")
     if callable(arrivals):
         arrivals = map(arrivals, count(1))
-    if isinstance(actions, Schedule):
-        trace: Sequence[Action] = actions.actions
-        alignment = actions.initial_alignment if initial_alignment is None else initial_alignment
-    else:
-        if len(actions) < horizon:
-            raise ValueError(f"action sequence of length {len(actions)} does not cover horizon {horizon}")
-        trace = actions
-        alignment = initial_alignment
-        if alignment is None:
-            first = next((a for a in actions if a is not Action.WAIT), Action.PROCESS_DOWN)
-            alignment = first.processes
 
     wait, serve_down = Action.WAIT, Action.PROCESS_DOWN
-    down = alignment is Direction.DOWN
+    down = initial_alignment is Direction.DOWN
     n_d = n_u = 0
     n_arrivals = 0
     costs: List[int] = []
-    for action, (a_d, a_u) in zip(islice(cycle(trace), horizon), chain(arrivals, repeat((0, 0)))):
+    for action, (a_d, a_u) in zip(islice(cycle(actions), horizon), chain(arrivals, repeat((0, 0)))):
         n_arrivals += a_d + a_u
         if action is wait:
             n_d += a_d
@@ -285,7 +278,7 @@ def _cyclic_average(pattern: Sequence[Tuple[int, int]], schedule: Schedule) -> F
     else:
         span = math.lcm(lam, schedule.period)
     horizon = warm_up - 1 + span
-    result = simulate(cycle(pattern), schedule, horizon)
+    result = simulate(cycle(pattern), actions, horizon, schedule.initial_alignment)
     return Fraction(sum(result.per_period_cost[warm_up - 1 :]), span)
 
 

@@ -30,8 +30,9 @@ by the strided ``arrival_counts``); ``reference_solve`` checks its schedule
 with ``reference_cyclic_average``, which measures the second of two simulated
 joint cycles where ``cyclic_average`` warms up only to the second service.
 ``brute_force_optimal`` enumerates every cyclic action sequence of a given
-period and simulates each one; it reads only the arrival pattern (from
-``reference_arrival_counts``), so it is independent of ``dp``.
+period and sums the waits of each one's steady cycle; it reads only the
+arrival pattern (from ``reference_arrival_counts``), so it is independent of
+``dp`` and of ``simulate``.
 ``reference_simulate`` is the per-period simulator loop as it was before the
 fast replay: a closure per arrival lookup and a cyclic index per period.
 ``reference_alternating``, ``reference_fifo``, ``reference_adv_fifo`` and
@@ -62,9 +63,10 @@ import math
 from bisect import bisect_left
 from datetime import date, datetime
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations, permutations, product
-from operator import itemgetter, sub
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from operator import itemgetter, mul, sub
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from locksched.arrivals import CSV_HEADER, ArrivalDataset, ArrivalRecord, MatchingInstance
 from locksched.dp import (
@@ -506,7 +508,7 @@ def reference_cyclic_average(instance: PeriodicInstance, schedule: Schedule) -> 
     pattern = reference_arrival_counts(instance, 1, lcm_period(instance))
     lam = len(pattern)
     cycle = math.lcm(lam, schedule.period)
-    result = simulate(lambda t: pattern[(t - 1) % lam], schedule, 2 * cycle)
+    result = simulate(lambda t: pattern[(t - 1) % lam], schedule.actions, 2 * cycle, schedule.initial_alignment)
     second = sum(result.per_period_cost[cycle:])
     return Fraction(second, cycle)
 
@@ -659,9 +661,15 @@ def brute_force_optimal(instance: PeriodicInstance, period: int) -> Fraction:
     action sequences of the given period, by exhaustive enumeration.
 
     Feasible sequences have an even number of processing actions alternating
-    between the sides; each candidate is simulated for two joint cycles and
-    the second cycle is measured.  Independent of the DP (no single-wait
-    restriction: extra waits are enumerated freely).
+    between the sides.  Every candidate serves both sides, so in the steady
+    cycle each arrival waits, one cost unit per period, until its side's next
+    service at or after its arrival period, taken cyclically; the waits of one
+    joint cycle of the pattern and the sequence, over its length, are the
+    average.  A service repeats every ``period`` periods, so an arrival's wait
+    depends on its period only modulo ``period``, and the arrivals of one
+    joint cycle are summed per residue once.  Independent of the DP (no
+    single-wait restriction: extra waits are enumerated freely) and of the
+    simulator.
     """
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
@@ -669,44 +677,40 @@ def brute_force_optimal(instance: PeriodicInstance, period: int) -> Fraction:
         raise BruteForcePeriodError(f"period {period} too large for 2^p enumeration")
     pattern = reference_arrival_counts(instance, 1, lcm_period(instance))
     lam = len(pattern)
-    a_d = [p[0] for p in pattern]
-    a_u = [p[1] for p in pattern]
-    any_arrivals = any(a_d) or any(a_u)
-    cycle = math.lcm(lam, period)
-    horizon = 2 * cycle
-
-    best: Optional[Fraction] = None
-    if not any_arrivals:
+    if not any(a_d or a_u for a_d, a_u in pattern):
         return Fraction(0)
+    cycle = math.lcm(lam, period)
+    # Arrivals per side at each residue of the period over one joint cycle.
+    down, up = [0] * period, [0] * period
+    for t in range(cycle):
+        a_d, a_u = pattern[t % lam]
+        down[t % period] += a_d
+        up[t % period] += a_u
+
+    @cache
+    def distances(services: Tuple[int, ...]) -> List[int]:
+        """Periods from each residue to the first of ``services`` (ascending) at or after it, cyclically."""
+        upcoming = services[0] + period
+        out = [0] * period
+        for r in range(period - 1, -1, -1):
+            if r in services:
+                upcoming = r
+            out[r] = upcoming - r
+        return out
+
+    best: Optional[int] = None
     for size in range(2, period + 1, 2):
         for positions in combinations(range(period), size):
-            for first_dir in (Direction.DOWN, Direction.UP):
-                serve = {}
-                d = first_dir
-                for pos in positions:
-                    serve[pos] = d
-                    d = d.flip()
-                total = 0
-                n_d = n_u = 0
-                for t in range(1, horizon + 1):
-                    idx = (t - 1) % lam
-                    n_d += a_d[idx]
-                    n_u += a_u[idx]
-                    side = serve.get((t - 1) % period)
-                    if side is Direction.DOWN:
-                        n_d = 0
-                    elif side is Direction.UP:
-                        n_u = 0
-                    if t > cycle:
-                        total += n_d + n_u
-                avg = Fraction(total, cycle)
-                if best is None or avg < best:
-                    best = avg
+            evens, odds = distances(positions[0::2]), distances(positions[1::2])
+            for first, second in ((down, up), (up, down)):
+                total = sum(map(mul, first, evens)) + sum(map(mul, second, odds))
+                if best is None or total < best:
+                    best = total
     if best is None:
         raise BruteForcePeriodError(
             f"no feasible processing sequence of period {period} for a non-empty pattern"
         )
-    return best
+    return Fraction(best, cycle)
 
 
 # The simulator and policies as they were before the fast replay loop.
@@ -725,32 +729,25 @@ def _reference_arrival_fn(arrivals: ArrivalSource) -> Callable[[int], Tuple[int,
 
 def reference_simulate(
     arrivals: ArrivalSource,
-    actions: Union[Schedule, Sequence[Action]],
+    actions: Sequence[Action],
     horizon: int,
-    initial_alignment: Direction | None = None,
+    initial_alignment: Direction,
 ) -> SimulationResult:
     """The original ``simulate``: the per-period queue recurrence over [1, horizon].
 
     ``arrivals`` is either a callable t -> (a_D, a_U) or a sequence indexed
     from period 1; periods past the end of a sequence contribute no arrivals.
-    ``actions`` is a Schedule (replayed cyclically) or a finite sequence
-    covering the horizon.  Raises InfeasibleScheduleError if a processing
+    ``actions`` is a non-empty sequence replayed cyclically from
+    ``initial_alignment``.  Raises InfeasibleScheduleError if a processing
     action does not match the lock's alignment.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if not actions:
+        raise ValueError("action sequence must be non-empty")
     arrive = _reference_arrival_fn(arrivals)
-    if isinstance(actions, Schedule):
-        # One period of sides, replayed cyclically.
-        sides = [a.processes for a in actions.actions]
-        alignment = actions.initial_alignment if initial_alignment is None else initial_alignment
-    else:
-        if len(actions) < horizon:
-            raise ValueError(f"action sequence of length {len(actions)} does not cover horizon {horizon}")
-        sides = [a.processes for a in actions]
-        alignment = initial_alignment
-        if alignment is None:
-            alignment = next((side for side in sides if side is not None), Direction.DOWN)
+    sides = [a.processes for a in actions]
+    alignment = initial_alignment
     period = len(sides)
 
     n_d = n_u = 0
@@ -893,7 +890,9 @@ def _reference_evaluate(
         if record.day == day:
             counts[-(-record.minute_of_day // period) - 1][0 if record.direction is Direction.DOWN else 1] += 1
     counts = [tuple(c) for c in counts]
-    optimum = reference_simulate(reference_arrival_counts(instance, 1, horizon), schedule, horizon)
+    optimum = reference_simulate(
+        reference_arrival_counts(instance, 1, horizon), schedule.actions, horizon, schedule.initial_alignment
+    )
     runs = (
         reference_alternating(counts, horizon),
         reference_fifo(counts, horizon),

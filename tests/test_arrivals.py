@@ -111,6 +111,14 @@ def test_parse_names_the_row_of_an_unclosed_quote():
         assert exc.value.line_number == line
 
 
+def test_parse_names_the_file_line_after_a_quoted_newline():
+    # The first record's quoted timestamp spans lines 2 and 3, so the bad
+    # token is on line 4 though it is the third CSV row.
+    text = 'timestamp,direction\n"2019-01-02T06:30:00\n",D\n2019-01-02T06:30:00,X\n'
+    with pytest.raises(MalformedRowError, match="^line 4: unknown direction token 'X'$"):
+        _parse(text)
+
+
 def test_parse_rejects_mixed_utc_offsets():
     # 10:00+02:00 is 08:00 UTC, before 09:30+00:00, yet its wall clock is later.
     with pytest.raises(MalformedRowError, match="line 3"):

@@ -368,7 +368,8 @@ def test_slot_cost_table_equals_per_period_slot_costs(counts, shift, t_start):
 
 
 def _brute_force_work(lam, periods):
-    # Simulated periods summed over every candidate brute_force_optimal scores.
+    # The exhaustive search's size: 2^p candidates per period p, weighted by
+    # two joint cycles of the pattern and the period.
     return sum(2**p * 2 * math.lcm(lam, p) for p in periods)
 
 
@@ -384,9 +385,8 @@ def test_extra_waits_never_beat_the_dp(specs):
     """No cyclic schedule of a period 2 <= p <= 14 dividing 8 * Lambda, with
     waits anywhere, costs less than the single-wait DP optimum.  Such a
     schedule repeated is a schedule of period 8 * Lambda; period 1 allows no
-    feasible schedule.  Instances whose exhaustive search would simulate
-    more than 2M periods (about 10% of draws, some over 10 s each) are not
-    drawn."""
+    feasible schedule.  Instances whose exhaustive search has a size over
+    2M (about 10% of draws) are not drawn."""
     inst = _inst(*specs)
     lam = lcm_period(inst)
     periods = [p for p in range(2, 15) if 8 * lam % p == 0]

@@ -195,7 +195,7 @@ def test_realized_periodic_equals_alternating_on_same_trace():
     arrivals = [(1, 1), (0, 0), (1, 0), (0, 1)]
     sched = Schedule((D, U), Direction.DOWN)
     replay = realized_periodic(sched, arrivals, 4)
-    direct = simulate(arrivals, sched, 4)
+    direct = simulate(arrivals, sched.actions, 4, sched.initial_alignment)
     assert replay.result.total_wait == direct.total_wait
 
 

@@ -192,6 +192,14 @@ def test_next_chunk_window_beyond_cap_fails_without_scanning_it():
         next_chunk(ALTERNATING, ChunkRequest(1, 10**9, 1.0))
 
 
+def test_next_chunk_window_beyond_cap_takes_an_early_gap():
+    # Periods 3..8 bring no arrivals, so the scan stops at period 4 and the
+    # window past the cap is never checked against it.
+    chunk = next_chunk(_inst((Direction.DOWN, 8, 1), (Direction.UP, 8, 2)), ChunkRequest(1, 10**9, 1.0))
+    assert chunk.case == CASE_GAP
+    assert (chunk.start, chunk.end) == (1, 4)
+
+
 def test_gap_case_ends_at_gap_with_free_handoff():
     inst = _inst((Direction.DOWN, 8, 1), (Direction.UP, 8, 2))
     chunk = next_chunk(inst, ChunkRequest(start=1, window=8, epsilon=1.0))

@@ -81,7 +81,7 @@ def test_feasibility_requires_cyclic_closure():
 def test_simulate_serves_on_arrival():
     inst = _inst((Direction.DOWN, 2, 1), (Direction.UP, 2, 2))
     sched = Schedule((D, U), Direction.DOWN)
-    result = simulate(lambda t: arrival_at(inst, t), sched, 20)
+    result = simulate(lambda t: arrival_at(inst, t), sched.actions, 20, sched.initial_alignment)
     assert result.total_wait == 0
     assert result.n_arrivals == 20
 
@@ -91,7 +91,7 @@ def test_simulate_wait_then_serve():
     waits one period, so the average cost per period is 1/3."""
     inst = _inst((Direction.DOWN, 3, 1))
     sched = Schedule((W, D, U), Direction.DOWN)
-    result = simulate(lambda t: arrival_at(inst, t), sched, 12)
+    result = simulate(lambda t: arrival_at(inst, t), sched.actions, 12, sched.initial_alignment)
     assert result.per_period_cost[0] == 1
     assert result.avg_wait_per_period == Fraction(1, 3)
 
@@ -103,28 +103,39 @@ def test_simulate_detects_misaligned_action():
 
 @pytest.mark.parametrize("shape", [list, tuple, iter, lambda seq: (lambda t: seq[t - 1])],
                          ids=["list", "tuple", "iterator", "callable"])
-@pytest.mark.parametrize("trace", [[D, U, U, W], (D, U, U, W, D), Schedule((D, U, U), Direction.DOWN)],
-                         ids=["exact", "longer", "cycled"])
+@pytest.mark.parametrize("trace", [[D, U, U, W], (D, U, U, W, D), (D, U, U)], ids=["exact", "longer", "cycled"])
 def test_simulate_names_the_misaligned_period_for_each_input_shape(shape, trace):
     with pytest.raises(InfeasibleScheduleError, match="^period 3: action processes U but lock is aligned D$"):
-        simulate(shape([(1, 0), (0, 1), (1, 1), (0, 0)]), trace, 4)
+        simulate(shape([(1, 0), (0, 1), (1, 1), (0, 0)]), trace, 4, Direction.DOWN)
 
 
 def test_simulate_tuple_arrivals_equal_reference():
     arrivals = ((2, 0), (0, 1), (1, 1), (0, 3), (1, 0))
-    for trace in ([D, U, W, D, U], [U, D, U, W, W, D]):
-        assert simulate(arrivals, trace, 5) == reference_simulate(arrivals, trace, 5)
+    for trace, alignment in (([D, U, W, D, U], Direction.DOWN), ([U, D, U, W, W, D], Direction.UP)):
+        assert simulate(arrivals, trace, 5, alignment) == reference_simulate(arrivals, trace, 5, alignment)
 
 
 def test_simulate_sequence_arrivals_past_end_are_zero():
-    result = simulate([(1, 0)], [D, U, D, U], 4)
+    result = simulate([(1, 0)], [D, U, D, U], 4, Direction.DOWN)
     assert result.total_wait == 0
     assert result.n_arrivals == 1
 
 
-def test_simulate_action_sequence_must_cover_horizon():
-    with pytest.raises(ValueError):
-        simulate([(0, 0)], [D], 2)
+def test_simulate_short_action_sequence_cycles_as_its_schedule():
+    # A sequence shorter than the horizon repeats from period 1, as the
+    # Schedule of the same actions does, so (D,) misaligns at period 2.
+    arrivals = [(1, 0), (0, 1), (1, 1), (0, 0), (2, 1)]
+    result = simulate(arrivals, [W, D, U], 5, Direction.DOWN)
+    assert result == simulate(arrivals, [W, D, U, W, D], 5, Direction.DOWN)
+    assert result.per_period_cost == (1, 1, 1, 1, 1)
+    with pytest.raises(InfeasibleScheduleError, match="^period 2: action processes D but lock is aligned U$"):
+        simulate([(0, 0)], [D], 2, Direction.DOWN)
+
+
+def test_simulate_rejects_an_empty_action_sequence():
+    for actions in ([], ()):
+        with pytest.raises(ValueError, match="^action sequence must be non-empty$"):
+            simulate([(1, 0)], actions, 3, Direction.DOWN)
 
 
 def test_simulate_tracks_vessel_average():
@@ -145,22 +156,14 @@ def test_simulate_schedule_misaligned_on_second_cycle():
     # (D, U, D) closes on UP, so the second cycle's first D is misaligned.
     sched = Schedule((D, U, D), Direction.DOWN)
     with pytest.raises(InfeasibleScheduleError, match="period 4:"):
-        simulate([(0, 0)] * 6, sched, 6)
-
-
-def test_simulate_initial_alignment_overrides_schedule():
-    sched = Schedule((U, D), Direction.DOWN)
-    with pytest.raises(InfeasibleScheduleError, match="period 1:"):
-        simulate([(1, 1)], sched, 4)
-    result = simulate([(1, 1)], sched, 4, initial_alignment=Direction.UP)
-    assert result.per_period_cost == (1, 0, 0, 0)
+        simulate([(0, 0)] * 6, sched.actions, 6, sched.initial_alignment)
 
 
 def test_simulate_schedule_partial_cycle_matches_per_step_replay():
     inst = _inst((Direction.DOWN, 3, 1), (Direction.UP, 4, 2))
     sched = Schedule((W, D, U, D, W, U, W), Direction.DOWN)
     horizon = 3 * sched.period + 4
-    cyclic = simulate(lambda t: arrival_at(inst, t), sched, horizon)
+    cyclic = simulate(lambda t: arrival_at(inst, t), sched.actions, horizon, sched.initial_alignment)
     steps = [sched.action_at(t) for t in range(1, horizon + 1)]
     replay = simulate(lambda t: arrival_at(inst, t), steps, horizon, initial_alignment=Direction.DOWN)
     assert cyclic.per_period_cost == replay.per_period_cost
@@ -205,28 +208,27 @@ _pairs = st.tuples(st.integers(0, 3), st.integers(0, 3))
 def _simulations(draw):
     """Arguments for ``simulate``: arrivals as a list, tuple or iterator
     shorter than, equal to or longer than the horizon, or as a callable;
-    actions as a cyclic Schedule (period up to twice the horizon) or as a
-    list (some too short).  Actions alternate sides from a drawn start, and
-    one of them is sometimes overwritten, so infeasible traces are drawn too.
-    ``seq`` is the arrivals as a list."""
+    actions as a list that is empty, shorter than the horizon (cycled), as
+    long as it or longer.  Actions alternate sides from the drawn initial
+    alignment, and one of them is sometimes overwritten, so infeasible traces
+    are drawn too.  ``seq`` is the arrivals as a list."""
     horizon = draw(st.integers(1, 40))
     shape = draw(st.sampled_from(["shorter", "equal", "longer", "callable"]))
     sizes = {"shorter": (0, horizon - 1), "equal": (horizon, horizon)}.get(shape, (horizon + 1, horizon + 10))
     seq = draw(st.lists(_pairs, min_size=sizes[0], max_size=sizes[1]))
     arrivals = (lambda t: seq[t - 1]) if shape == "callable" else draw(st.sampled_from([list, tuple, iter]))(seq)
 
-    as_schedule = draw(st.booleans())
-    length = draw(st.integers(1, 2 * horizon) if as_schedule else st.integers(max(0, horizon - 2), horizon + 5))
-    start = draw(st.sampled_from(Direction))
-    side, actions = start, []
+    lengths = {"empty": (0, 0), "short": (1, max(1, horizon - 1)), "exact": (horizon, horizon)}
+    kind = draw(st.sampled_from(["empty", "short", "exact", "long"]))
+    length = draw(st.integers(*lengths.get(kind, (horizon + 1, 2 * horizon))))
+    alignment = draw(st.sampled_from(Direction))
+    side, actions = alignment, []
     for process in draw(st.lists(st.booleans(), min_size=length, max_size=length)):
         actions.append(Action.process(side) if process else W)
         side = side.flip() if process else side
     if actions and draw(st.booleans()):
         actions[draw(st.integers(0, length - 1))] = draw(st.sampled_from(Action))
-    trace = Schedule(tuple(actions), start) if as_schedule else actions
-    alignment = draw(st.none() | st.sampled_from(Direction))
-    return arrivals, trace, horizon, alignment, seq
+    return arrivals, actions, horizon, alignment, seq
 
 
 def _outcome(fn, *args):
@@ -241,7 +243,7 @@ def _outcome(fn, *args):
 def test_simulate_equals_reference_and_keeps_invariants(case):
     """Besides matching the reference, ``simulate`` reads the arrivals for
     periods 1..p only: p is the horizon, the period an alignment error names,
-    or 0 for a trace too short to cover the horizon."""
+    or 0 for an empty trace."""
     arrivals, actions, horizon, alignment, seq = case
     calls = []
     source = (lambda t: calls.append(t) or arrivals(t)) if callable(arrivals) else arrivals
