@@ -264,10 +264,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        # Built on first use, not at import, and shared by later calls: safe
+        # while every default is an immutable tuple or scalar.
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error, but 2 means skipped instances
         # here; --help and --version exit 0.

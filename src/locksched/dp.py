@@ -13,9 +13,10 @@ start with the least value wins, and only its lane is decoded.
 A lane's step compares only sums v[p] + c, so lanes started from v and from
 v + K make the same choices and end K apart (min-plus values become periodic
 up to a constant; Baccelli, Cohen, Olsder and Quadrat 1992).  ``solve``
-therefore cuts each turn into a short head and the rest and runs each piece
-once per distinct normalised start (v - min v), shared by all eight lanes and
-all eight turns.  The eight lanes usually coalesce within the first head, and
+therefore cuts each turn into a short head and the rest (a turn of
+Lambda <= _HEAD periods is one piece) and runs each piece once per distinct
+normalised start (v - min v), shared by all eight lanes and all eight
+turns.  The eight lanes usually coalesce within the first head, and
 later turns usually start where the first one ended, so the work is about
 Lambda + 9 * _HEAD lane steps where one full lane alone takes 8 * Lambda.
 Each distinct (piece, end state) pair of the winning lane is decoded once.
@@ -314,10 +315,11 @@ def solve(
     counts = arrival_counts(instance, -2, lam)
     phase_costs = slot_cost_table(counts)
     turn = phase_costs[1:] + phase_costs[:1]
-    pieces = (turn[:_HEAD], turn[_HEAD:])
+    # An empty piece (the rest, when Lambda <= _HEAD) is left out.
+    pieces = [piece for piece in (turn[:_HEAD], turn[_HEAD:]) if piece]
 
     runs = {}  # (piece, normalised start) -> lane over that piece
-    chains = []  # per start state, the keys of its 16 pieces in order
+    chains = []  # per start state, the keys of its 8 or 16 pieces in order
     totals = []
     for s0_id in range(8):
         values = start_values(s0_id)

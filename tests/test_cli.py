@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -599,3 +603,58 @@ def test_experiment_flags_and_config_keys_map_one_to_one_onto_config_fields(
         assert main(run + ["--config", str(path)]) == 0
         assert seen == [expected, expected]
         seen.clear()
+
+
+def test_main_builds_one_parser_and_leaks_no_flags(arrivals_csv, tmp_path, capsys, monkeypatch):
+    """``main`` builds its parser on first use, not at import, and reuses it.
+    A run of calls on the shared parser gives every call the outputs and
+    exit code of the same call on a fresh parser, so no flag value of one
+    call (the small grid here) reaches the next (the default grid).  The
+    fit report's Runtime column is a timing and is left out."""
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = "import locksched.cli as cli; assert cli._parser is None"
+    run = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"streams": [{"direction": "D", "lambda": 2, "mu": 1},
+                                            {"direction": "U", "lambda": 3, "mu": 3}]}))
+    arrivals = ["--arrivals", str(arrivals_csv)]
+    calls = [
+        ["experiment", *arrivals, "--k-list", "2", "--n-list", "10", "--out-dir", "small"],
+        ["schedule", "--instance", str(inst)],
+        ["experiment", *arrivals, "--k-list", "x"],
+        ["experiment", *arrivals, "--out-dir", "default"],
+        ["policy", "two-stream", "--lambda-d", "2", "--lambda-u", "3", "--mu-d", "1", "--mu-u", "3", "--t", "2"],
+    ]
+    runtime = FIT_HEADER.index("Runtime")
+
+    def outcome(argv, root, fresh):
+        root.mkdir()
+        monkeypatch.chdir(root)
+        if fresh:
+            monkeypatch.setattr(cli, "_parser", None)
+        code = main(argv)
+        streams = capsys.readouterr()
+        reports = {}
+        for path in sorted(root.rglob("*.csv")):
+            rows = [line.split(",") for line in path.read_text().splitlines()]
+            if path.name == "fit.csv":
+                rows = [row[:runtime] + row[runtime + 1:] for row in rows]
+            reports[str(path.relative_to(root))] = rows
+        return code, streams.out, streams.err, reports
+
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    shared = [outcome(argv, tmp_path / f"shared{i}", fresh=False) for i, argv in enumerate(calls)]
+    assert len(builds) == 1
+    fresh = [outcome(argv, tmp_path / f"fresh{i}", fresh=True) for i, argv in enumerate(calls)]
+    assert len(builds) == 1 + len(calls)
+    assert shared == fresh
+    assert [code for code, *_ in shared] == [0, 0, 1, 0, 0]
+    small, default = shared[0][3]["small/fit.csv"], shared[3][3]["default/fit.csv"]
+    assert {row[0] for row in small[1:]} == {"2"}
+    assert {row[0] for row in default[1:]} == {"2", "3", "4"}

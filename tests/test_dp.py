@@ -367,12 +367,6 @@ def test_slot_cost_table_equals_per_period_slot_costs(counts, shift, t_start):
     assert slot_cost_table([(0, 0)] * (3 + shift) + counts)[:lam] == padded
 
 
-def _brute_force_work(lam, periods):
-    # The exhaustive search's size: 2^p candidates per period p, weighted by
-    # two joint cycles of the pattern and the period.
-    return sum(2**p * 2 * math.lcm(lam, p) for p in periods)
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.lists(
     st.integers(1, 7).flatmap(
@@ -385,12 +379,10 @@ def test_extra_waits_never_beat_the_dp(specs):
     """No cyclic schedule of a period 2 <= p <= 14 dividing 8 * Lambda, with
     waits anywhere, costs less than the single-wait DP optimum.  Such a
     schedule repeated is a schedule of period 8 * Lambda; period 1 allows no
-    feasible schedule.  Instances whose exhaustive search has a size over
-    2M (about 10% of draws) are not drawn."""
+    feasible schedule."""
     inst = _inst(*specs)
     lam = lcm_period(inst)
     periods = [p for p in range(2, 15) if 8 * lam % p == 0]
-    assume(_brute_force_work(lam, periods) <= 2_000_000)
     optimum = solve(inst).avg_cost
     for p in periods:
         assert optimum <= brute_force_optimal(inst, p)
@@ -429,9 +421,10 @@ def test_lane_shifted_start_gives_same_bits_and_shifted_values(start, shift, ste
 # (streams, distinct normalised starts of the rest piece, distinct starts of
 # the head piece after the first turn): a rest piece that runs from two
 # starts, a later turn whose head does not start where the first turn ended,
-# Lambda = 1 whose one-step turns (an empty rest piece) coalesce only after
-# many turns, and the Lambda = 5005 benchmark instance, whose eight lanes
-# share one rest piece and, after the first turn, one head.
+# Lambda = 1 whose one-step turns coalesce only after many turns (each turn
+# is one piece: its empty rest is not run, and its rest count is multiplied
+# by Lambda - head = 0 steps), and the Lambda = 5005 benchmark instance,
+# whose eight lanes share one rest piece and, after the first turn, one head.
 MEMO_CASES = [
     (((Direction.UP, 10, 5), (Direction.DOWN, 7, 7), (Direction.DOWN, 1, 1)), 2, 1),
     (((Direction.UP, 11, 6), (Direction.UP, 7, 4), (Direction.DOWN, 1, 1)), 2, 2),
@@ -470,3 +463,29 @@ def test_solve_memo_paths_equal_nine_lane_reference(monkeypatch, head):
         inst = _inst(*specs)
         for mode in (CANONICAL, PAPER_LITERAL):
             _assert_same_result(solve(inst, mode), reference_solve(inst, mode))
+
+
+@pytest.mark.parametrize("mode", [CANONICAL, PAPER_LITERAL])
+@pytest.mark.parametrize(
+    "specs, calls",
+    [
+        (((Direction.DOWN, 4, 1), (Direction.UP, 3, 2)), 64),  # Lambda = 12
+        (((Direction.DOWN, 4, 1), (Direction.UP, 3, 2), (Direction.UP, 5, 5)), 128),  # Lambda = 60
+    ],
+)
+def test_solve_runs_no_empty_piece(monkeypatch, specs, calls, mode):
+    """A turn of Lambda <= _HEAD periods is one piece, so each of the eight
+    lanes normalises its start once per turn (64 in all), not once per head
+    and once per empty rest; a longer turn has two pieces (128)."""
+    seen = []
+    normalised = dp._normalised
+
+    def counting(values):
+        seen.append(values)
+        return normalised(values)
+
+    monkeypatch.setattr(dp, "_normalised", counting)
+    inst = _inst(*specs)
+    assert (lcm_period(inst) <= dp._HEAD) == (calls == 64)
+    solve(inst, mode)
+    assert len(seen) == calls
