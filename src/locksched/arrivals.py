@@ -92,6 +92,11 @@ class MatchingInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arrival_minutes", tuple(self.arrival_minutes))
+        if type(self.T) is not int:
+            raise ValueError(f"T must be an int, got {self.T!r}")
+        for t in self.arrival_minutes:
+            if type(t) is not int:
+                raise ValueError(f"arrival minutes must be ints, got {t!r}")
         if self.n != len(self.arrival_minutes):
             raise ValueError(f"n={self.n} does not match {len(self.arrival_minutes)} arrivals")
         if self.n < 1:

@@ -5,7 +5,8 @@ Fractions and ties are reproducible.  The solver searches vessel-count
 compositions and anchor vessels, scoring each candidate with the
 order-preserving (sorted-to-sorted) assignment, which is optimal for a fixed
 stream set.  The search scores candidates in integers: scaled by the lcm of
-a composition's counts, every anchored matching point is whole.
+a composition's counts, every anchored matching point is whole.  The
+winner is rebuilt from its stream set and checked in integers too.
 
 The search is a depth-first branch-and-bound over the anchors, placing
 each composition's largest-count stream first.  Every matching point pays
@@ -34,6 +35,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
+from numbers import Rational
 from operator import sub
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -63,6 +65,12 @@ class Stream:
     count: int
 
     def __post_init__(self) -> None:
+        for name in ("mu", "lam"):
+            value = getattr(self, name)
+            if not isinstance(value, Rational) or type(value) is bool:
+                raise ValueError(f"{name} must be a rational number, got {value!r}")
+        if type(self.count) is not int:
+            raise ValueError(f"count must be an int, got {self.count!r}")
         if self.lam <= 0:
             raise ValueError("lambda must be positive")
         if not 0 < self.mu <= self.lam:
@@ -78,6 +86,8 @@ class StreamSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "streams", tuple(self.streams))
+        if type(self.T) is not int:
+            raise ValueError(f"T must be an int, got {self.T!r}")
         for s in self.streams:
             if s.count * s.lam != self.T:
                 raise ValueError(f"count*lambda must equal T: {s.count}*{s.lam} != {self.T}")
@@ -95,32 +105,28 @@ class MatchingSolution:
     cost: Fraction
 
 
-def matching_points(streams: StreamSet) -> List[Tuple[Fraction, int]]:
-    """All (time, stream index) matching points, sorted; a true multiset."""
-    points = []
-    for i, s in enumerate(streams.streams):
-        points.extend((s.mu + ell * s.lam, i) for ell in range(s.count))
-    points.sort()
-    return points
-
-
 def assignment_cost(instance: MatchingInstance, streams: StreamSet) -> MatchingSolution:
     """Order-preserving assignment: i-th point to i-th arrival.
 
     This is a minimum-cost bijection for the fixed stream set (an exchange
-    argument on the L1 deviations).
+    argument on the L1 deviations).  It is computed in integers: scaled by
+    the lcm L of every mu and lambda denominator, each point is whole, and
+    the (point, stream index, occurrence) triples sort as the points do,
+    coinciding points by stream index.  The cost is the summed scaled
+    distance over L.
     """
     if streams.n != instance.n:
         raise CountMismatchError(f"streams provide {streams.n} points for {instance.n} arrivals")
-    points = matching_points(streams)
-    occurrence = [0] * len(streams.streams)
-    assignment = []
-    cost = Fraction(0)
-    for arrival, (time, stream_idx) in zip(instance.arrival_minutes, points):
-        cost += abs(time - arrival)
-        assignment.append((stream_idx, occurrence[stream_idx]))
-        occurrence[stream_idx] += 1
-    return MatchingSolution(streams=streams, assignment=tuple(assignment), cost=cost)
+    scale = math.lcm(*(x.denominator for s in streams.streams for x in (s.mu, s.lam)))
+    points = []
+    for i, s in enumerate(streams.streams):
+        first = s.mu.numerator * (scale // s.mu.denominator)
+        step = s.lam.numerator * (scale // s.lam.denominator)
+        points.extend((first + ell * step, i, ell) for ell in range(s.count))
+    points.sort()
+    cost = sum(abs(p - t * scale) for (p, _, _), t in zip(points, instance.arrival_minutes))
+    assignment = tuple((i, ell) for _, i, ell in points)
+    return MatchingSolution(streams=streams, assignment=assignment, cost=Fraction(cost, scale))
 
 
 def anchored_streams(
@@ -130,17 +136,18 @@ def anchored_streams(
 
     The offset places a matching point exactly on the anchor arrival:
     mu_i = t(s_i) - j*lam_i for the largest multiple j*lam_i strictly below
-    t(s_i), which keeps mu_i in (0, lam_i].
+    t(s_i), which keeps mu_i in (0, lam_i].  In integers, with t = t(s_i)
+    and c = counts[i]: j = ceil(t*c/T) - 1 and mu_i = (t*c - j*T)/c.
     """
     if sum(counts) != instance.n:
         raise CountMismatchError(f"counts sum to {sum(counts)}, expected {instance.n}")
+    T = instance.T
     streams = []
     for count, anchor in zip(counts, anchors):
-        lam = Fraction(instance.T, count)
-        t_anchor = instance.arrival_minutes[anchor]
-        j = math.ceil(Fraction(t_anchor) / lam) - 1  # largest j with j*lam < t_anchor
-        streams.append(Stream(mu=t_anchor - j * lam, lam=lam, count=count))
-    return StreamSet(streams=tuple(streams), T=instance.T)
+        scaled = instance.arrival_minutes[anchor] * count
+        j = -(-scaled // T) - 1  # largest j with j*T < t*c
+        streams.append(Stream(mu=Fraction(scaled - j * T, count), lam=Fraction(T, count), count=count))
+    return StreamSet(streams=tuple(streams), T=T)
 
 
 def _compositions_nondecreasing(total: int, parts: int, minimum: int = 1) -> Iterator[Tuple[int, ...]]:
@@ -222,8 +229,10 @@ def _search(instance: MatchingInstance, budgets: Sequence[int]) -> MatchingSolut
     stream's rows are walked in first-point order, and a scored row that
     fails jumps the walk over the rows just past it that it proves cannot
     win (see ``leaf``); "prefixes pruned" counts these rows too.  The
-    winner is rebuilt with ``Fraction`` arithmetic, and its cost checked
-    against the scaled search cost.
+    winner is rebuilt from its counts and anchors alone, with
+    ``anchored_streams`` and ``assignment_cost``, which work at the scale
+    of the streams' own denominators, not the search's; a rebuilt cost
+    that differs from the search's raises ``ArithmeticError``.
     """
     T, arrivals = instance.T, instance.arrival_minutes
     # Per count: its ``_anchor_rows``, their least bound, and the rows' first

@@ -3,8 +3,11 @@
 ``reference_solve_matching`` enumerates every candidate stream set and
 scores its sorted assignment in integers, with the anchor rule of the
 ``anchored_streams`` docstring; ``fraction_solve_matching``, the original
-enumerator, builds each candidate with ``anchored_streams`` and scores it
-with ``assignment_cost``, and checks the integer one on fixed instances.
+enumerator, builds each candidate with ``fraction_anchored_streams`` and
+scores it with ``fraction_assignment_cost``, and checks the integer one on
+fixed instances.  Those two, with the sorted ``Fraction`` points of
+``matching_points``, are ``anchored_streams`` and ``assignment_cost`` as
+they were before both moved to integers.
 ``oracle_min_cost_bijection`` does not use the sorted assignment at all.
 They are test-only, so scipy and numpy are test dependencies, not runtime
 ones.  ``reference_anchor_rows`` finds each anchored row's lower bound with
@@ -90,10 +93,8 @@ from locksched.experiment import ExperimentConfig, FitRow, ScheduleRow, fit_repo
 from locksched.matching import (
     CountMismatchError,
     MatchingSolution,
+    Stream,
     StreamSet,
-    anchored_streams,
-    assignment_cost,
-    matching_points,
 )
 from locksched.policies import Arrivals, PolicyRun
 from locksched.rolling import Chunk, ChunkRequest, GeneratedPlan, default_window, next_chunk
@@ -168,8 +169,9 @@ def reference_solve_matching(instance: MatchingInstance, k: int, prune: bool = T
     visits only non-decreasing count tuples and multiplicity-aware anchor
     tuples; the unpruned search is kept for equivalence testing.  Ties break
     on the lexicographically smallest (counts, anchors) visited.  The winner
-    is built once, at the end, with ``anchored_streams`` and
-    ``assignment_cost``.
+    is built once, at the end, with ``fraction_anchored_streams`` and
+    ``fraction_assignment_cost``, so that no package code builds the
+    reference's answer.
     """
     n, T, arrivals = instance.n, instance.T, instance.arrival_minutes
     if not 1 <= k <= n:
@@ -191,15 +193,56 @@ def reference_solve_matching(instance: MatchingInstance, k: int, prune: bool = T
                 best = (cost, scale, counts, anchors)
     assert best is not None
     cost, scale, counts, anchors = best
-    solution = assignment_cost(instance, anchored_streams(instance, counts, anchors))
+    solution = fraction_assignment_cost(instance, fraction_anchored_streams(instance, counts, anchors))
     assert solution.cost == Fraction(cost, scale)
     return solution
 
 
+def matching_points(streams: StreamSet) -> List[Tuple[Fraction, int]]:
+    """All (time, stream index) matching points, sorted; a true multiset."""
+    points = []
+    for i, s in enumerate(streams.streams):
+        points.extend((s.mu + ell * s.lam, i) for ell in range(s.count))
+    points.sort()
+    return points
+
+
+def fraction_assignment_cost(instance: MatchingInstance, streams: StreamSet) -> MatchingSolution:
+    """The order-preserving assignment in ``Fraction`` arithmetic: the
+    sorted (time, stream index) points, each given the next occurrence of
+    its stream, summed against the arrivals."""
+    if streams.n != instance.n:
+        raise CountMismatchError(f"streams provide {streams.n} points for {instance.n} arrivals")
+    occurrence = [0] * len(streams.streams)
+    assignment = []
+    cost = Fraction(0)
+    for arrival, (time, stream_idx) in zip(instance.arrival_minutes, matching_points(streams)):
+        cost += abs(time - arrival)
+        assignment.append((stream_idx, occurrence[stream_idx]))
+        occurrence[stream_idx] += 1
+    return MatchingSolution(streams=streams, assignment=tuple(assignment), cost=cost)
+
+
+def fraction_anchored_streams(
+    instance: MatchingInstance, counts: Sequence[int], anchors: Sequence[int]
+) -> StreamSet:
+    """The anchored streams in ``Fraction`` arithmetic: lam = T/c and
+    mu = t - j*lam with j = ceil(t/lam) - 1."""
+    if sum(counts) != instance.n:
+        raise CountMismatchError(f"counts sum to {sum(counts)}, expected {instance.n}")
+    streams = []
+    for count, anchor in zip(counts, anchors):
+        lam = Fraction(instance.T, count)
+        t_anchor = instance.arrival_minutes[anchor]
+        j = math.ceil(Fraction(t_anchor) / lam) - 1
+        streams.append(Stream(mu=t_anchor - j * lam, lam=lam, count=count))
+    return StreamSet(streams=tuple(streams), T=instance.T)
+
+
 def fraction_solve_matching(instance: MatchingInstance, k: int, prune: bool = True) -> MatchingSolution:
     """``reference_solve_matching`` with ``Fraction`` arithmetic: every
-    candidate built with ``anchored_streams`` and scored with
-    ``assignment_cost``.  A cross-check of the integer scoring."""
+    candidate built with ``fraction_anchored_streams`` and scored with
+    ``fraction_assignment_cost``.  A cross-check of the integer scoring."""
     n = instance.n
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n={n}, got {k}")
@@ -207,8 +250,8 @@ def fraction_solve_matching(instance: MatchingInstance, k: int, prune: bool = Tr
     best: Optional[MatchingSolution] = None
     for counts in comps:
         for anchors in _anchor_tuples(counts, n, prune):
-            streams = anchored_streams(instance, counts, anchors)
-            solution = assignment_cost(instance, streams)
+            streams = fraction_anchored_streams(instance, counts, anchors)
+            solution = fraction_assignment_cost(instance, streams)
             if best is None or solution.cost < best.cost:
                 best = solution
     assert best is not None

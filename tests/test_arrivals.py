@@ -247,6 +247,22 @@ def test_matching_instance_validates():
         MatchingInstance(arrival_minutes=(0, 2), T=5, n=2)
 
 
+@pytest.mark.parametrize(
+    "minutes, T, message",
+    [
+        ((2.5, 5, 9), 12, "arrival minutes must be ints, got 2.5"),
+        ((2, 5, 9), 12.0, "T must be an int, got 12.0"),
+        ((True, 5, 9), 12, "arrival minutes must be ints, got True"),
+        ((2, 5, 9), True, "T must be an int, got True"),
+    ],
+)
+def test_matching_instance_rejects_non_int_minutes(minutes, T, message):
+    """A float or bool minute or T is rejected when the instance is built,
+    not later inside the fitter."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MatchingInstance(arrival_minutes=minutes, T=T, n=3)
+
+
 def _day_dataset(minutes_down, minutes_up=()):
     recs = [
         ArrivalRecord(datetime(2019, 1, 2, (m - 1) // 60, (m - 1) % 60), d)

@@ -1,14 +1,18 @@
 import json
 import logging
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    fraction_anchored_streams,
+    fraction_assignment_cost,
     fraction_solve_matching,
+    matching_points,
     oracle_min_cost_bijection,
     reference_anchor_rows,
     reference_best_fit,
@@ -25,7 +29,6 @@ from locksched.matching import (
     StreamSet,
     anchored_streams,
     assignment_cost,
-    matching_points,
     solve_matching,
     stream_set_to_json,
 )
@@ -103,6 +106,66 @@ def test_anchoring_strict_inequality_at_boundary():
     ss = anchored_streams(inst, [2], [1])
     s = ss.streams[0]
     assert s.lam == 2 and s.mu == 2
+
+
+@st.composite
+def _stream_set_cases(draw):
+    """An instance and a stream set of as many points.  T is an int and each
+    stream's lam is T/c; its mu is an arbitrary rational in (0, lam] or, for
+    a later stream, one of an earlier stream's points folded into (0, lam],
+    so that points coincide across streams.  A whole mu or lam is sometimes
+    passed as an ``int``."""
+    T = draw(st.integers(1, 60))
+    counts = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    streams = []
+    for c in counts:
+        lam = Fraction(T, c)
+        if streams and draw(st.booleans()):
+            earlier = draw(st.sampled_from(streams))
+            point = earlier.mu + draw(st.integers(0, earlier.count - 1)) * earlier.lam
+            mu = point - (math.ceil(point / lam) - 1) * lam
+        else:
+            q = draw(st.integers(1, 12))
+            mu = lam * Fraction(draw(st.integers(1, q)), q)
+        mu, lam = (int(x) if x.denominator == 1 and draw(st.booleans()) else x for x in (mu, lam))
+        streams.append(Stream(mu, lam, c))
+    minutes = sorted(draw(st.lists(st.integers(1, T), min_size=sum(counts), max_size=sum(counts))))
+    return _inst(minutes, T=T), StreamSet(streams=tuple(streams), T=T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stream_set_cases())
+def test_assignment_cost_equals_fraction_reference(case):
+    """The integer assignment equals the ``Fraction`` one field for field,
+    coinciding points going to the lower stream index first."""
+    inst, streams = case
+    solution = assignment_cost(inst, streams)
+    assert solution == fraction_assignment_cost(inst, streams)
+    assert type(solution.cost) is Fraction
+
+
+@st.composite
+def _anchor_cases(draw):
+    """An instance, counts summing to its size and one anchor per count.
+    Some minutes are multiples of T / gcd(T, c) for a drawn count c, so that
+    t*c is a multiple of T and that stream's mu is lam."""
+    T = draw(st.integers(1, 120))
+    counts = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    minutes = []
+    for _ in range(sum(counts)):
+        unit = T // math.gcd(T, draw(st.sampled_from(counts)))
+        minutes.append(draw(st.one_of(st.integers(1, T), st.integers(1, T // unit).map(unit.__mul__))))
+    anchors = draw(st.lists(st.integers(0, len(minutes) - 1), min_size=len(counts), max_size=len(counts)))
+    return _inst(sorted(minutes), T=T), counts, anchors
+
+
+@settings(max_examples=300, deadline=None)
+@given(_anchor_cases())
+@example((_inst([1, 4], T=4), [2], [1]))
+@example((_inst([3, 6, 6, 9], T=9), [3, 1], [1, 3]))
+def test_anchored_streams_equals_fraction_reference(case):
+    inst, counts, anchors = case
+    assert anchored_streams(inst, counts, anchors) == fraction_anchored_streams(inst, counts, anchors)
 
 
 def test_anchoring_count_mismatch():
@@ -412,6 +475,30 @@ def test_stream_set_json_fractional_lambda():
         "T": 10,
         "streams": [{"mu": {"num": 5, "den": 3}, "lambda": {"num": 10, "den": 3}, "count": 3, "direction": "U"}],
     }
+
+
+@pytest.mark.parametrize(
+    "mu, lam, count, field",
+    [
+        (1.5, Fraction(4), 3, "mu"),
+        (Fraction(3, 2), 4.0, 3, "lam"),
+        (True, Fraction(4), 3, "mu"),
+        (Fraction(1), True, 1, "lam"),
+        (Fraction(1), Fraction(4), 3.0, "count"),
+        (Fraction(1), Fraction(4), True, "count"),
+    ],
+)
+def test_stream_rejects_non_rational_fields(mu, lam, count, field):
+    """Floats and bools are not accepted as exact values; the error names the field."""
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        Stream(mu, lam, count)
+
+
+def test_stream_set_rejects_non_int_T():
+    stream = Stream(Fraction(1), Fraction(4), 3)
+    for T in (12.0, Fraction(12)):
+        with pytest.raises(ValueError, match="^T must be an int"):
+            StreamSet(streams=(stream,), T=T)
 
 
 def test_stream_validation():
