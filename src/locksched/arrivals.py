@@ -88,7 +88,11 @@ class MatchingInstance:
 
     arrival_minutes: Tuple[int, ...]
     T: int
-    n: int
+
+    @property
+    def n(self) -> int:
+        """The number of arrivals."""
+        return len(self.arrival_minutes)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arrival_minutes", tuple(self.arrival_minutes))
@@ -97,9 +101,7 @@ class MatchingInstance:
         for t in self.arrival_minutes:
             if type(t) is not int:
                 raise ValueError(f"arrival minutes must be ints, got {t!r}")
-        if self.n != len(self.arrival_minutes):
-            raise ValueError(f"n={self.n} does not match {len(self.arrival_minutes)} arrivals")
-        if self.n < 1:
+        if not self.arrival_minutes:
             raise ValueError("instance must contain at least one arrival")
         if any(not 1 <= t <= self.T for t in self.arrival_minutes):
             raise ValueError("arrival minutes must lie in [1, T]")
@@ -192,7 +194,7 @@ def extract_instance(dataset: ArrivalDataset, day: date, direction: Direction, n
     if not minutes:
         raise NoArrivalsError(f"no {direction.value} arrivals on {day.isoformat()}")
     selected = minutes[: min(n, len(minutes))]
-    return MatchingInstance(arrival_minutes=tuple(selected), T=selected[-1], n=len(selected))
+    return MatchingInstance(arrival_minutes=tuple(selected), T=selected[-1])
 
 
 def bucket_to_periods(

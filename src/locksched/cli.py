@@ -58,6 +58,9 @@ def cmd_synth(args) -> int:
     }
     if not isinstance(spec, dict):
         raise ValueError(f"{args.streams}: expected an object mapping direction to [mu, lambda] pairs")
+    for d in spec:
+        if d not in ("D", "U"):
+            raise ValueError(f'{args.streams}: direction key must be "D" or "U", got {json.dumps(d)}')
     streams_spec = {Direction(d): pairs for d, pairs in spec.items()}
     dataset = synth_dataset(args.seed, args.days, streams_spec, args.sigma)
     _write(args.out, serialize_arrivals(dataset))

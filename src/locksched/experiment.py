@@ -24,7 +24,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 from .arrivals import (
     ArrivalDataset,
     ArrivalRecord,
-    MatchingInstance,
     NoArrivalsError,
     bucket_to_periods,
     extract_instance,
@@ -192,8 +191,6 @@ class ScheduleRow:
 
 @dataclass(frozen=True)
 class FitResult:
-    direction: Direction
-    instance: MatchingInstance
     solution: MatchingSolution
     runtime_seconds: float
 
@@ -205,7 +202,7 @@ def fit_day_direction(
     started = time.perf_counter()
     solution = best_fit(instance, k)
     elapsed = time.perf_counter() - started
-    return FitResult(direction=direction, instance=instance, solution=solution, runtime_seconds=elapsed)
+    return FitResult(solution=solution, runtime_seconds=elapsed)
 
 
 _dataset: Optional[ArrivalDataset] = None  # a pool worker's copy of the dataset
@@ -317,7 +314,7 @@ def _fit_rows(
             for d in DIRECTIONS:
                 fit = fits[k, n, day, d]
                 if not isinstance(fit, Skip):
-                    fit = (fit.runtime_seconds, float(fit.solution.cost / fit.instance.n))
+                    fit = (fit.runtime_seconds, float(fit.solution.cost / fit.solution.streams.n))
                 yield day, fit
 
     return _rows("fit", config, outcomes, FitRow)
@@ -366,7 +363,7 @@ def _evaluate_fits(
     period = config.period_minutes
     horizon = day_periods(period)
     tagged: List[Tuple[Direction, Stream]] = [
-        (fit.direction, s) for fit in fits for s in fit.solution.streams.streams
+        (direction, s) for direction, fit in zip(DIRECTIONS, fits) for s in fit.solution.streams.streams
     ]
     instance = rescale_streams(tagged, period)
     schedule = dp_solve(instance, period_cap=config.dp_cap).schedule

@@ -1,11 +1,12 @@
 """Incremental (1+eps)-approximate schedule generation in bounded windows.
 
-Each chunk is produced from an exact windowed optimization (a finite-horizon
-variant of the cyclic DP) and handed off to the next chunk either at a
-no-arrival gap, mid-window after a cheap window, or after two reorientation
-periods.  ``generate`` concatenates the chunks in one pass, rewriting a free
-tail once the next chunk has chosen its entry orientation.  The full horizon
-schedule is never materialized.
+Each chunk, ``next_chunk(instance, start, window, epsilon, position)``, is
+produced from an exact windowed optimization (a finite-horizon variant of the
+cyclic DP) and handed off to the next chunk, which starts at ``end + 1``,
+either at a no-arrival gap, mid-window after a cheap window, or after two
+reorientation periods.  ``generate`` concatenates the chunks in one pass,
+rewriting a free tail once the next chunk has chosen its entry orientation.
+The full horizon schedule is never materialized.
 """
 
 from __future__ import annotations
@@ -49,22 +50,6 @@ def default_window(k: int, epsilon: float) -> int:
 
 
 @dataclass(frozen=True)
-class ChunkRequest:
-    start: int
-    window: int
-    epsilon: float
-    position: Optional[Direction] = None  # None = free
-
-    def __post_init__(self) -> None:
-        if self.start < 1:
-            raise ValueError("start must be >= 1")
-        if self.window < 4:
-            raise ValueError("window must be >= 4")
-        if not self.epsilon > 0:  # also rejects NaN
-            raise ValueError("epsilon must be positive")
-
-
-@dataclass(frozen=True)
 class Chunk:
     start: int
     end: int
@@ -73,7 +58,6 @@ class Chunk:
     case: str
     cost: int  # simulated waiting within [start, end], queues empty at start
     entry_alignment: Direction
-    next_start: int
     next_position: Optional[Direction]  # None = free
 
 
@@ -123,13 +107,26 @@ def _scan_for_gap(instance: PeriodicInstance, t: int, last: int) -> Tuple[List[T
         block *= 2
 
 
-def next_chunk(instance: PeriodicInstance, request: ChunkRequest) -> Chunk:
-    """One step of the incremental scheme: a schedule chunk plus a handoff."""
-    t = request.start
-    t_end = t + request.window
+def next_chunk(
+    instance: PeriodicInstance,
+    start: int,
+    window: int,
+    epsilon: float,
+    position: Optional[Direction] = None,
+) -> Chunk:
+    """One step of the incremental scheme: the chunk from period ``start``,
+    entered in orientation ``position`` (None = free), plus a handoff to the
+    next chunk, which starts at ``end + 1``."""
+    if start < 1:
+        raise ValueError("start must be >= 1")
+    if window < 4:
+        raise ValueError("window must be >= 4")
+    if not epsilon > 0:  # also rejects NaN
+        raise ValueError("epsilon must be positive")
+    t_end = start + window
     # A gap head longer than the window cap is rejected anyway, so the scan
     # never reads past the cap, however large the window.
-    counts, gap = _scan_for_gap(instance, t, min(t_end, t + DEFAULT_WINDOW_CAP - 1))
+    counts, gap = _scan_for_gap(instance, start, min(t_end, start + DEFAULT_WINDOW_CAP - 1))
 
     # Case: a 2-period no-arrival gap lets the next chunk start free of charge.
     if gap is not None:
@@ -137,7 +134,7 @@ def next_chunk(instance: PeriodicInstance, request: ChunkRequest) -> Chunk:
         # makes clearing every queue within the arrival-free gap optimal, so
         # nothing carries over to the next chunk.
         counts = counts[: gap + 2]
-        sol = solve_window(counts, request.position)
+        sol = solve_window(counts, position)
         run = simulate(counts, sol.actions, len(sol.actions), initial_alignment=sol.entry_alignment)
         # Trailing gap periods count as rewritable only once the queues are
         # empty entering them (a zero per-period cost means an empty queue).
@@ -160,12 +157,12 @@ def next_chunk(instance: PeriodicInstance, request: ChunkRequest) -> Chunk:
         actions = sol.actions[: len(sol.actions) - free_tail] + (Action.WAIT,) * free_tail
         case, cost, next_position = CASE_GAP, run.total_wait, None
     else:
-        _check_window(t, t_end)
-        sol = solve_window(counts, request.position)
-        if sol.cost <= 2 * instance.k / request.epsilon:
-            # Case: cheap window; keep periods t..t + window // 2 + 1 and hand
-            # off the lock position.
-            actions = sol.actions[: request.window // 2 + 2]
+        _check_window(start, t_end)
+        sol = solve_window(counts, position)
+        if sol.cost <= 2 * instance.k / epsilon:
+            # Case: cheap window; keep periods start..start + window // 2 + 1
+            # and hand off the lock position.
+            actions = sol.actions[: window // 2 + 2]
             case, free_tail = CASE_CHEAP, 0
             next_position = _alignment_after(actions, sol.entry_alignment)
         else:
@@ -174,16 +171,14 @@ def next_chunk(instance: PeriodicInstance, request: ChunkRequest) -> Chunk:
             counts += arrival_counts(instance, t_end + 1, t_end + 2)
             case, free_tail, next_position = CASE_FULL, 2, None
         cost = simulate(counts, actions, len(actions), initial_alignment=sol.entry_alignment).total_wait
-    end = t + len(actions) - 1
     return Chunk(
-        start=t,
-        end=end,
+        start=start,
+        end=start + len(actions) - 1,
         actions=actions,
         free_tail=free_tail,
         case=case,
         cost=cost,
         entry_alignment=sol.entry_alignment,
-        next_start=end + 1,
         next_position=next_position,
     )
 
@@ -196,7 +191,6 @@ def _alignment_after(actions: Sequence[Action], entry: Direction) -> Direction:
 
 @dataclass(frozen=True)
 class GeneratedPlan:
-    start: int
     actions: Tuple[Action, ...]
     initial_alignment: Direction
     chunks: Tuple[Chunk, ...]
@@ -226,16 +220,15 @@ def generate(
     position: Optional[Direction] = None
     tail_alignment: Optional[Direction] = None  # after the previous chunk, if its tail is free
     for _ in range(n_chunks):
-        chunk = next_chunk(instance, ChunkRequest(start=start, window=window, epsilon=epsilon, position=position))
+        chunk = next_chunk(instance, start, window, epsilon, position)
         if tail_alignment is not None and chunk.entry_alignment is not tail_alignment:
             actions[-1] = Action.process(tail_alignment)
         actions += chunk.actions
         tail_alignment = _alignment_after(chunk.actions, chunk.entry_alignment) if chunk.free_tail else None
         chunks.append(chunk)
-        start = chunk.next_start
+        start = chunk.end + 1
         position = chunk.next_position
     return GeneratedPlan(
-        start=t_start,
         actions=tuple(actions),
         initial_alignment=chunks[0].entry_alignment,
         chunks=tuple(chunks),
@@ -252,7 +245,7 @@ def chunk_to_json(chunk: Chunk) -> str:
             "case": chunk.case,
             "cost": chunk.cost,
             "entry_alignment": chunk.entry_alignment.value,
-            "next_start": chunk.next_start,
+            "next_start": chunk.end + 1,
             "next_position": chunk.next_position.value if chunk.next_position else None,
         }
     )

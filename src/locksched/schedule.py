@@ -161,7 +161,6 @@ class SimulationResult:
     per_period_cost: Tuple[int, ...]
     total_wait: int
     n_arrivals: int
-    avg_wait_per_period: Fraction
     avg_wait_per_vessel: Fraction
 
 
@@ -179,7 +178,6 @@ def _simulation_result(horizon: int, costs: Sequence[int], n_arrivals: int) -> S
         per_period_cost=tuple(costs),
         total_wait=total,
         n_arrivals=n_arrivals,
-        avg_wait_per_period=Fraction(total, horizon),
         avg_wait_per_vessel=Fraction(total, n_arrivals) if n_arrivals else Fraction(0),
     )
 

@@ -97,7 +97,7 @@ from locksched.matching import (
     StreamSet,
 )
 from locksched.policies import Arrivals, PolicyRun
-from locksched.rolling import Chunk, ChunkRequest, GeneratedPlan, default_window, next_chunk
+from locksched.rolling import Chunk, GeneratedPlan, default_window, next_chunk
 from locksched.schedule import (
     Action,
     ArrivalSource,
@@ -430,9 +430,9 @@ def reference_generate(
     start = t_start
     position: Optional[Direction] = None
     for _ in range(n_chunks):
-        chunk = next_chunk(instance, ChunkRequest(start=start, window=window, epsilon=epsilon, position=position))
+        chunk = next_chunk(instance, start, window, epsilon, position)
         chunks.append(chunk)
-        start = chunk.next_start
+        start = chunk.end + 1
         position = chunk.next_position
 
     actions: List[Action] = []
@@ -453,7 +453,6 @@ def reference_generate(
         actions.extend(body)
     assert initial_alignment is not None
     return GeneratedPlan(
-        start=t_start,
         actions=tuple(actions),
         initial_alignment=initial_alignment,
         chunks=tuple(chunks),
@@ -823,7 +822,6 @@ def reference_simulate(
         per_period_cost=tuple(costs),
         total_wait=total,
         n_arrivals=n_arrivals,
-        avg_wait_per_period=Fraction(total, horizon),
         avg_wait_per_vessel=per_vessel,
     )
 
@@ -970,7 +968,7 @@ def reference_run_experiment(dataset: ArrivalDataset, config: ExperimentConfig) 
                     if not minutes:
                         skipped += 1
                         continue
-                    solution = reference_best_fit(MatchingInstance(tuple(minutes), minutes[-1], len(minutes)), k)
+                    solution = reference_best_fit(MatchingInstance(tuple(minutes), minutes[-1]), k)
                     fits.append((direction, solution))
                     fit_values.append(float(solution.cost / len(minutes)))
                 evaluation = _reference_evaluate(dataset, day, fits, config) if len(fits) == 2 else None

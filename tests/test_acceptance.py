@@ -58,7 +58,7 @@ def _random_matching_instance(rng: random.Random, n_max: int = 8, t_max: int = 4
     n = rng.randint(2, n_max)
     T = rng.randint(n, t_max)
     minutes = sorted(rng.sample(range(1, T + 1), n))
-    return MatchingInstance(tuple(minutes), max(minutes), n)
+    return MatchingInstance(tuple(minutes), max(minutes))
 
 
 def test_criterion_1_matching_oracle_equivalence():

@@ -238,13 +238,19 @@ def test_extract_instance_missing_direction_errors():
         extract_instance(ArrivalDataset(recs), date(2019, 1, 2), Direction.UP, 1)
 
 
+def test_extract_instance_rejects_n_below_1():
+    recs = (ArrivalRecord(datetime(2019, 1, 2, 0, 11), Direction.DOWN),)
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        extract_instance(ArrivalDataset(recs), date(2019, 1, 2), Direction.DOWN, 0)
+
+
 def test_matching_instance_validates():
     with pytest.raises(ValueError):
-        MatchingInstance(arrival_minutes=(5, 3), T=5, n=2)
+        MatchingInstance(arrival_minutes=(5, 3), T=5)
     with pytest.raises(ValueError):
-        MatchingInstance(arrival_minutes=(1, 2), T=5, n=3)
-    with pytest.raises(ValueError):
-        MatchingInstance(arrival_minutes=(0, 2), T=5, n=2)
+        MatchingInstance(arrival_minutes=(0, 2), T=5)
+    with pytest.raises(ValueError, match="^instance must contain at least one arrival$"):
+        MatchingInstance((), 5)
 
 
 @pytest.mark.parametrize(
@@ -260,7 +266,7 @@ def test_matching_instance_rejects_non_int_minutes(minutes, T, message):
     """A float or bool minute or T is rejected when the instance is built,
     not later inside the fitter."""
     with pytest.raises(ValueError, match=f"^{message}$"):
-        MatchingInstance(arrival_minutes=minutes, T=T, n=3)
+        MatchingInstance(arrival_minutes=minutes, T=T)
 
 
 def _day_dataset(minutes_down, minutes_up=()):
@@ -287,6 +293,14 @@ def test_bucket_aggregates_duplicates():
 def test_bucket_drops_beyond_horizon():
     ds = _day_dataset([100])
     assert bucket_to_periods(ds, date(2019, 1, 2), 21, 2) == [(0, 0), (0, 0)]
+
+
+def test_bucket_rejects_empty_periods_and_horizon():
+    ds = _day_dataset([100])
+    with pytest.raises(ValueError, match="^period_minutes must be >= 1, got 0$"):
+        bucket_to_periods(ds, date(2019, 1, 2), 0, 2)
+    with pytest.raises(ValueError, match="^horizon_periods must be >= 1, got 0$"):
+        bucket_to_periods(ds, date(2019, 1, 2), 21, 0)
 
 
 @st.composite

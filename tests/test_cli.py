@@ -34,8 +34,9 @@ def test_synth_output_parses(arrivals_csv):
         ({"D": [[5, 0]]}, "error: stream D [5, 0]: lambda must be >= 1, got 0"),
         ({"U": [[21, 126]], "D": [[0, 60]]}, "error: stream D [0, 60]: mu must be in 1..1440, got 0"),
         ({"D": 5}, "error: streams for D must be a list of [mu, lambda] pairs, got 5"),
-        ({"X": [[1, 2]]}, "error: 'X' is not a valid Direction"),
+        ({"X": [[1, 2]]}, 'direction key must be "D" or "U", got "X"'),
         ([[1, 2]], "expected an object mapping direction to [mu, lambda] pairs"),
+        ({"D": [[1, 2]], "d": []}, 'streams.json: direction key must be "D" or "U", got "d"'),
     ],
 )
 def test_synth_rejects_bad_streams(tmp_path, capsys, spec, message):
@@ -387,9 +388,10 @@ def test_evaluate_checks_flags_before_reading_arrivals(tmp_path, capsys, flags, 
         ('{"period": true, "initial_alignment": "D", "actions": ["D", "U"]}', 'schedule key "period" must be an int, got true'),
         ('{"period": 7, "initial_alignment": "D", "actions": ["D", "U"]}',
          'schedule key "period" is 7 but "actions" holds 2 entries'),
+        ('{"period": 0, "initial_alignment": "D", "actions": []}', 'schedule key "actions" must be non-empty'),
     ],
     ids=["top-level", "no-alignment", "no-actions", "no-period", "actions-string", "action-letter",
-         "alignment-letter", "period-string", "period-bool", "period-mismatch"],
+         "alignment-letter", "period-string", "period-bool", "period-mismatch", "actions-empty"],
 )
 def test_evaluate_rejects_bad_schedule_document(arrivals_csv, tmp_path, capsys, document, message):
     schedule = tmp_path / "schedule.json"
@@ -492,6 +494,16 @@ def test_experiment_config_rejects_zero_jobs(arrivals_csv, tmp_path, capsys):
                  "--out-dir", str(tmp_path / "reports")])
     assert code == 1
     assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
+
+
+def test_experiment_config_rejects_a_non_object(arrivals_csv, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps([1, 2]))
+    code = main(["experiment", "--arrivals", str(arrivals_csv), "--config", str(config),
+                 "--out-dir", str(tmp_path / "reports")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --config {config} must hold a JSON object\n"
+    assert not (tmp_path / "reports").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """The README's library example runs, its commands parse, it names the
-subcommands that take ``--out``, and every exported name exists."""
+subcommands that take ``--out``, every exported name exists and every
+name the package imports is exported."""
 
 import argparse
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -53,3 +55,11 @@ def test_readme_names_the_subcommands_that_accept_out():
 
 def test_exported_names_exist():
     assert [name for name in locksched.__all__ if not hasattr(locksched, name)] == []
+
+
+def test_imported_names_are_exported():
+    tree = ast.parse(Path(locksched.__file__).read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    assert imported
+    assert [name for name in imported if name not in locksched.__all__] == []

@@ -37,7 +37,7 @@ from locksched.schedule import Direction
 
 def _inst(minutes, T=None):
     minutes = tuple(minutes)
-    return MatchingInstance(arrival_minutes=minutes, T=T or minutes[-1], n=len(minutes))
+    return MatchingInstance(arrival_minutes=minutes, T=T or minutes[-1])
 
 
 def _set(*specs, T):
@@ -508,3 +508,7 @@ def test_stream_validation():
         Stream(Fraction(5), Fraction(4), 3)  # mu must not exceed lambda
     with pytest.raises(ValueError):
         StreamSet(streams=(Stream(Fraction(1), Fraction(4), 2),), T=12)  # 2*4 != 12
+    with pytest.raises(ValueError, match="^lambda must be positive$"):
+        Stream(Fraction(1), Fraction(0), 3)
+    with pytest.raises(ValueError, match="^count must be >= 1$"):
+        Stream(Fraction(1), Fraction(4), 0)

@@ -13,8 +13,6 @@ from locksched.rolling import (
     CASE_FULL,
     CASE_GAP,
     DEFAULT_WINDOW_CAP,
-    Chunk,
-    ChunkRequest,
     WindowCapExceededError,
     chunk_to_json,
     default_window,
@@ -56,15 +54,15 @@ def test_default_window():
     assert default_window(2, 1e-300) > DEFAULT_WINDOW_CAP
 
 
-def test_chunk_request_validation():
+def test_next_chunk_validation():
     with pytest.raises(ValueError):
-        ChunkRequest(start=0, window=10, epsilon=1.0)
+        next_chunk(ALTERNATING, start=0, window=10, epsilon=1.0)
     with pytest.raises(ValueError):
-        ChunkRequest(start=1, window=2, epsilon=1.0)
+        next_chunk(ALTERNATING, start=1, window=2, epsilon=1.0)
     with pytest.raises(ValueError):
-        ChunkRequest(start=1, window=10, epsilon=0)
+        next_chunk(ALTERNATING, start=1, window=10, epsilon=0)
     with pytest.raises(ValueError, match="epsilon must be positive"):
-        ChunkRequest(start=1, window=10, epsilon=float("nan"))
+        next_chunk(ALTERNATING, start=1, window=10, epsilon=float("nan"))
 
 
 def test_windowed_optimum_serve_on_arrival():
@@ -185,33 +183,37 @@ def test_windowed_optimum_rejects_start_before_period_1():
         windowed_optimum(ALTERNATING, 0, 5)
 
 
+def test_windowed_optimum_rejects_empty_window():
+    with pytest.raises(ValueError, match=r"^empty window \[5, 4\]$"):
+        windowed_optimum(ALTERNATING, 5, 4)
+
+
 def test_next_chunk_window_beyond_cap_fails_without_scanning_it():
     # No gap ever comes, and the gap scan stops at the cap instead of
     # reading a billion periods.
     with pytest.raises(WindowCapExceededError):
-        next_chunk(ALTERNATING, ChunkRequest(1, 10**9, 1.0))
+        next_chunk(ALTERNATING, 1, 10**9, 1.0)
 
 
 def test_next_chunk_window_beyond_cap_takes_an_early_gap():
     # Periods 3..8 bring no arrivals, so the scan stops at period 4 and the
     # window past the cap is never checked against it.
-    chunk = next_chunk(_inst((Direction.DOWN, 8, 1), (Direction.UP, 8, 2)), ChunkRequest(1, 10**9, 1.0))
+    chunk = next_chunk(_inst((Direction.DOWN, 8, 1), (Direction.UP, 8, 2)), 1, 10**9, 1.0)
     assert chunk.case == CASE_GAP
     assert (chunk.start, chunk.end) == (1, 4)
 
 
 def test_gap_case_ends_at_gap_with_free_handoff():
     inst = _inst((Direction.DOWN, 8, 1), (Direction.UP, 8, 2))
-    chunk = next_chunk(inst, ChunkRequest(start=1, window=8, epsilon=1.0))
+    chunk = next_chunk(inst, start=1, window=8, epsilon=1.0)
     assert chunk.case == CASE_GAP
     assert chunk.free_tail == 2
     assert chunk.next_position is None
-    assert chunk.next_start == chunk.end + 1
     assert chunk.actions[-2:] == (Action.WAIT, Action.WAIT)
 
 
 def test_cheap_case_returns_half_window_plus_one():
-    chunk = next_chunk(ALTERNATING, ChunkRequest(start=1, window=160, epsilon=1.0))
+    chunk = next_chunk(ALTERNATING, start=1, window=160, epsilon=1.0)
     assert chunk.case == CASE_CHEAP
     assert chunk.end == 1 + 80 + 1 - 1 + 1  # start + window // 2 + 1
     assert len(chunk.actions) == chunk.end - chunk.start + 1
@@ -223,8 +225,7 @@ def test_full_case_appends_two_reorientation_periods():
     # Coinciding streams conflict every period-pair, so a large epsilon
     # pushes the threshold 2k/eps below the window cost.
     inst = _inst((Direction.DOWN, 2, 2), (Direction.UP, 2, 2))
-    request = ChunkRequest(start=1, window=12, epsilon=10.0)
-    chunk = next_chunk(inst, request)
+    chunk = next_chunk(inst, start=1, window=12, epsilon=10.0)
     assert chunk.case == CASE_FULL
     assert chunk.end == 1 + 12 + 2
     assert chunk.free_tail == 2
@@ -233,7 +234,7 @@ def test_full_case_appends_two_reorientation_periods():
 
 def test_generate_single_chunk_matches_next_chunk():
     plan = generate(ALTERNATING, 1, 1, 1.0, window=20)
-    chunk = next_chunk(ALTERNATING, ChunkRequest(start=1, window=20, epsilon=1.0))
+    chunk = next_chunk(ALTERNATING, start=1, window=20, epsilon=1.0)
     assert plan.chunks == (chunk,)
 
 
@@ -288,7 +289,7 @@ def _plan_cost_and_bound(inst, plan, epsilon):
     (1 + epsilon) * opt * span + 2k per chunk.  ``simulate`` raises on an
     alternation violation, so a plan that does not replay fails here."""
     span = len(plan.actions)
-    arrivals = arrival_counts(inst, plan.start, plan.start + span - 1)
+    arrivals = arrival_counts(inst, plan.chunks[0].start, plan.chunks[0].start + span - 1)
     run = simulate(arrivals, list(plan.actions), span, initial_alignment=plan.initial_alignment)
     bound = (1 + Fraction(epsilon)) * solve(inst).avg_cost * span + 2 * inst.k * len(plan.chunks)
     return run.total_wait, bound
@@ -321,7 +322,7 @@ def test_one_plus_epsilon_slack_covers_every_chunk_case():
 
 
 def test_chunk_json_fields():
-    chunk = next_chunk(ALTERNATING, ChunkRequest(start=1, window=10, epsilon=1.0))
+    chunk = next_chunk(ALTERNATING, start=1, window=10, epsilon=1.0)
     data = json.loads(chunk_to_json(chunk))
     assert data["start"] == 1
     assert data["case"] in (CASE_GAP, CASE_CHEAP, CASE_FULL)
@@ -358,7 +359,7 @@ def _simulated_chunk_cost(inst, chunk):
 )
 def test_chunk_cost_equals_simulation_in_each_case(specs, request_args, case):
     inst = _inst(*specs)
-    chunk = next_chunk(inst, ChunkRequest(*request_args))
+    chunk = next_chunk(inst, *request_args)
     assert (chunk.case, chunk.free_tail) == case
     assert chunk.cost == _simulated_chunk_cost(inst, chunk)
 
@@ -374,7 +375,7 @@ def test_chunk_cost_equals_simulation_in_each_case(specs, request_args, case):
 def test_chunk_cost_equals_simulation(inst, start, window, epsilon, position):
     """A chunk's cost is its actions' simulated waiting, rewritten free tail
     included, in every case."""
-    chunk = next_chunk(inst, ChunkRequest(start, window, epsilon, position))
+    chunk = next_chunk(inst, start, window, epsilon, position)
     assert chunk.cost == _simulated_chunk_cost(inst, chunk)
 
 
@@ -389,7 +390,7 @@ def test_gap_chunk_is_empty_after_its_first_gap_period(inst, start, window, posi
     """An exact gap head has served every vessel by the end of the gap's
     first period, so a gap chunk always frees at least its last period and
     hands off a free position."""
-    chunk = next_chunk(inst, ChunkRequest(start, window, 1.0, position))
+    chunk = next_chunk(inst, start, window, 1.0, position)
     if chunk.case != CASE_GAP:
         return
     assert chunk.free_tail in (1, 2)
@@ -411,7 +412,7 @@ def test_gap_scan_finds_the_first_gap_across_blocks(gap_at):
     window's last period t + window is not a gap of this chunk."""
     lam = 300
     inst = _inst(*[(Direction.DOWN, lam, mu) for mu in range(1, lam + 1) if mu not in (gap_at, gap_at + 1)])
-    chunk = next_chunk(inst, ChunkRequest(start=1, window=280, epsilon=1.0))
+    chunk = next_chunk(inst, start=1, window=280, epsilon=1.0)
     if gap_at + 1 <= 281:
         assert (chunk.case, chunk.end) == (CASE_GAP, gap_at + 1)
     else:

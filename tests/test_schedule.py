@@ -64,6 +64,13 @@ def test_stream_spec_validation():
         StreamSpec(Direction.DOWN, 3, 0)
 
 
+def test_empty_instance_and_schedule_are_rejected():
+    with pytest.raises(ValueError, match="^instance requires at least one stream$"):
+        PeriodicInstance(())
+    with pytest.raises(ValueError, match="^schedule must be non-empty$"):
+        Schedule((), Direction.DOWN)
+
+
 def test_feasibility_alternation():
     assert is_feasible(Schedule((D, U), Direction.DOWN))
     assert not is_feasible(Schedule((D, W, D), Direction.DOWN))
@@ -93,7 +100,7 @@ def test_simulate_wait_then_serve():
     sched = Schedule((W, D, U), Direction.DOWN)
     result = simulate(lambda t: arrival_at(inst, t), sched.actions, 12, sched.initial_alignment)
     assert result.per_period_cost[0] == 1
-    assert result.avg_wait_per_period == Fraction(1, 3)
+    assert Fraction(result.total_wait, result.horizon) == Fraction(1, 3)
 
 
 def test_simulate_detects_misaligned_action():

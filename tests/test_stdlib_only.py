@@ -1,5 +1,5 @@
 """The runtime package imports nothing outside the standard library, and
-each module uses every name it imports."""
+each package and test module uses every name it imports."""
 
 import ast
 import sys
@@ -52,16 +52,24 @@ def test_package_imports_only_the_standard_library():
     assert foreign == []
 
 
-def test_package_modules_use_every_import():
-    """``__init__.py`` imports to re-export, so it is left out."""
-    unused = [
+def _unused_imports(scans):
+    return [
         f"{path.name}:{line}: {name}"
-        for path, (imports, used, *_) in SCANS.items()
-        if path.name != "__init__.py"
+        for path, (imports, used, *_) in scans.items()
         for line, module, name in imports
         if module != "__future__" and name not in used
     ]
-    assert unused == []
+
+
+def test_package_modules_use_every_import():
+    """``__init__.py`` imports to re-export, so it is left out."""
+    assert _unused_imports({path: scan for path, scan in SCANS.items() if path.name != "__init__.py"}) == []
+
+
+def test_test_modules_use_every_import():
+    scans = {path: _scan(path) for path in sorted(Path(__file__).resolve().parent.glob("*.py"))}
+    assert scans
+    assert _unused_imports(scans) == []
 
 
 def test_no_module_level_typing_alias_names_a_package_class():

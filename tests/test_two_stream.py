@@ -59,6 +59,11 @@ def test_closed_form_action_rejects_lambda_one():
         closed_form_action(TwoStreamParams(1, 1, 1, 2), 1)
 
 
+def test_closed_form_action_rejects_period_before_1():
+    with pytest.raises(ValueError, match="^period must be >= 1, got 0$"):
+        closed_form_action(TwoStreamParams(mu_d=1, mu_u=2, lambda_d=2, lambda_u=4), 0)
+
+
 def test_closed_form_action_periodicity():
     params = TwoStreamParams(mu_d=2, mu_u=3, lambda_d=3, lambda_u=4)
     lam = hyper_period(params)
