@@ -10,10 +10,10 @@ import csv
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from datetime import date, datetime
+from datetime import date, datetime, time
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable, List, TextIO, Tuple, Union
+from typing import Iterable, List, NamedTuple, TextIO, Tuple, Union
 
 from .schedule import Direction
 
@@ -23,6 +23,7 @@ _DIRECTION_TOKENS = {d.value: d for d in Direction}
 # A fraction of a second just past YYYY-MM-DDTHH:MM:SS (index 19); one that
 # runs into a second fraction is left for fromisoformat to reject.
 _FRACTION = re.compile(r"[.,][0-9]+(?![.,0-9])")
+_TIMESTAMP = attrgetter("timestamp")
 
 
 class MalformedRowError(ValueError):
@@ -35,8 +36,7 @@ class NoArrivalsError(ValueError):
     """No arrivals exist for the requested day and direction."""
 
 
-@dataclass(frozen=True)
-class ArrivalRecord:
+class ArrivalRecord(NamedTuple):
     timestamp: datetime  # truncated to the minute
     direction: Direction
 
@@ -50,10 +50,6 @@ class ArrivalRecord:
         return self.timestamp.hour * 60 + self.timestamp.minute + 1
 
 
-def _record_day(record: ArrivalRecord) -> date:
-    return record.day
-
-
 @dataclass(frozen=True)
 class ArrivalDataset:
     records: Tuple[ArrivalRecord, ...]
@@ -63,7 +59,7 @@ class ArrivalDataset:
         # that succeeds compared naive with naive or aware with aware only,
         # so the first record speaks for all.
         try:
-            records = tuple(sorted(self.records, key=attrgetter("timestamp")))
+            records = tuple(sorted(self.records, key=_TIMESTAMP))
         except TypeError as exc:
             raise ValueError(f"arrival timestamps must be naive datetimes: {exc}") from None
         if records and records[0].timestamp.tzinfo is not None:
@@ -76,10 +72,11 @@ class ArrivalDataset:
     def minutes_for(self, day: date, direction: Direction) -> List[int]:
         """Sorted 1-based arrival minutes for one day and direction."""
         # Records are sorted by naive timestamp, so each day is one
-        # contiguous slice.
-        lo = bisect_left(self.records, day, key=_record_day)
-        hi = bisect_right(self.records, day, lo=lo, key=_record_day)
-        return [r.minute_of_day for r in self.records[lo:hi] if r.direction is direction]
+        # contiguous slice, from its midnight to its last microsecond.
+        records = self.records
+        lo = bisect_left(records, datetime.combine(day, time.min), key=_TIMESTAMP)
+        hi = bisect_right(records, datetime.combine(day, time.max), lo=lo, key=_TIMESTAMP)
+        return [ts.hour * 60 + ts.minute + 1 for ts, d in records[lo:hi] if d is direction]
 
 
 @dataclass(frozen=True)
@@ -113,7 +110,8 @@ def parse_arrivals(source: Union[TextIO, Iterable[str]]) -> ArrivalDataset:
     """Parse the `timestamp,direction` CSV format into a sorted dataset.
 
     The first non-blank row must be the header; a leading byte-order mark is
-    ignored.  Timestamps keep their wall-clock minutes, a fraction of a
+    ignored.  A timestamp is a date, then ``T``, ``t`` or a space, then a
+    time of day.  Timestamps keep their wall-clock minutes, a fraction of a
     second (after ``.`` or ``,``) is dropped, and a trailing ``Z`` reads as
     ``+00:00``.  A file may use one UTC offset throughout, or none;
     mixing offsets, or offset and naive timestamps, raises
@@ -124,6 +122,7 @@ def parse_arrivals(source: Union[TextIO, Iterable[str]]) -> ArrivalDataset:
     first = next(lines, "")
     reader = csv.reader(chain((first.removeprefix("\ufeff"),), lines))
     records = []
+    append, record, fromisoformat, token = records.append, ArrivalRecord, datetime.fromisoformat, _DIRECTION_TOKENS.get
     first_offset = first_ts = None
     # File lines read before the current row, which starts on line done + 1:
     # a quoted field may hold newlines, so rows and lines can differ.
@@ -143,6 +142,11 @@ def parse_arrivals(source: Union[TextIO, Iterable[str]]) -> ArrivalDataset:
             if len(row) != 2:
                 raise MalformedRowError(done + 1, f"expected 2 fields, got {len(row)}")
             raw_ts, raw_dir = row[0].strip(), row[1].strip()
+            # fromisoformat takes any character after the date as the separator,
+            # and 3.11's also reads YYYYMMDD, so the shape is checked first.
+            if len(raw_ts) < 11 or raw_ts[10] not in "Tt ":
+                shape = "expected a date, then T or a space, then a time of day"
+                raise MalformedRowError(done + 1, f"bad timestamp {raw_ts!r}: {shape}, got {raw_ts!r}")
             # Python 3.10's fromisoformat does not read "Z", nor a fraction of
             # other than 3 or 6 digits; 3.11's does.  Minutes drop the fraction.
             text = raw_ts[:-1] + "+00:00" if raw_ts.endswith("Z") else raw_ts
@@ -150,11 +154,11 @@ def parse_arrivals(source: Union[TextIO, Iterable[str]]) -> ArrivalDataset:
             if fraction:
                 text = text[:19] + text[fraction.end():]
             try:
-                ts = datetime.fromisoformat(text)
+                ts = fromisoformat(text)
             except ValueError as exc:
                 reason = str(exc).replace(repr(text), repr(raw_ts))
                 raise MalformedRowError(done + 1, f"bad timestamp {raw_ts!r}: {reason}") from None
-            direction = _DIRECTION_TOKENS.get(raw_dir)
+            direction = token(raw_dir)
             if direction is None:
                 raise MalformedRowError(done + 1, f"unknown direction token {raw_dir!r}")
             # Minutes are wall-clock minutes, which order correctly only under
@@ -167,7 +171,7 @@ def parse_arrivals(source: Union[TextIO, Iterable[str]]) -> ArrivalDataset:
                 )
             if ts.second or ts.microsecond or ts.tzinfo is not None:
                 ts = ts.replace(second=0, microsecond=0, tzinfo=None)
-            records.append(ArrivalRecord(ts, direction))
+            append(record(ts, direction))
             done = reader.line_num
     except csv.Error as exc:
         # An unclosed quote runs on to the field size limit; the bad field
@@ -180,9 +184,8 @@ def serialize_arrivals(dataset: ArrivalDataset) -> str:
     """Inverse of parse_arrivals (LF line endings)."""
     # An identity test reads the token without Enum's Python-level ``value``.
     lines = [",".join(CSV_HEADER)]
-    lines += [
-        f"{r.timestamp.isoformat()},{'D' if r.direction is Direction.DOWN else 'U'}" for r in dataset.records
-    ]
+    down = Direction.DOWN
+    lines += [f"{ts.isoformat()},{'D' if d is down else 'U'}" for ts, d in dataset.records]
     return "\n".join(lines) + "\n"
 
 

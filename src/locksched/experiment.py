@@ -153,6 +153,7 @@ def synth_dataset(
     # cost more than a dataset of a few days saves.
     offsets = list(accumulate(repeat(timedelta(minutes=1), DAY_MINUTES - 1), initial=timedelta(0)))
     records = []
+    append, record, gauss = records.append, ArrivalRecord, rng.gauss
     for d in range(days):
         midnight = _SYNTH_START + timedelta(days=d)
         for direction, specs in streams:
@@ -161,12 +162,12 @@ def synth_dataset(
                     minute = t
                     if jitter_sigma > 0:
                         try:
-                            minute = min(max(t + round(rng.gauss(0, jitter_sigma)), 1), DAY_MINUTES)
+                            minute = min(max(t + round(gauss(0, jitter_sigma)), 1), DAY_MINUTES)
                         except OverflowError:
                             raise ValueError(
                                 f"jitter sigma must be >= 0 and small enough for finite draws, got {jitter_sigma}"
                             ) from None
-                    records.append(ArrivalRecord(midnight + offsets[minute - 1], direction))
+                    append(record(midnight + offsets[minute - 1], direction))
     return ArrivalDataset(tuple(records))
 
 

@@ -6,9 +6,11 @@ Standard library only, so that it runs under any supported interpreter with
     PYTHONPATH=src python -B tests/cross_version.py < request.json
 
 The request is ``{"synth": [[seed, days, {"D": [[mu, lambda], ...], ...},
-sigma], ...], "parse": text, "instance": document}``.  The reply holds the
-SHA-256 of each serialised synthetic dataset, the records parsed from
-``text`` as (timestamp, token) pairs, and the exit codes and outputs of four
+sigma], ...], "parse": text, "reject": [timestamp, ...], "instance":
+document}``.  The reply holds the SHA-256 of each serialised synthetic
+dataset, the records parsed from ``text`` as (timestamp, token) pairs, the
+``MalformedRowError`` message of each ``reject`` timestamp read as the one
+row of a file (``null`` if it parses), and the exit codes and outputs of four
 commands: ``locksched experiment --k-list 2,3 --n-list 10,20`` on
 ``locksched synth --seed 0 --days 3 --sigma 5`` (``fit.csv`` without its
 Runtime column, and ``schedule.csv``), then ``locksched schedule`` (its JSON)
@@ -25,7 +27,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from locksched.arrivals import parse_arrivals, serialize_arrivals
+from locksched.arrivals import MalformedRowError, parse_arrivals, serialize_arrivals
 from locksched.cli import main
 from locksched.experiment import synth_dataset
 from locksched.schedule import Direction
@@ -38,6 +40,13 @@ def results(request):
         digests.append(hashlib.sha256(serialize_arrivals(dataset).encode()).hexdigest())
     records = parse_arrivals(io.StringIO(request["parse"])).records
     parsed = [[r.timestamp.isoformat(), r.direction.value] for r in records]
+    rejections = []
+    for stamp in request["reject"]:
+        try:
+            parse_arrivals(["timestamp,direction\n", f"{stamp},D\n"])
+            rejections.append(None)
+        except MalformedRowError as exc:
+            rejections.append(str(exc))
     with tempfile.TemporaryDirectory() as tmp:
         arrivals = str(Path(tmp, "arrivals.csv"))
         codes = [
@@ -60,6 +69,7 @@ def results(request):
         "codes": codes,
         "synth": digests,
         "parse": parsed,
+        "reject": rejections,
         "fit": [row[:runtime] + row[runtime + 1:] for row in fit],
         "schedule": schedule,
         "optimal": optimal_json,

@@ -38,6 +38,19 @@ def test_parse_truncates_to_minute():
     assert rec.minute_of_day == 391
 
 
+def test_record_is_an_immutable_hashable_pair():
+    rec = ArrivalRecord(datetime(2019, 1, 2, 6, 30), Direction.DOWN)
+    with pytest.raises(AttributeError):
+        rec.timestamp = datetime(2019, 1, 3)
+    twin = ArrivalRecord(datetime(2019, 1, 2, 6, 30), Direction.DOWN)
+    assert twin == rec and hash(twin) == hash(rec)
+    assert repr(rec) == (
+        "ArrivalRecord(timestamp=datetime.datetime(2019, 1, 2, 6, 30), direction=<Direction.DOWN: 'D'>)"
+    )
+    ts, d = rec
+    assert (ts, d) == (datetime(2019, 1, 2, 6, 30), Direction.DOWN) == rec
+
+
 def test_parse_empty_file_gives_empty_dataset():
     assert _parse("timestamp,direction\n").records == ()
 
@@ -90,6 +103,19 @@ def test_parse_rejects_bad_timestamp():
     for stamp in ("not-a-time", "2019-01-02T09:30:00.5.5"):
         with pytest.raises(MalformedRowError, match=f"bad timestamp {stamp!r}: .*{stamp!r}"):
             _parse(f"timestamp,direction\n{stamp},D\n")
+
+
+# fromisoformat reads any character after the date as the separator, and
+# from Python 3.11 also a basic-format date, so each of these would read as a
+# time of day (or, on 3.10, fail with that reader's own message).
+REJECTED_TIMESTAMPS = ["2019-01-02", "2019-01-02Z", "2019-01-02+01:00", "2019-01-02-05:00", "20190102", "20190102T093000"]
+
+
+@pytest.mark.parametrize("stamp", REJECTED_TIMESTAMPS)
+def test_parse_requires_a_time_after_the_date(stamp):
+    message = f"line 2: bad timestamp {stamp!r}: expected a date, then T or a space, then a time of day"
+    with pytest.raises(MalformedRowError, match=f"^{re.escape(message)}"):
+        _parse(f"timestamp,direction\n{stamp},D\n")
 
 
 def test_parse_rejects_wrong_field_count():

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 from cross_version import results
+from test_arrivals import REJECTED_TIMESTAMPS
 from test_experiment import SYNTH_PINS
 
 TESTS = Path(__file__).resolve().parent
@@ -33,6 +34,7 @@ REQUEST = {
         for seed, days, spec, sigma, _ in SYNTH_PINS
     ],
     "parse": PARSE_TEXT,
+    "reject": REJECTED_TIMESTAMPS,
     # Every rolling chunk here is a gap chunk with a free entry that the
     # one-lane window solve gives to UP, the entry started half a unit higher.
     "instance": {
@@ -56,6 +58,9 @@ def expected():
         ["2019-01-03T00:00:00", "U"],
         ["2019-01-03T23:59:00", "D"],
     ]
+    assert len(reply["reject"]) == len(REJECTED_TIMESTAMPS)
+    for stamp, message in zip(REJECTED_TIMESTAMPS, reply["reject"]):
+        assert message.startswith(f"line 2: bad timestamp {stamp!r}: ")
     assert reply["codes"] == [0, 0, 0, 0]
     chunks = [json.loads(line) for line in reply["rolling"]]
     assert [(c["case"], c["entry_alignment"]) for c in chunks] == [("gap", "U")] * 4
