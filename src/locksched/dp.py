@@ -19,7 +19,10 @@ normalised start (v - min v), shared by all eight lanes and all eight
 turns.  The eight lanes usually coalesce within the first head, and
 later turns usually start where the first one ended, so the work is about
 Lambda + 9 * _HEAD lane steps where one full lane alone takes 8 * Lambda.
-Each distinct (piece, end state) pair of the winning lane is decoded once.
+A lane's chain of (piece, normalised start) keys stops at its first
+repeated key: every later key and each lap's rise are then known, so the
+end value and the key list are extended without further lookups.  Each
+distinct (piece, end state) pair of the winning lane is decoded once.
 
 Two transition-cost conventions are provided.  The canonical convention
 weights an arrival i periods before its service by i (so arrivals served in
@@ -32,29 +35,28 @@ reconstructed schedule is verified against simulation of the pattern solved
 hyper-period when the schedule repeats every Lambda periods, else one joint
 cycle).
 
-Every period's six slot costs (one per served side and window length) come
-from one builder, ``slot_cost_table``, over a list of per-period arrival
-counts behind a three-period lead-in, all read by ``schedule.arrival_counts``
-over a period range: periods -2..Lambda for ``solve`` (periods <= 0 repeat
-the pattern, so the lead-in is the hyper-period's last periods), and the
-rolling windows' own periods behind three empty ones and before one more,
-whose row prices the terminal charges.
-
-The forward pass (``lane``) is one straight-line step per period over the
-eight state values and the period's six slot costs: four copies for the
-wait states and four two-way minimums for the switch states.  Each step keeps
-one int of four choice bits as its backpointers.
+The forward pass (``lane``) reads per-period (down, up) arrival counts
+behind a three-period lead-in, all read by ``schedule.arrival_counts`` over
+a period range: periods -1..Lambda and then 1 for one turn of ``solve``
+(periods <= 0 repeat the hyper-period's last ones), each piece a slice with
+its own three lead-in periods, and the rolling windows' own periods behind
+three empty ones.  It is one straight-line step per period over the eight
+state values, which keeps the counts of the three periods before it in
+locals and forms the period's six slot costs (one per served side and
+window length) from them: four copies for the wait states and four two-way
+minimums for the switch states.  Each step keeps one int of four choice
+bits as its backpointers.
 
 ``solve_window`` is the finite-horizon variant that solves each window of the
 rolling-horizon scheme in ``rolling``: one lane over the window's periods
 from its entry state (the lock position, fresh wait counters), plus each end
-state's terminal charge for the arrivals still queued, priced by the slot-cost
-row of one empty period past the window.  A free entry starts the one lane in
-both entry states at once, Down at 0 and Up at 1/2.  A lane is min-plus linear
-in its start, so it ends at the lower of the two entries' own lanes; the half
-makes every comparison between a Down-origin and an Up-origin path strict, so
-the winning path keeps its own entry's choice bits, and a tie between the
-entries goes Down.
+state's terminal charge for the arrivals still queued, priced from the
+window's last three counts as the slot costs of one empty period past it.
+A free entry starts the one lane in both entry states at once, Down at 0 and
+Up at 1/2.  A lane is min-plus linear in its start, so it ends at the lower
+of the two entries' own lanes; the half makes every comparison between a
+Down-origin and an Up-origin path strict, so the winning path keeps its own
+entry's choice bits, and a tie between the entries goes Down.
 """
 
 from __future__ import annotations
@@ -63,9 +65,9 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, cycle, islice
 from operator import add
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .schedule import (
     Action,
@@ -138,38 +140,24 @@ def predecessors(state: LockState) -> Tuple[LockState, ...]:
     return (LockState(state.alignment, state.own_waits - 1, state.other_waits),)
 
 
-def slot_cost_table(counts: Sequence[Tuple[int, int]]) -> List[Tuple[int, ...]]:
-    """The six slot costs of every period of ``counts`` after a lead-in.
-
-    ``counts`` holds per-period (down, up) arrival counts whose first three
-    entries are the lead-in: the periods before the first one costed.
-    Serving a side (0 = DOWN, 1 = UP) at period t after a window of w in
-    {2, 3, 4} periods costs slot ``3 * side + w - 2``: each arrival i periods
-    before t, for 1 <= i < w, is charged i.  The arrivals 1, 2 and 3 periods
-    back are read as shifted slices of the two columns.
-    """
-    n = len(counts) - 3
-    down = [c[0] for c in counts]
-    up = [c[1] for c in counts]
-    return [
-        (d1, d1 + 2 * d2, d1 + 2 * d2 + 3 * d3, u1, u1 + 2 * u2, u1 + 2 * u2 + 3 * u3)
-        for d1, d2, d3, u1, u2, u3 in zip(
-            down[2 : 2 + n], down[1 : 1 + n], down[:n], up[2 : 2 + n], up[1 : 1 + n], up[:n]
-        )
-    ]
-
-
 def start_values(s_id: int) -> List[float]:
     """Lane start values for a lane that starts in state id ``s_id`` alone."""
     return [0 if i == s_id else _INF for i in range(8)]
 
 
-def lane(start: Sequence[float], steps: Iterable[Sequence[int]]) -> Tuple[List[float], List[int]]:
-    """Forward DP from the eight state values ``start``, one period per entry of ``steps``.
+def lane(start: Sequence[float], counts: Sequence[Tuple[int, int]]) -> Tuple[List[float], List[int]]:
+    """Forward DP from the eight state values ``start``, one period per entry of ``counts`` after three.
 
-    Each step holds that period's six slot costs c0..c5, and the transitions
-    of ``predecessors`` reduce to one straight-line step over the eight state
-    values v0..v7.
+    ``counts`` holds per-period (down, up) arrival counts whose first three
+    entries are the lead-in: the periods before the first one stepped.
+    Serving a side (0 = DOWN, 1 = UP) at period t after a window of w in
+    {2, 3, 4} periods costs slot ``3 * side + w - 2``: each arrival i periods
+    before t, for 1 <= i < w, is charged i.  With d1, d2, d3 the down
+    arrivals 1, 2 and 3 periods back, kept in locals, the down slots are
+    c0 = d1, c1 = d1 + 2 * d2 and c2 = c1 + 3 * d3, and c3..c5 are the same
+    for up; a period's own counts are first read by the step after it.
+    The transitions of ``predecessors`` reduce to one straight-line step over
+    the eight state values v0..v7.
     The wait states copy their one predecessor (v2, v3, v6, v7 become v0, v1,
     v4, v5).  Each switch state takes the first strict minimum of its two
     predecessors: v0 of v4+c3 and v5+c4, v1 of v6+c4 and v7+c5, v4 of v0+c0
@@ -182,31 +170,48 @@ def lane(start: Sequence[float], steps: Iterable[Sequence[int]]) -> Tuple[List[f
     bits and values K higher.
     """
     v0, v1, v2, v3, v4, v5, v6, v7 = start
+    rest = iter(counts)
+    (d3, u3), (d2, u2), (d1, u1) = islice(rest, 3)
     back: List[int] = []
     append = back.append
-    for c0, c1, c2, c3, c4, c5 in steps:
-        n0 = v4 + c3
+    for d, u in rest:
+        c1 = d1 + 2 * d2
+        c4 = u1 + 2 * u2
+        n0 = v4 + u1
         x0 = v5 + c4
         n1 = v6 + c4
-        x1 = v7 + c5
-        n4 = v0 + c0
+        x1 = v7 + c4 + 3 * u3
+        n4 = v0 + d1
         x4 = v1 + c1
         n5 = v2 + c1
-        x5 = v3 + c2
+        x5 = v3 + c1 + 3 * d3
+        v2 = v0
+        v3 = v1
+        v6 = v4
+        v7 = v5
         bits = 0
         if x0 < n0:
-            n0 = x0
+            v0 = x0
             bits = 1
+        else:
+            v0 = n0
         if x1 < n1:
-            n1 = x1
+            v1 = x1
             bits |= 2
+        else:
+            v1 = n1
         if x4 < n4:
-            n4 = x4
+            v4 = x4
             bits |= 16
+        else:
+            v4 = n4
         if x5 < n5:
-            n5 = x5
+            v5 = x5
             bits |= 32
-        v0, v1, v2, v3, v4, v5, v6, v7 = n0, n1, v0, v1, n4, n5, v4, v5
+        else:
+            v5 = n5
+        d3, d2, d1 = d2, d1, d
+        u3, u2, u1 = u2, u1, u
         append(bits)
     return [v0, v1, v2, v3, v4, v5, v6, v7], back
 
@@ -242,16 +247,19 @@ class WindowSolution:
     entry_alignment: Direction
 
 
-def _terminal_charges(past: Sequence[int]) -> List[int]:
+def _terminal_charges(last: Sequence[Tuple[int, int]]) -> List[int]:
     """The end-of-window charge of each state in ``ALL_STATES``, by state id.
 
-    ``past`` is the slot-cost row of the period just past the window, which
-    charges each arrival ``back`` periods before the window's last one
-    back + 1, the waits it has accrued.  A state's unserved arrivals reach
-    back own + other + 1 periods on its aligned side (the window
-    own + other + 2) and ``own`` periods on the other side.  Periods before
-    the window contribute nothing.
+    ``last`` holds the (down, up) counts of the window's last three periods,
+    oldest first, with empty periods before the window.  They give the slot
+    costs of the empty period just past the window, which charge each
+    arrival ``back`` periods before the window's last one back + 1, the
+    waits it has accrued.  A state's unserved arrivals reach back
+    own + other + 1 periods on its aligned side (the window own + other + 2)
+    and ``own`` periods on the other side.
     """
+    (d3, u3), (d2, u2), (d1, u1) = last
+    past = (d1, d1 + 2 * d2, d1 + 2 * d2 + 3 * d3, u1, u1 + 2 * u2, u1 + 2 * u2 + 3 * u3)
     return [
         past[3 * (alignment is Direction.UP) + own + other] + (past[3 * (alignment is Direction.DOWN)] if own else 0)
         for alignment, own, other in ALL_STATES
@@ -268,11 +276,11 @@ def solve_window(counts: List[Tuple[int, int]], position: Optional[Direction]) -
     and Up at 1/2 and truncates the end value; the half is exact because lane
     values stay far below 2**53 (windows are capped at 200,000 periods).
     """
-    steps = slot_cost_table([(0, 0)] * 3 + counts + [(0, 0)])
-    charges = _terminal_charges(steps.pop())
+    counts = [(0, 0)] * 3 + counts
+    charges = _terminal_charges(counts[-3:])
     entries = {Direction.DOWN: 0, Direction.UP: 0.5} if position is None else {position: 0}
     start = [entries.get(alignment, _INF) if own == other == 0 else _INF for alignment, own, other in ALL_STATES]
-    values, back = lane(start, steps)
+    values, back = lane(start, counts)
     cost, final = min(zip(map(add, values, charges), range(8)))
     start_id, actions = decode_lane(back, final)
     return WindowSolution(cost=int(cost), actions=actions, entry_alignment=ALL_STATES[start_id].alignment)
@@ -308,35 +316,50 @@ def solve(
         raise PeriodCapExceededError(T, period_cap)
     # Costs depend on t only through t mod Lambda.  The lane from s0 starts at
     # t = 1 and runs eight turns of t = 2..Lambda then t = 1, the last step
-    # being the wrap-around one back into s0.  The lead-in is periods -2..0,
-    # the cyclic pattern's last ones.
+    # being the wrap-around one back into s0.  Periods -2..0 repeat the
+    # pattern's last ones.
     if mode == PAPER_LITERAL:
         instance = PeriodicInstance(tuple(replace(s, mu=s.mu % s.lam + 1) for s in instance.streams))
     counts = arrival_counts(instance, -2, lam)
-    phase_costs = slot_cost_table(counts)
-    turn = phase_costs[1:] + phase_costs[:1]
-    # An empty piece (the rest, when Lambda <= _HEAD) is left out.
-    pieces = [piece for piece in (turn[:_HEAD], turn[_HEAD:]) if piece]
+    # One turn, periods 2..Lambda and then 1, behind the lead-in -1..1.  Each
+    # piece carries its own three lead-in periods, and an empty piece (the
+    # rest, when Lambda <= _HEAD) is left out.
+    turn = counts[1:] + counts[3:4]
+    pieces = [piece for piece in (turn[: _HEAD + 3], turn[_HEAD:]) if len(piece) > 3]
 
+    n_keys = 8 * len(pieces)
     runs = {}  # (piece, normalised start) -> lane over that piece
-    chains = []  # per start state, the keys of its 8 or 16 pieces in order
+    chains = []  # per start state, the keys of its n_keys pieces in order
     totals = []
     for s0_id in range(8):
         values = start_values(s0_id)
         keys = []
-        for _ in range(8):
-            for piece, steps in enumerate(pieces):
-                low, start = _normalised(values)
-                key = piece, start
-                if key not in runs:
-                    runs[key] = lane(start, steps)
-                keys.append(key)
-                values = [v + low for v in runs[key][0]]
+        lows = []  # per key, the minimum of the values entering it
+        for k in range(n_keys):
+            low, start = _normalised(values)
+            key = k % len(pieces), start
+            if key in keys:
+                # Each key fixes the next one and the rise in the minimum
+                # over its piece, so from the key's first meeting at i the
+                # chain repeats with period k - i, each lap low - lows[i]
+                # higher.
+                i = keys.index(key)
+                laps, j = divmod(n_keys - 1 - i, k - i)
+                end = runs[keys[i + j]][0][s0_id] + lows[i + j] + laps * (low - lows[i])
+                keys.extend(islice(cycle(keys[i:]), n_keys - k))
+                break
+            if key not in runs:
+                runs[key] = lane(start, pieces[key[0]])
+            keys.append(key)
+            lows.append(low)
+            values = [v + low for v in runs[key][0]]
+        else:
+            end = values[s0_id]
         chains.append(keys)
-        totals.append(values[s0_id])
+        totals.append(end)
     total = min(totals)
     s0_id = totals.index(total)
-    lane_steps = sum(len(pieces[piece]) for piece, _ in runs)
+    lane_steps = sum(len(pieces[piece]) - 3 for piece, _ in runs)
 
     # Decode the winning chain backwards from s0, once per distinct
     # (piece key, end state) pair.

@@ -57,6 +57,11 @@ class StreamSpec:
     mu: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.direction, Direction):
+            raise ValueError(f"direction must be a Direction, got {self.direction!r}")
+        for name in ("lam", "mu"):
+            if type(getattr(self, name)) is not int:  # bool is not an int here
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.lam < 1:
             raise ValueError(f"lambda must be >= 1, got {self.lam}")
         if not 1 <= self.mu <= self.lam:
@@ -73,6 +78,9 @@ class PeriodicInstance:
         if not self.streams:
             raise ValueError("instance requires at least one stream")
         object.__setattr__(self, "streams", tuple(self.streams))
+        for i, stream in enumerate(self.streams):
+            if not isinstance(stream, StreamSpec):
+                raise ValueError(f"stream {i} must be a StreamSpec, got {stream!r}")
 
     @property
     def k(self) -> int:
@@ -293,17 +301,27 @@ def schedule_to_json(schedule: Schedule) -> str:
     return json.dumps(_schedule_dict(schedule))
 
 
+def _check_keys(data: dict, keys: Tuple[str, ...], where: str) -> None:
+    """Raise ``ValueError`` naming the first key of ``data`` not in ``keys``,
+    else the first of ``keys`` missing from ``data``."""
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"{where}: unknown key {json.dumps(key)}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f'{where}: missing key "{key}"')
+
+
 def schedule_from_json(text: str) -> Schedule:
     """Parse ``{"period": T, "initial_alignment": "D"|"U", "actions": [...]}``.
 
-    A bad document raises ``ValueError`` naming the key.
+    A bad document, or one with any other key, raises ``ValueError`` naming
+    the key.
     """
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError(f"schedule must be a JSON object, got {json.dumps(data)}")
-    for key in ("period", "initial_alignment", "actions"):
-        if key not in data:
-            raise ValueError(f'schedule: missing key "{key}"')
+    _check_keys(data, ("period", "initial_alignment", "actions"), "schedule")
     actions = data["actions"]
     if not isinstance(actions, list):
         raise ValueError(f'schedule key "actions" must be a list, got {json.dumps(actions)}')
@@ -327,13 +345,13 @@ def schedule_from_json(text: str) -> Schedule:
 def instance_from_json(text: str) -> PeriodicInstance:
     """Parse ``{"streams": [{"direction": ..., "lambda": ..., "mu": ...}, ...]}``.
 
-    A bad document raises ``ValueError`` naming the stream index and key.
+    A bad document, or one with any other key, raises ``ValueError`` naming
+    the stream index and key.
     """
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError(f"instance must be a JSON object, got {json.dumps(data)}")
-    if "streams" not in data:
-        raise ValueError('instance: missing key "streams"')
+    _check_keys(data, ("streams",), "instance")
     if not isinstance(data["streams"], list):
         raise ValueError(f'instance key "streams" must be a list, got {json.dumps(data["streams"])}')
     specs = []
@@ -341,9 +359,7 @@ def instance_from_json(text: str) -> PeriodicInstance:
         where = f"instance stream {i}"
         if not isinstance(stream, dict):
             raise ValueError(f"{where} must be a JSON object, got {json.dumps(stream)}")
-        for key in ("direction", "lambda", "mu"):
-            if key not in stream:
-                raise ValueError(f'{where}: missing key "{key}"')
+        _check_keys(stream, ("direction", "lambda", "mu"), where)
         for key in ("lambda", "mu"):
             if type(stream[key]) is not int:  # bool is not an int here
                 raise ValueError(f'{where}: key "{key}" must be an int, got {json.dumps(stream[key])}')

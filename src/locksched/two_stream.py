@@ -29,6 +29,9 @@ class TwoStreamParams:
     lambda_u: int
 
     def __post_init__(self) -> None:
+        for name in ("mu_d", "mu_u", "lambda_d", "lambda_u"):
+            if type(getattr(self, name)) is not int:  # bool is not an int here
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if not 1 <= self.mu_d <= self.lambda_d:
             raise ValueError(f"need 1 <= mu_d <= lambda_d, got {self.mu_d}, {self.lambda_d}")
         if not 1 <= self.mu_u <= self.lambda_u:

@@ -27,7 +27,8 @@ Lambda-step min-plus transfer matrix from those lanes and the table step at
 period 1, and takes the minimum cycle mean over cycles of 1 to 8
 hyper-periods, the bound that the 8 * Lambda horizon of ``dp.solve`` must
 reach.  Both build their slot costs period by period with ``slot_costs``
-(replaced by the columnar ``dp.slot_cost_table``) and their pattern with
+(which ``dp.lane`` forms inside its step from the counts of the three
+periods before it) and their pattern with
 ``reference_arrival_counts`` (one ``arrival_at`` call per period, replaced
 by the strided ``arrival_counts``); ``reference_solve`` checks its schedule
 with ``reference_cyclic_average``, which measures the second of two simulated
@@ -41,16 +42,21 @@ fast replay: a closure per arrival lookup and a cyclic index per period.
 ``reference_alternating``, ``reference_fifo``, ``reference_adv_fifo`` and
 ``reference_realized_periodic`` are the policies as they were, scored by
 ``reference_simulate``.  ``transition_cost`` is the cost of one transition
-at one period, built by ``dp.slot_cost_table`` from the four periods up to
-period t - shift; it checks the table at large periods against
-``slot_costs``.  These references keep the paper-literal convention's
+at one period, priced by ``slot_costs`` from the strided ``arrival_counts``
+of the three periods before period t - shift; it checks those counts at
+large and non-positive periods against ``reference_arrival_counts``.  These
+references keep the paper-literal convention's
 definition as a window shifted back by one period (``_SHIFT``), while
 ``dp.solve`` solves the canonical DP on the pattern delayed by one period.
 ``reference_terminal_charges`` is the per-state, per-period loop that
-``dp._terminal_charges`` replaced with one slot-cost row.
+``dp._terminal_charges`` replaced with the slot costs of one empty period
+past the window.
 ``reference_solve_window`` is the window solve with one lane per entry
 orientation, which ``dp.solve_window`` replaced with one lane from both
-entries, Up a half higher.
+entries, Up a half higher; its lanes are ``reference_lane`` over
+``slot_costs`` rows, decoded by ``reference_lane_path`` and
+``reference_path_actions``, and its charges ``reference_terminal_charges``,
+so it shares no code with ``dp``'s kernel.
 ``reference_run_experiment`` is the experiment with no sharing: it fits every
 (k, n, day, direction) and evaluates every (k, n, day) on its own with the
 references above, and formats both reports with the package's writers.
@@ -82,12 +88,7 @@ from locksched.dp import (
     LockState,
     PeriodCapExceededError,
     WindowSolution,
-    _terminal_charges,
-    decode_lane,
-    lane,
     predecessors,
-    slot_cost_table,
-    start_values,
 )
 from locksched.experiment import ExperimentConfig, FitRow, ScheduleRow, fit_report_csv, schedule_report_csv
 from locksched.matching import (
@@ -382,25 +383,29 @@ def reference_terminal_charges(counts: Sequence[Tuple[int, int]]) -> List[int]:
 
 
 def reference_solve_window(counts: List[Tuple[int, int]], position: Optional[Direction]) -> WindowSolution:
-    """``dp.solve_window`` with one lane per entry orientation, the cheaper
-    one kept: the window solve as it was before a free entry ran one lane."""
-    # Arrivals clipped to the window: periods before t_start contribute nothing,
-    # so costs count exactly the in-window waits of in-window arrivals.  The
-    # row of one empty period past the window prices the terminal charges.
-    steps = slot_cost_table([(0, 0)] * 3 + counts + [(0, 0)])
-    charges = _terminal_charges(steps.pop())
+    """``dp.solve_window`` with one table-driven lane per entry orientation,
+    the cheaper one kept: the window solve as it was before a free entry ran
+    one lane, built from ``slot_costs`` rows and ``reference_terminal_charges``."""
+    # Arrivals clipped to the window: periods before it contribute nothing,
+    # so costs count exactly the in-window waits of in-window arrivals.
+    def window(t: int) -> Tuple[int, int]:
+        return counts[t] if 0 <= t < len(counts) else (0, 0)
 
-    def lane_end(entry: Direction) -> Tuple[int, int, List[int], Direction]:
+    rows = [slot_costs(window, t) for t in range(len(counts))]
+    charges = reference_terminal_charges(counts)
+
+    def lane_end(entry: Direction) -> Tuple[int, Tuple[Action, ...], Direction]:
         # The lane starts in the virtual state (entry, 0, 0): the lock
-        # position entering t_start, with fresh wait counters.
-        values, back = lane(start_values(ALL_STATES.index(LockState(entry, 0, 0))), steps)
+        # position entering the window, with fresh wait counters.
+        values, back = reference_lane(ALL_STATES.index(LockState(entry, 0, 0)), rows, keep_back=True)
+        assert back is not None
         cost, final = min((v + charge, s_id) for s_id, (v, charge) in enumerate(zip(values, charges)) if v != math.inf)
-        return cost, final, back, entry
+        return int(cost), reference_path_actions(reference_lane_path(back, final)), entry
 
     # A free entry takes the cheaper orientation, DOWN on a tie (min keeps the first).
     entries = (Direction.DOWN, Direction.UP) if position is None else (position,)
-    cost, final, back, entry = min(map(lane_end, entries), key=itemgetter(0))
-    return WindowSolution(cost=cost, actions=decode_lane(back, final)[1], entry_alignment=entry)
+    cost, actions, entry = min(map(lane_end, entries), key=itemgetter(0))
+    return WindowSolution(cost=cost, actions=actions, entry_alignment=entry)
 
 
 def _reference_alignment_after(actions: Iterable[Action], entry: Direction) -> Direction:
@@ -588,8 +593,9 @@ def transition_cost(
         raise ValueError(f"unknown mode {mode!r}")
     if prev not in predecessors(state):
         raise ValueError(f"{prev} is not a predecessor of {state}")
-    shift = _SHIFT[mode]
-    (costs,) = slot_cost_table(arrival_counts(instance, t - shift - 3, t - shift))
+    first = t - _SHIFT[mode] - 3
+    earlier = arrival_counts(instance, first, first + 2)
+    costs = slot_costs(lambda u: earlier[u - first], t, _SHIFT[mode])
     return _cost(costs, _slot(prev, state))
 
 

@@ -213,9 +213,12 @@ def test_rolling_command_rejects_tiny_epsilon(tmp_path, capsys, epsilon, message
      ({"streams": [{"direction": "X", "lambda": 2, "mu": 1}]},
       'instance stream 0: key "direction" must be "D" or "U", got "X"'),
      ({"streams": [{"direction": "D", "lambda": 2, "mu": 3}]},
-      "instance stream 0: mu must satisfy 1 <= mu <= lambda, got mu=3, lambda=2")],
+      "instance stream 0: mu must satisfy 1 <= mu <= lambda, got mu=3, lambda=2"),
+     ({"streams": [{"direction": "D", "lambda": 2, "mu": 1}, {"direction": "U", "lamda": 3, "lambda": 3, "mu": 1}]},
+      'instance stream 1: unknown key "lamda"'),
+     ({"streams": [{"direction": "D", "lambda": 2, "mu": 1}], "period": 4}, 'instance: unknown key "period"')],
     ids=["top-list", "no-streams", "streams-object", "stream-int", "no-mu", "lambda-float",
-         "mu-bool", "bad-direction", "mu-above-lambda"],
+         "mu-bool", "bad-direction", "mu-above-lambda", "stream-unknown-key", "top-unknown-key"],
 )
 def test_instance_commands_reject_bad_documents(tmp_path, capsys, command, document, message):
     inst = tmp_path / "inst.json"
@@ -389,9 +392,10 @@ def test_evaluate_checks_flags_before_reading_arrivals(tmp_path, capsys, flags, 
         ('{"period": 7, "initial_alignment": "D", "actions": ["D", "U"]}',
          'schedule key "period" is 7 but "actions" holds 2 entries'),
         ('{"period": 0, "initial_alignment": "D", "actions": []}', 'schedule key "actions" must be non-empty'),
+        ('{"period": 2, "initial_alignment": "D", "actions": ["D", "U"], "extra": 1}', 'schedule: unknown key "extra"'),
     ],
     ids=["top-level", "no-alignment", "no-actions", "no-period", "actions-string", "action-letter",
-         "alignment-letter", "period-string", "period-bool", "period-mismatch", "actions-empty"],
+         "alignment-letter", "period-string", "period-bool", "period-mismatch", "actions-empty", "unknown-key"],
 )
 def test_evaluate_rejects_bad_schedule_document(arrivals_csv, tmp_path, capsys, document, message):
     schedule = tmp_path / "schedule.json"

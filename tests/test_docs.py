@@ -1,9 +1,11 @@
 """The README's library example runs, its commands parse, it names the
-subcommands that take ``--out``, every exported name exists and every
-name the package imports is exported."""
+subcommands that take ``--out``, every name its module table gives in
+parentheses exists, every exported name exists and every name the package
+imports is exported."""
 
 import argparse
 import ast
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -43,6 +45,23 @@ def test_readme_commands_parse():
             build_parser().parse_args(shlex.split(command)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
+
+
+def test_readme_module_table_names_exist():
+    """A parenthesis of the module table that opens with backticked names,
+    such as (`solve`) or (`solve_matching`, `best_fit`), names attributes
+    of its row's module or CLI subcommands, so a removed helper cannot stay
+    in the table."""
+    rows = re.findall(r"^\| `locksched\.(\w+)` \|(.*)\|$", README.read_text(encoding="utf-8"), re.MULTILINE)
+    assert rows
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    missing = []
+    for module_name, text in rows:
+        module = importlib.import_module(f"locksched.{module_name}")
+        for names in re.findall(r"\(((?:`[A-Za-z_]\w*`(?:, )?)+)", text):
+            missing += [f"{module_name}: {name}" for name in re.findall(r"`(\w+)`", names)
+                        if not hasattr(module, name) and name not in subcommands]
+    assert missing == []
 
 
 def test_readme_names_the_subcommands_that_accept_out():

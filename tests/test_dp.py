@@ -31,7 +31,6 @@ from locksched.dp import (
     lane,
     predecessors,
     result_to_json_dict,
-    slot_cost_table,
     solve,
     start_values,
 )
@@ -325,18 +324,19 @@ def test_solve_equals_nine_lane_reference_fixed(mode):
         _assert_same_result(solve(inst, mode), reference_solve(inst, mode))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(*[st.integers(0, 3)] * 6), max_size=60))
-def test_lane_equals_table_reference(steps):
-    """The straight-line step and its choice bits against the table loop.
+# Per-period (down, up) counts behind a three-period lead-in, the lane's input.
+_lane_counts = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=3, max_size=63)
 
-    Costs in 0..3 make ties common, so the first-strict-minimum rule is
-    exercised on every switch state."""
+
+def _assert_lane_equals_reference(counts, rows):
+    """``lane`` over ``counts`` against ``reference_lane`` over the slot-cost
+    ``rows`` of its stepped periods, from each start: the end values and the
+    decoded path to every reachable end state."""
     for start in range(8):
-        values, back = lane(start_values(start), steps)
-        ref_values, ref_back = reference_lane(start, steps, keep_back=True)
+        values, back = lane(start_values(start), counts)
+        ref_values, ref_back = reference_lane(start, rows, keep_back=True)
         assert values == ref_values
-        assert len(back) == len(steps)
+        assert len(back) == len(rows)
         for final, value in enumerate(values):
             if value == float("inf"):
                 continue
@@ -344,27 +344,39 @@ def test_lane_equals_table_reference(steps):
             assert decode_lane(back, final) == (path[0], reference_path_actions(path))
 
 
+@settings(max_examples=300, deadline=None)
+@given(_lane_counts)
+def test_lane_equals_table_reference(counts):
+    """The straight-line step, its slot costs and its choice bits against
+    the table loop over ``slot_costs`` rows.
+
+    Counts in 0..3 make ties common, so the first-strict-minimum rule is
+    exercised on every switch state."""
+    rows = [slot_costs(counts.__getitem__, t) for t in range(3, len(counts))]
+    _assert_lane_equals_reference(counts, rows)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=30),
        st.sampled_from([0, 1]), st.integers(1, 50))
-def test_slot_cost_table_equals_per_period_slot_costs(counts, shift, t_start):
-    """The columnar table against ``slot_costs`` period by period, on a
+def test_lane_reads_counts_behind_a_lead_in(counts, shift, t_start):
+    """The lane's slot costs against ``slot_costs`` period by period, on a
     cyclic pattern (its lead-in wrapped from the pattern's end, as in
     ``solve``) and on a window with zero arrivals before it (as in
-    ``rolling.windowed_optimum``).  A window shifted back by ``shift``
-    periods is the table of the counts delayed by ``shift`` periods, which
-    is how ``solve`` computes the paper-literal convention."""
+    ``solve_window``).  A window shifted back by ``shift`` periods is the
+    lane over the counts delayed by ``shift`` periods, which is how
+    ``solve`` computes the paper-literal convention."""
     lam = len(counts)
     delayed = [counts[(t - shift) % lam] for t in range(lam)]
     lead_in = [delayed[t % lam] for t in range(-3, 0)]
     cyclic = [slot_costs(_cyclic(counts), t, shift) for t in range(1, lam + 1)]
-    assert slot_cost_table(lead_in + delayed) == cyclic
+    _assert_lane_equals_reference(lead_in + delayed, cyclic)
 
     def window(t):
         return counts[t - t_start] if t_start <= t < t_start + lam else (0, 0)
 
     padded = [slot_costs(window, t, shift) for t in range(t_start, t_start + lam)]
-    assert slot_cost_table([(0, 0)] * (3 + shift) + counts)[:lam] == padded
+    _assert_lane_equals_reference(([(0, 0)] * (3 + shift) + counts)[: 3 + lam], padded)
 
 
 @settings(max_examples=50, deadline=None)
@@ -407,13 +419,13 @@ _lane_start = st.lists(st.one_of(st.integers(0, 20), st.just(math.inf)), min_siz
 
 
 @settings(max_examples=300, deadline=None)
-@given(_lane_start, st.integers(-50, 50), st.lists(st.tuples(*[st.integers(0, 3)] * 6), max_size=40))
-def test_lane_shifted_start_gives_same_bits_and_shifted_values(start, shift, steps):
+@given(_lane_start, st.integers(-50, 50), _lane_counts)
+def test_lane_shifted_start_gives_same_bits_and_shifted_values(start, shift, counts):
     """``solve`` keys its lane memos on normalised start values, which is
     exact because a lane from v + K makes the same choices as one from v
     and ends K higher (inf stays inf)."""
-    values, back = lane(start, steps)
-    shifted_values, shifted_back = lane([v + shift for v in start], steps)
+    values, back = lane(start, counts)
+    shifted_values, shifted_back = lane([v + shift for v in start], counts)
     assert shifted_back == back
     assert shifted_values == [v + shift for v in values]
 
@@ -469,23 +481,33 @@ def test_solve_memo_paths_equal_nine_lane_reference(monkeypatch, head):
 @pytest.mark.parametrize(
     "specs, calls",
     [
-        (((Direction.DOWN, 4, 1), (Direction.UP, 3, 2)), 64),  # Lambda = 12
-        (((Direction.DOWN, 4, 1), (Direction.UP, 3, 2), (Direction.UP, 5, 5)), 128),  # Lambda = 60
+        (((Direction.DOWN, 4, 1), (Direction.UP, 3, 2)), 24),  # Lambda = 12
+        (((Direction.DOWN, 4, 1), (Direction.UP, 3, 2), (Direction.UP, 5, 5)), 32),  # Lambda = 60
     ],
 )
 def test_solve_runs_no_empty_piece(monkeypatch, specs, calls, mode):
-    """A turn of Lambda <= _HEAD periods is one piece, so each of the eight
-    lanes normalises its start once per turn (64 in all), not once per head
-    and once per empty rest; a longer turn has two pieces (128)."""
+    """A turn of Lambda <= _HEAD periods is one piece, so no lane runs over
+    an empty rest, and each of the eight lanes normalises its start three
+    times, once per turn until its chain meets a repeated key (24 in all),
+    not once per head and once per empty rest; a longer turn has two pieces,
+    and each lane normalises four times (32)."""
     seen = []
     normalised = dp._normalised
+    run_lane = dp.lane
+    steps = []
 
     def counting(values):
         seen.append(values)
         return normalised(values)
 
+    def counted_lane(start, counts):
+        steps.append(len(counts) - 3)
+        return run_lane(start, counts)
+
     monkeypatch.setattr(dp, "_normalised", counting)
+    monkeypatch.setattr(dp, "lane", counted_lane)
     inst = _inst(*specs)
-    assert (lcm_period(inst) <= dp._HEAD) == (calls == 64)
+    assert (lcm_period(inst) <= dp._HEAD) == (calls == 24)
     solve(inst, mode)
     assert len(seen) == calls
+    assert min(steps) > 0

@@ -29,7 +29,7 @@ from locksched.schedule import (
     arrival_counts,
     simulate,
 )
-from locksched.dp import _terminal_charges, slot_cost_table, solve, solve_window
+from locksched.dp import _terminal_charges, solve, solve_window
 
 
 def _inst(*specs):
@@ -127,11 +127,10 @@ def test_windowed_optimum_equals_exhaustive_oracle(inst, t_start, n):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=6))
 def test_terminal_charges_equal_per_period_reference(counts):
-    """One slot-cost row past the window gives every state's terminal
-    charge, for windows shorter than the three periods a charge reaches
-    back as well."""
-    past = slot_cost_table([(0, 0)] * 3 + counts + [(0, 0)])[-1]
-    assert _terminal_charges(past) == reference_terminal_charges(counts)
+    """The window's last three counts, behind empty periods, give every
+    state's terminal charge, for windows shorter than the three periods a
+    charge reaches back as well."""
+    assert _terminal_charges(([(0, 0)] * 3 + counts)[-3:]) == reference_terminal_charges(counts)
 
 
 _COUNTS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=40)

@@ -64,6 +64,30 @@ def test_stream_spec_validation():
         StreamSpec(Direction.DOWN, 3, 0)
 
 
+@pytest.mark.parametrize(
+    "direction, lam, mu, message",
+    [
+        ("D", 2, 1, "direction must be a Direction, got 'D'"),
+        (Direction.DOWN, True, True, "lam must be an int, got True"),
+        (Direction.UP, 2, True, "mu must be an int, got True"),
+        (Direction.DOWN, 2.0, 1, "lam must be an int, got 2.0"),
+        (Direction.UP, 4, 1.5, "mu must be an int, got 1.5"),
+    ],
+    ids=["direction-string", "lam-bool", "mu-bool", "lam-float", "mu-float"],
+)
+def test_stream_spec_rejects_bad_field_types(direction, lam, mu, message):
+    """A string direction would count as upstream, a bool as 1, and a float
+    would fail later inside ``math.lcm``: each is rejected when the spec is
+    built, naming the field."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        StreamSpec(direction, lam, mu)
+
+
+def test_instance_rejects_a_stream_that_is_not_a_stream_spec():
+    with pytest.raises(ValueError, match="^stream 1 must be a StreamSpec, got 'x'$"):
+        PeriodicInstance((StreamSpec(Direction.DOWN, 2, 1), "x"))
+
+
 def test_empty_instance_and_schedule_are_rejected():
     with pytest.raises(ValueError, match="^instance requires at least one stream$"):
         PeriodicInstance(())

@@ -24,6 +24,21 @@ def test_params_validation():
         TwoStreamParams(mu_d=1, mu_u=3, lambda_d=2, lambda_u=2)
 
 
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ((1.0, 1, 2, 2), "mu_d"),
+        ((1, True, 2, 2), "mu_u"),
+        ((1, 1, 2.0, 2), "lambda_d"),
+        ((1, 1, 2, True), "lambda_u"),
+    ],
+)
+def test_params_reject_non_int_fields(fields, name):
+    """A float or bool field is rejected by name, not solved as its value."""
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+        TwoStreamParams(*fields)
+
+
 def test_primary_side_tie_goes_down():
     assert TwoStreamParams(1, 1, 2, 2).primary is Direction.DOWN
     assert TwoStreamParams(1, 1, 4, 3).primary is Direction.UP
