@@ -24,6 +24,17 @@ _DIRECTION_TOKENS = {d.value: d for d in Direction}
 # runs into a second fraction is left for fromisoformat to reject.
 _FRACTION = re.compile(r"[.,][0-9]+(?![.,0-9])")
 _TIMESTAMP = attrgetter("timestamp")
+# After a four-digit year every field of a timestamp is one separator and two
+# digits: -MM-DD, T or t or a space, HH:MM, an optional :SS and an optional
+# +HH:MM or -HH:MM, the form a trailing Z and a fraction of a second are cut
+# to first.  A shape is the string of its separators, at indices 4, 7, 10...
+_SHAPES = frozenset(
+    f"--{sep}:{tail}" for sep in "Tt " for tail in ("", ":", "+:", "-:", ":+:", ":-:")
+)
+_SHAPE_ERROR = (
+    "expected a date, then T or a space, then a time of day,"
+    " as YYYY-MM-DDTHH:MM[:SS[.fraction]] with an optional Z or +HH:MM or -HH:MM"
+)
 
 
 class MalformedRowError(ValueError):
@@ -69,14 +80,18 @@ class ArrivalDataset:
     def days(self) -> List[date]:
         return sorted({r.timestamp.date() for r in self.records})
 
-    def minutes_for(self, day: date, direction: Direction) -> List[int]:
-        """Sorted 1-based arrival minutes for one day and direction."""
+    def _day_records(self, day: date) -> Tuple[ArrivalRecord, ...]:
+        """The records of one day, in timestamp order."""
         # Records are sorted by naive timestamp, so each day is one
         # contiguous slice, from its midnight to its last microsecond.
         records = self.records
         lo = bisect_left(records, datetime.combine(day, time.min), key=_TIMESTAMP)
         hi = bisect_right(records, datetime.combine(day, time.max), lo=lo, key=_TIMESTAMP)
-        return [ts.hour * 60 + ts.minute + 1 for ts, d in records[lo:hi] if d is direction]
+        return records[lo:hi]
+
+    def minutes_for(self, day: date, direction: Direction) -> List[int]:
+        """Sorted 1-based arrival minutes for one day and direction."""
+        return [ts.hour * 60 + ts.minute + 1 for ts, d in self._day_records(day) if d is direction]
 
 
 @dataclass(frozen=True)
@@ -110,8 +125,10 @@ def parse_arrivals(source: Union[TextIO, Iterable[str]]) -> ArrivalDataset:
     """Parse the `timestamp,direction` CSV format into a sorted dataset.
 
     The first non-blank row must be the header; a leading byte-order mark is
-    ignored.  A timestamp is a date, then ``T``, ``t`` or a space, then a
-    time of day.  Timestamps keep their wall-clock minutes, a fraction of a
+    ignored.  A timestamp is a date ``YYYY-MM-DD``, then ``T``, ``t`` or a
+    space, then a time of day ``HH:MM`` or ``HH:MM:SS``, then optionally a
+    UTC offset ``+HH:MM`` or ``-HH:MM``; every Python version reads the same
+    forms.  Timestamps keep their wall-clock minutes, a fraction of a
     second (after ``.`` or ``,``) is dropped, and a trailing ``Z`` reads as
     ``+00:00``.  A file may use one UTC offset throughout, or none;
     mixing offsets, or offset and naive timestamps, raises
@@ -122,7 +139,10 @@ def parse_arrivals(source: Union[TextIO, Iterable[str]]) -> ArrivalDataset:
     first = next(lines, "")
     reader = csv.reader(chain((first.removeprefix("\ufeff"),), lines))
     records = []
-    append, record, fromisoformat, token = records.append, ArrivalRecord, datetime.fromisoformat, _DIRECTION_TOKENS.get
+    append, fromisoformat, token = records.append, datetime.fromisoformat, _DIRECTION_TOKENS.get
+    # ArrivalRecord(ts, d) runs the NamedTuple's Python-level __new__;
+    # tuple.__new__ builds the same record in C.
+    new, record = tuple.__new__, ArrivalRecord
     first_offset = first_ts = None
     # File lines read before the current row, which starts on line done + 1:
     # a quoted field may hold newlines, so rows and lines can differ.
@@ -142,17 +162,19 @@ def parse_arrivals(source: Union[TextIO, Iterable[str]]) -> ArrivalDataset:
             if len(row) != 2:
                 raise MalformedRowError(done + 1, f"expected 2 fields, got {len(row)}")
             raw_ts, raw_dir = row[0].strip(), row[1].strip()
-            # fromisoformat takes any character after the date as the separator,
-            # and 3.11's also reads YYYYMMDD, so the shape is checked first.
-            if len(raw_ts) < 11 or raw_ts[10] not in "Tt ":
-                shape = "expected a date, then T or a space, then a time of day"
-                raise MalformedRowError(done + 1, f"bad timestamp {raw_ts!r}: {shape}, got {raw_ts!r}")
             # Python 3.10's fromisoformat does not read "Z", nor a fraction of
             # other than 3 or 6 digits; 3.11's does.  Minutes drop the fraction.
             text = raw_ts[:-1] + "+00:00" if raw_ts.endswith("Z") else raw_ts
             fraction = len(text) > 19 and _FRACTION.match(text, 19)
             if fraction:
                 text = text[:19] + text[fraction.end():]
+            # fromisoformat takes any character after the date as the
+            # separator, and 3.11's also reads week dates, basic-format dates
+            # and times, and offsets as +HHMM or +HH, so the shape is checked
+            # first: the separators at every third index from 4 on, and a
+            # length that ends the text at a field's end.
+            if len(text) % 3 != 1 or text[4::3] not in _SHAPES:
+                raise MalformedRowError(done + 1, f"bad timestamp {raw_ts!r}: {_SHAPE_ERROR}, got {raw_ts!r}")
             try:
                 ts = fromisoformat(text)
             except ValueError as exc:
@@ -171,7 +193,7 @@ def parse_arrivals(source: Union[TextIO, Iterable[str]]) -> ArrivalDataset:
                 )
             if ts.second or ts.microsecond or ts.tzinfo is not None:
                 ts = ts.replace(second=0, microsecond=0, tzinfo=None)
-            append(record(ts, direction))
+            append(new(record, (ts, direction)))
             done = reader.line_num
     except csv.Error as exc:
         # An unclosed quote runs on to the field size limit; the bad field
@@ -206,17 +228,25 @@ def bucket_to_periods(
     """Per-period (downstream, upstream) arrival counts for one day.
 
     Minute m maps to period ceil(m / period_minutes); arrivals past the
-    horizon are dropped.
+    horizon are dropped, as are records whose direction is not a
+    ``Direction``.  The list starts as one shared ``(0, 0)`` per period, and
+    the day's records are read once, each rebuilding its period's pair.
     """
-    if period_minutes < 1:
-        raise ValueError(f"period_minutes must be >= 1, got {period_minutes}")
-    if horizon_periods < 1:
-        raise ValueError(f"horizon_periods must be >= 1, got {horizon_periods}")
-    down = [0] * horizon_periods
-    up = [0] * horizon_periods
-    for direction, column in ((Direction.DOWN, down), (Direction.UP, up)):
-        for m in dataset.minutes_for(day, direction):
-            period = -(-m // period_minutes)
-            if period <= horizon_periods:
-                column[period - 1] += 1
-    return list(zip(down, up))
+    for name, value in (("period_minutes", period_minutes), ("horizon_periods", horizon_periods)):
+        if type(value) is not int:  # bool is not an int here
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    down, up = Direction.DOWN, Direction.UP
+    counts = [(0, 0)] * horizon_periods
+    for ts, direction in dataset._day_records(day):
+        # Minute m = 60 h + min + 1 lies in 0-based period ceil(m / p) - 1,
+        # which is (60 h + min) // p.
+        period = (ts.hour * 60 + ts.minute) // period_minutes
+        if period < horizon_periods:
+            d, u = counts[period]
+            if direction is down:
+                counts[period] = (d + 1, u)
+            elif direction is up:
+                counts[period] = (d, u + 1)
+    return counts

@@ -22,7 +22,10 @@ Lambda + 9 * _HEAD lane steps where one full lane alone takes 8 * Lambda.
 A lane's chain of (piece, normalised start) keys stops at its first
 repeated key: every later key and each lap's rise are then known, so the
 end value and the key list are extended without further lookups.  Each
-distinct (piece, end state) pair of the winning lane is decoded once.
+distinct (piece, end state) pair of the winning lane is decoded once, each
+step's predecessor read from one table by its choice bits, and the decoded
+pieces are joined into the 8 * Lambda schedule in one list, already rotated
+to start at period 1, that becomes one tuple.
 
 Two transition-cost conventions are provided.  The canonical convention
 weights an arrival i periods before its service by i (so arrivals served in
@@ -33,7 +36,8 @@ pattern delayed by one period (each mu becomes mu mod lambda + 1).  Every
 reconstructed schedule is verified against simulation of the pattern solved
 (``cyclic_average``: a warm-up to the schedule's second service, then one
 hyper-period when the schedule repeats every Lambda periods, else one joint
-cycle).
+cycle, in which each stretch that repeats the one a hyper-period before it
+is reused instead of run).
 
 The forward pass (``lane``) reads per-period (down, up) arrival counts
 behind a three-period lead-in, all read by ``schedule.arrival_counts`` over
@@ -65,7 +69,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, cycle, islice
+from itertools import cycle, islice
 from operator import add
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -222,20 +226,24 @@ _FIRST_PRED = tuple(ALL_STATES.index(predecessors(state)[0]) for state in ALL_ST
 _ENTRY_ACTION = tuple(
     Action.WAIT if state.own_waits else Action.process(state.alignment.flip()) for state in ALL_STATES
 )
+# _PRED[bits][s]: the predecessor of state id s in a step with choice bits
+# ``bits``, its first one plus its own choice bit.  Bits of wait states are
+# never set.
+_PRED = tuple(tuple(_FIRST_PRED[s] + (bits >> s & 1) for s in range(8)) for bits in range(64))
 
 
 def decode_lane(back: Sequence[int], final: int) -> Tuple[int, Tuple[Action, ...]]:
     """The start state id of the lane's path to ``final`` and its actions, one per step.
 
-    A wait state's predecessor is its first one; a switch state adds its
-    choice bit to its first predecessor.  Bits of wait states are never set.
-    Each step's action is the one that enters its end state.
+    Each step's predecessor is read from ``_PRED`` by its choice bits, and
+    each step's action is the one that enters its end state.
     """
     actions = []
+    append = actions.append
     s_id = final
     for bits in reversed(back):
-        actions.append(_ENTRY_ACTION[s_id])
-        s_id = _FIRST_PRED[s_id] + (bits >> s_id & 1)
+        append(_ENTRY_ACTION[s_id])
+        s_id = _PRED[bits][s_id]
     actions.reverse()
     return s_id, tuple(actions)
 
@@ -308,6 +316,8 @@ def solve(
     """Minimum long-run average waiting time and an achieving cyclic schedule."""
     if mode not in (CANONICAL, PAPER_LITERAL):
         raise ValueError(f"unknown mode {mode!r}")
+    if type(period_cap) is not int:  # bool is not an int here
+        raise ValueError(f"period_cap must be an int, got {period_cap!r}")
     if period_cap < 1:
         raise ValueError(f"period_cap must be >= 1, got {period_cap}")
     lam = lcm_period(instance)
@@ -372,9 +382,13 @@ def solve(
         s_id, piece_actions = decoded[key, s_id]
         parts.append(piece_actions)
     assert s_id == s0_id
-    # The turn's last action, at t = 1, is the schedule's first.
-    lane_actions = tuple(chain.from_iterable(reversed(parts)))
-    actions = lane_actions[-1:] + lane_actions[:-1]
+    # The turn's last action, at t = 1, is the schedule's first: it leads
+    # the list, and its second copy at the end of the lane is dropped.
+    joined = [parts[0][-1]]
+    for piece_actions in reversed(parts):
+        joined += piece_actions
+    del joined[-1]
+    actions = tuple(joined)
     first = actions[0]
     initial_alignment = first.processes if first.processes is not None else ALL_STATES[s0_id].alignment
     schedule = Schedule(actions=actions, initial_alignment=initial_alignment)

@@ -90,6 +90,8 @@ class ExperimentConfig:
 
 def day_periods(period_minutes: int) -> int:
     """The number of periods of ``period_minutes`` that cover one day."""
+    if type(period_minutes) is not int:  # bool is not an int here
+        raise ValueError(f"period_minutes must be an int, got {period_minutes!r}")
     if period_minutes < 1:
         raise ValueError(f"period_minutes must be >= 1, got {period_minutes}")
     return -(-DAY_MINUTES // period_minutes)

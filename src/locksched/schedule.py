@@ -110,19 +110,19 @@ def arrival_counts(instance: PeriodicInstance, first: int, last: int) -> List[Tu
     """Per-period (down, up) arrival counts for periods first..last.
 
     A stream arrives in period t iff t = mu (mod lam), for any t, so periods
-    <= 0 repeat the pattern backwards.  Each stream adds one arrival to every
-    lam-th entry of its side's column from its first arrival in the range, so
-    the cost is one step per arrival, not one congruence test per period and
-    stream.
+    <= 0 repeat the pattern backwards.  The list starts as one shared
+    ``(0, 0)`` per period, and each stream rebuilds the pair of every lam-th
+    entry from its first arrival in the range, so the cost is one step per
+    arrival, not one congruence test or one new pair per period and stream.
     """
     n = last - first + 1
-    down = [0] * n
-    up = [0] * n
+    counts = [(0, 0)] * n
     for s in instance.streams:
-        column = down if s.direction is Direction.DOWN else up
+        a_d, a_u = (1, 0) if s.direction is Direction.DOWN else (0, 1)
         for i in range((s.mu - first) % s.lam, n, s.lam):
-            column[i] += 1
-    return list(zip(down, up))
+            d, u = counts[i]
+            counts[i] = (d + a_d, u + a_u)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -212,8 +212,9 @@ def simulate(
 
     This is the reference queue recurrence.  FIFO, advanced FIFO and
     alternation score their own traces, and the tests replay those traces
-    here; periodic replay, rolling plans and cyclic averages are scored here
-    directly.  Each action is tested by identity against a boolean alignment;
+    here; periodic replay and rolling plans are scored here directly, and
+    cyclic averages run its loop (``_run_queues``) on every stretch they do
+    not reuse.  Each action is tested by identity against a boolean alignment;
     the loop deliberately avoids hashing ``Action`` members, whose
     ``__hash__`` is Python code.
     """
@@ -223,20 +224,37 @@ def simulate(
         raise ValueError("action sequence must be non-empty")
     if callable(arrivals):
         arrivals = map(arrivals, count(1))
-
-    wait, serve_down = Action.WAIT, Action.PROCESS_DOWN
-    down = initial_alignment is Direction.DOWN
-    n_d = n_u = 0
-    n_arrivals = 0
     costs: List[int] = []
-    for action, (a_d, a_u) in zip(islice(cycle(actions), horizon), chain(arrivals, repeat((0, 0)))):
+    steps = zip(islice(cycle(actions), horizon), chain(arrivals, repeat((0, 0))))
+    _, n_arrivals = _run_queues(steps, (initial_alignment is Direction.DOWN, 0, 0), costs, 1)
+    return _simulation_result(horizon, costs, n_arrivals)
+
+
+QueueState = Tuple[bool, int, int]  # (aligned DOWN, down queue, up queue)
+
+
+def _run_queues(
+    steps: Iterable[Tuple[Action, Tuple[int, int]]], state: QueueState, costs: List[int], period: int
+) -> Tuple[QueueState, int]:
+    """The queue recurrence over ``steps``, one (action, (a_d, a_u)) per period.
+
+    Starts from ``state``, appends each period's queue total to the empty
+    list ``costs`` and returns the end state and the number of arrivals
+    read.  The first step is period ``period``, the number an
+    InfeasibleScheduleError names for it.
+    """
+    wait, serve_down = Action.WAIT, Action.PROCESS_DOWN
+    down, n_d, n_u = state
+    n_arrivals = 0
+    append = costs.append
+    for action, (a_d, a_u) in steps:
         n_arrivals += a_d + a_u
         if action is wait:
             n_d += a_d
             n_u += a_u
         elif (action is serve_down) is not down:
             raise InfeasibleScheduleError(
-                f"period {len(costs) + 1}: action processes {action.value} "
+                f"period {period + len(costs)}: action processes {action.value} "
                 f"but lock is aligned {'D' if down else 'U'}"
             )
         elif down:
@@ -247,8 +265,8 @@ def simulate(
             down = True
             n_u = 0
             n_d += a_d
-        costs.append(n_d + n_u)
-    return _simulation_result(horizon, costs, n_arrivals)
+        append(n_d + n_u)
+    return (down, n_d, n_u), n_arrivals
 
 
 def cyclic_average(instance: PeriodicInstance, schedule: Schedule) -> Fraction:
@@ -264,7 +282,9 @@ def cyclic_average(instance: PeriodicInstance, schedule: Schedule) -> Fraction:
     every Lambda periods (as the DP's schedules usually do), else one joint
     cycle.  The horizon covers the first processing action of the second
     repetition, or of the second Lambda-block, the last period at which an
-    alignment error can first show.  Raises ValueError for an all-wait
+    alignment error can first show.  Within the horizon, a stretch that
+    repeats the state and actions of the one a hyper-period before it is
+    reused instead of run (``_cyclic_cost``).  Raises ValueError for an all-wait
     schedule: every instance has arrivals, so its queues grow without bound.
     """
     return _cyclic_average(arrival_counts(instance, 1, lcm_period(instance)), schedule)
@@ -279,13 +299,70 @@ def _cyclic_average(pattern: Sequence[Tuple[int, int]], schedule: Schedule) -> F
         raise ValueError("an all-wait schedule never serves a vessel; its average waiting cost is unbounded")
     warm_up = processing[1] if len(processing) > 1 else schedule.period + processing[0]
     lam = len(pattern)
-    if schedule.period % lam == 0 and actions[lam:] == actions[:-lam]:
+    if schedule.period % lam == 0 and actions == actions[:lam] * (schedule.period // lam):
         span = lam
     else:
         span = math.lcm(lam, schedule.period)
     horizon = warm_up - 1 + span
-    result = simulate(cycle(pattern), actions, horizon, schedule.initial_alignment)
-    return Fraction(sum(result.per_period_cost[warm_up - 1 :]), span)
+    state = (schedule.initial_alignment is Direction.DOWN, 0, 0)
+    return Fraction(_cyclic_cost(pattern, actions, warm_up, horizon, state), span)
+
+
+# Chunk length of ``_cyclic_cost``, in periods.
+_CHUNK = 64
+
+
+def _cyclic_cost(
+    pattern: Sequence[Tuple[int, int]], actions: Tuple[Action, ...], first: int, horizon: int, state: QueueState
+) -> int:
+    """The sum of ``simulate``'s per-period costs over periods first..horizon
+    of ``actions`` cycled against the cycled arrival counts ``pattern``, run
+    from ``state`` at period 1.
+
+    The recurrence's costs over a stretch depend only on its start state,
+    its actions and its arrivals, and the arrivals repeat every Lambda =
+    len(pattern) periods.  So a Lambda-block that starts in the same state
+    with the same actions as the block before it costs what that block cost
+    and ends in the same state, without being run.  Any other block is cut
+    into chunks of ``_CHUNK`` periods, and each chunk is reused in the same
+    way from the chunk one block before it, or else run.  A DP schedule
+    that departs from a Lambda-periodic one only near its wrap-around is
+    then run for about one block and a few chunks, not for all 8 * Lambda
+    periods.  Every chunk that could first show an alignment error is run,
+    so errors name the same period as one run of ``simulate`` would.
+
+    No stretch that starts before ``first``, the schedule's second service,
+    is reused, so each reused cost counts whole: over the hyper-period
+    before such a stretch the lock either serves once, which flips its
+    alignment, or only waits, which adds arrivals to its queues.
+    """
+    lam = len(pattern)
+    trace = actions * (horizon // len(actions)) + actions[: horizon % len(actions)]
+    total = 0
+    previous: List[Tuple[QueueState, QueueState, int]] = []  # per chunk of the block before: start and end state, cost
+    # ``trace`` ends at the horizon, so a block or chunk that the horizon
+    # cuts short never equals the whole one a block before, and is run.
+    for block in range(0, horizon, lam):
+        if previous and previous[0][0] == state and trace[block : block + lam] == trace[block - lam : block]:
+            total += sum(cost for _, _, cost in previous)
+            state = previous[-1][1]
+            continue
+        current = []
+        for k, start in enumerate(range(block, min(block + lam, horizon), _CHUNK)):
+            end = min(start + _CHUNK, block + lam)
+            if previous and previous[k][0] == state and trace[start:end] == trace[start - lam : end - lam]:
+                _, after, cost = previous[k]
+                total += cost
+            else:
+                costs: List[int] = []
+                steps = zip(trace[start:end], pattern[start - block : end - block])
+                after, _ = _run_queues(steps, state, costs, start + 1)
+                cost = sum(costs)
+                total += cost if start >= first - 1 else sum(costs[first - 1 - start :])
+            current.append((state, after, cost))
+            state = after
+        previous = current
+    return total
 
 
 def _schedule_dict(schedule: Schedule) -> dict:

@@ -5,6 +5,11 @@ constant-time function of t, and the achieved long-run average equals the
 Diophantine lower bound: 1/lcm when the offsets coincide modulo
 gcd(lambda_D, lambda_U), otherwise 0.  A periodicity of 1 is handled by a
 dedicated period-2 schedule.
+
+One kernel, ``_closed_form_actions``, holds the formula.  It reads the
+sides' (mu, lambda) once per call and writes only the periods in which a
+side is served, so ``closed_form_schedule`` is one pass over a hyper-period
+and ``closed_form_action`` the same pass over one period.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import List, Tuple
 
 from .schedule import Action, Direction, PeriodicInstance, Schedule, StreamSpec
 
@@ -71,40 +76,53 @@ def lower_bound(params: TwoStreamParams) -> Fraction:
     return Fraction(0)
 
 
-def _arrives(t: int, mu: int, lam: int) -> bool:
-    # Pure congruence: the pattern is treated as doubly infinite, which keeps
-    # the action stream exactly periodic with the hyper-period.
-    return (t - mu) % lam == 0
+def _closed_form_actions(params: TwoStreamParams, first: int, last: int) -> List[Action]:
+    """The closed form's actions for periods first..last (first >= 1).
+
+    Side 1 is the primary side and side 2 the other; r1 = (t - mu1) mod lam1
+    and r2 = (t - mu2) mod lam2.  Period t processes side 1 when r1 = 0, its
+    arrival.  Otherwise it processes side 2 when r2 = 0, its arrival; when
+    r1 = r2 = 1, both sides having arrived the period before; or when
+    r1 = lam1 - 1 and r2 > r1, to preorient the lock before side 1's next
+    arrival when side 2 arrived last.  Every other period waits.  Each rule
+    holds only on one residue class of t modulo lam1 or lam2, so the list
+    starts as all waits and only those periods are visited, side 1's last
+    so that its rule takes precedence.
+    """
+    if params.lambda_d < 2 or params.lambda_u < 2:
+        raise LambdaOneError("closed form requires both periodicities >= 2; use lambda_one_schedule")
+    if first < 1:
+        raise ValueError(f"period must be >= 1, got {first}")
+    d1 = params.primary
+    mu1, lam1 = params.of(d1)
+    mu2, lam2 = params.of(d1.flip())
+    serve1, serve2 = Action.process(d1), Action.process(d1.flip())
+    n = last - first + 1
+    actions = [Action.WAIT] * n
+    for i in range((mu2 - first) % lam2, n, lam2):
+        actions[i] = serve2
+    for i in range((mu1 + 1 - first) % lam1, n, lam1):
+        if (first + i - mu2) % lam2 == 1:
+            actions[i] = serve2
+    for i in range((mu1 - 1 - first) % lam1, n, lam1):
+        if (first + i - mu2) % lam2 >= lam1:
+            actions[i] = serve2
+    for i in range((mu1 - first) % lam1, n, lam1):
+        actions[i] = serve1
+    return actions
 
 
 def closed_form_action(params: TwoStreamParams, t: int) -> Action:
     """Optimal action for period t, evaluated in O(1) arithmetic operations.
 
-    Process the small-periodicity side on each of its arrivals (unless it
-    also arrived the period before, when the other side's coinciding vessel
-    is cleared first); process the other side on its own arrivals and to
-    preorient the lock one period before a primary arrival.
+    Process the small-periodicity side on each of its arrivals; process the
+    other side on its own arrivals, after a period in which both sides
+    arrived, and to preorient the lock one period before a primary arrival
+    (see ``_closed_form_actions``).
     """
-    if params.lambda_d < 2 or params.lambda_u < 2:
-        raise LambdaOneError("closed form requires both periodicities >= 2; use lambda_one_schedule")
-    if t < 1:
-        raise ValueError(f"period must be >= 1, got {t}")
-    d1 = params.primary
-    d2 = d1.flip()
-    mu1, lam1 = params.of(d1)
-    mu2, lam2 = params.of(d2)
-
-    c1 = _arrives(t, mu1, lam1) and not _arrives(t - 1, mu1, lam1)
-    if c1:
-        return Action.process(d1)
-    c2 = _arrives(t - 1, mu1, lam1) and _arrives(t - 1, mu2, lam2)
-    c3 = not _arrives(t, mu1, lam1) and _arrives(t, mu2, lam2)
-    c4 = _arrives(t + 1, mu1, lam1) and (
-        mu1 + ((t - mu1) // lam1) * lam1 > mu2 + ((t - mu2) // lam2) * lam2
-    )
-    if c2 or c3 or c4:
-        return Action.process(d2)
-    return Action.WAIT
+    if type(t) is not int:  # bool is not an int here
+        raise ValueError(f"t must be an int, got {t!r}")
+    return _closed_form_actions(params, t, t)[0]
 
 
 def closed_form_schedule(params: TwoStreamParams) -> Schedule:
@@ -113,9 +131,9 @@ def closed_form_schedule(params: TwoStreamParams) -> Schedule:
     The action stream is periodic with the hyper-period, so this cyclic
     schedule reproduces it exactly.
     """
-    lam = hyper_period(params)
-    actions = tuple(closed_form_action(params, t) for t in range(1, lam + 1))
-    first = next((a.processes for a in actions if a.processes is not None), Direction.DOWN)
+    actions = tuple(_closed_form_actions(params, 1, hyper_period(params)))
+    wait = Action.WAIT
+    first = next((a.processes for a in actions if a is not wait), Direction.DOWN)
     return Schedule(actions=actions, initial_alignment=first)
 
 

@@ -64,6 +64,9 @@ references above, and formats both reports with the package's writers.
 time by the rule that ``parse_arrivals`` replaced: ``Direction(token)`` and
 ``fromisoformat(...).replace(second=0, microsecond=0, tzinfo=None)`` on
 every row.
+``reference_closed_form_action`` is the two-stream closed form evaluated one
+period at a time, with its four conditions tested by congruence as they were
+before ``two_stream`` wrote its schedules per arrival.
 """
 
 from __future__ import annotations
@@ -113,6 +116,7 @@ from locksched.schedule import (
     lcm_period,
     simulate,
 )
+from locksched.two_stream import LambdaOneError, TwoStreamParams
 
 
 # Periods the service window is shifted back, per transition-cost convention.
@@ -1013,3 +1017,40 @@ def reference_parse_arrivals(text: str) -> ArrivalDataset:
     if len(offsets) > 1:
         raise ValueError(f"mixed UTC offsets {offsets}")
     return ArrivalDataset(tuple(records))
+
+
+def _arrives(t: int, mu: int, lam: int) -> bool:
+    # Pure congruence: the pattern is treated as doubly infinite, which keeps
+    # the action stream exactly periodic with the hyper-period.
+    return (t - mu) % lam == 0
+
+
+def reference_closed_form_action(params: TwoStreamParams, t: int) -> Action:
+    """The two-stream closed form at one period, as written period by period
+    before ``two_stream._closed_form_actions`` replaced it.
+
+    Process the small-periodicity side on each of its arrivals (unless it
+    also arrived the period before, when the other side's coinciding vessel
+    is cleared first); process the other side on its own arrivals and to
+    preorient the lock one period before a primary arrival.
+    """
+    if params.lambda_d < 2 or params.lambda_u < 2:
+        raise LambdaOneError("closed form requires both periodicities >= 2; use lambda_one_schedule")
+    if t < 1:
+        raise ValueError(f"period must be >= 1, got {t}")
+    d1 = params.primary
+    d2 = d1.flip()
+    mu1, lam1 = params.of(d1)
+    mu2, lam2 = params.of(d2)
+
+    c1 = _arrives(t, mu1, lam1) and not _arrives(t - 1, mu1, lam1)
+    if c1:
+        return Action.process(d1)
+    c2 = _arrives(t - 1, mu1, lam1) and _arrives(t - 1, mu2, lam2)
+    c3 = not _arrives(t, mu1, lam1) and _arrives(t, mu2, lam2)
+    c4 = _arrives(t + 1, mu1, lam1) and (
+        mu1 + ((t - mu1) // lam1) * lam1 > mu2 + ((t - mu2) // lam2) * lam2
+    )
+    if c2 or c3 or c4:
+        return Action.process(d2)
+    return Action.WAIT

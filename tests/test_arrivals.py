@@ -106,9 +106,17 @@ def test_parse_rejects_bad_timestamp():
 
 
 # fromisoformat reads any character after the date as the separator, and
-# from Python 3.11 also a basic-format date, so each of these would read as a
-# time of day (or, on 3.10, fail with that reader's own message).
-REJECTED_TIMESTAMPS = ["2019-01-02", "2019-01-02Z", "2019-01-02+01:00", "2019-01-02-05:00", "20190102", "20190102T093000"]
+# from Python 3.11 also a basic-format date, so each of the first six would
+# read as a time of day (or, on 3.10, fail with that reader's own message).
+# The next five, a week date, a basic-format time, offsets without a colon
+# or minutes and a fraction after the minutes, read as 09:30 on 2019-01-02
+# from 3.11 only.  The last two, an hour alone and an offset with seconds,
+# read on 3.10 and 3.11 alike but are outside the grammar.
+REJECTED_TIMESTAMPS = [
+    "2019-01-02", "2019-01-02Z", "2019-01-02+01:00", "2019-01-02-05:00", "20190102", "20190102T093000",
+    "2019-W01-3T09:30", "2019-01-02T0930", "2019-01-02T09:30+0100", "2019-01-02T09:30+01", "2019-01-02T09:30.5",
+    "2019-01-02T09", "2019-01-02T09:30:00+01:00:00",
+]
 
 
 @pytest.mark.parametrize("stamp", REJECTED_TIMESTAMPS)
@@ -327,6 +335,29 @@ def test_bucket_rejects_empty_periods_and_horizon():
         bucket_to_periods(ds, date(2019, 1, 2), 0, 2)
     with pytest.raises(ValueError, match="^horizon_periods must be >= 1, got 0$"):
         bucket_to_periods(ds, date(2019, 1, 2), 21, 0)
+
+
+@pytest.mark.parametrize(
+    "period_minutes, horizon, message",
+    [
+        (True, 69, "period_minutes must be an int, got True"),
+        (21.0, 69, "period_minutes must be an int, got 21.0"),
+        (21, 2.0, "horizon_periods must be an int, got 2.0"),
+        (21, True, "horizon_periods must be an int, got True"),
+    ],
+)
+def test_bucket_rejects_non_int_periods_and_horizon(period_minutes, horizon, message):
+    """A float or bool is rejected by name, not bucketed as its value."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bucket_to_periods(_day_dataset([100]), date(2019, 1, 2), period_minutes, horizon)
+
+
+def test_bucket_ignores_a_record_with_no_direction():
+    # minutes_for skips such a record in both directions, and so does the
+    # one-pass bucketing.
+    ds = ArrivalDataset(_day_dataset([1, 30], [2]).records + (ArrivalRecord(datetime(2019, 1, 2, 0, 5), "D"),))
+    assert bucket_to_periods(ds, date(2019, 1, 2), 21, 2) == [(1, 1), (1, 0)]
+    assert ds.minutes_for(date(2019, 1, 2), Direction.DOWN) == [1, 30]
 
 
 @st.composite

@@ -59,8 +59,9 @@ def expected():
         ["2019-01-03T23:59:00", "D"],
     ]
     assert len(reply["reject"]) == len(REJECTED_TIMESTAMPS)
+    # Every interpreter rejects each form by the grammar's shape check.
     for stamp, message in zip(REJECTED_TIMESTAMPS, reply["reject"]):
-        assert message.startswith(f"line 2: bad timestamp {stamp!r}: ")
+        assert message.startswith(f"line 2: bad timestamp {stamp!r}: expected a date, then T or a space, then a time")
     assert reply["codes"] == [0, 0, 0, 0]
     chunks = [json.loads(line) for line in reply["rolling"]]
     assert [(c["case"], c["entry_alignment"]) for c in chunks] == [("gap", "U")] * 4

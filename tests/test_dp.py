@@ -159,6 +159,13 @@ def test_solve_period_cap():
         solve(_inst((Direction.DOWN, 7, 1), (Direction.UP, 11, 1)), period_cap=100)
 
 
+@pytest.mark.parametrize("cap", [True, 1e6])
+def test_solve_rejects_a_non_int_period_cap(cap):
+    """A float or bool cap is rejected by name, not compared as its value."""
+    with pytest.raises(ValueError, match=f"^period_cap must be an int, got {cap!r}$"):
+        solve(_inst((Direction.DOWN, 2, 1)), period_cap=cap)
+
+
 @pytest.mark.parametrize("cap", [0, -3])
 def test_solve_rejects_period_cap_below_one(cap):
     with pytest.raises(ValueError) as exc:

@@ -21,6 +21,7 @@ from locksched.experiment import (
     ExperimentConfig,
     FitRow,
     ScheduleRow,
+    day_periods,
     evaluate_day,
     fit_day_direction,
     fit_report_csv,
@@ -83,6 +84,17 @@ def test_config_rejects_non_integer_values(fields, message):
     """k, n and the scalar fields must be ints; bool is not one here."""
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(**fields)
+
+
+def test_day_periods_covers_the_day():
+    assert [day_periods(p) for p in (1, 21, 1440, 1441)] == [1440, 69, 1, 1]
+
+
+@pytest.mark.parametrize("period_minutes", [21.0, True])
+def test_day_periods_rejects_a_non_int_period(period_minutes):
+    """A float or bool is rejected by name, not counted as its value."""
+    with pytest.raises(ValueError, match=f"^period_minutes must be an int, got {period_minutes!r}$"):
+        day_periods(period_minutes)
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,14 @@
 import re
 from collections.abc import Iterator
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locksched import dp
+from locksched import schedule as schedule_module
 from locksched.schedule import (
     Action,
     Direction,
@@ -401,3 +404,40 @@ def _block_schedules(draw):
 def test_cyclic_average_of_repeated_blocks_equals_two_cycle_reference(case):
     instance, schedule = case
     assert _outcome(cyclic_average, instance, schedule) == _outcome(reference_cyclic_average, instance, schedule)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_block_schedules(), st.integers(1, 4))
+def test_cyclic_average_reusing_short_chunks_equals_two_cycle_reference(case, chunk):
+    """With chunks of one to four periods, chunks and blocks that repeat
+    the ones a hyper-period before are reused even at small Lambda, and the
+    value and any error (type, text and period) stay the reference's."""
+    instance, schedule = case
+    with mock.patch.object(schedule_module, "_CHUNK", chunk):
+        assert _outcome(cyclic_average, instance, schedule) == _outcome(reference_cyclic_average, instance, schedule)
+
+
+def test_cyclic_average_runs_a_block_that_differs_only_at_the_wrap_once():
+    """The DP's optimum here repeats one block of a hyper-period, but for
+    a few actions at its start and at its end.  Its average equals the
+    reference's, and the recurrence runs about one hyper-period and a few
+    chunks of it, not all eight."""
+    instance = _inst((Direction.DOWN, 7, 2), (Direction.DOWN, 9, 5), (Direction.UP, 11, 2))
+    lam = lcm_period(instance)
+    result = dp.solve(instance)
+    actions = result.schedule.actions
+    blocks = [actions[i * lam : (i + 1) * lam] for i in range(8)]
+    assert blocks[0] != blocks[1] and blocks[1:7] == [blocks[1]] * 6 and blocks[7] != blocks[1]
+    assert blocks[0][4:] == blocks[1][4:] and blocks[7][:-9] == blocks[1][:-9]
+    runs = []
+    run_queues = schedule_module._run_queues
+
+    def counted(steps, state, costs, period):
+        out = run_queues(steps, state, costs, period)
+        runs.append(len(costs))
+        return out
+
+    with mock.patch.object(schedule_module, "_run_queues", counted):
+        value = cyclic_average(instance, result.schedule)
+    assert value == reference_cyclic_average(instance, result.schedule) == result.avg_cost
+    assert lam < sum(runs) < lam + 4 * schedule_module._CHUNK

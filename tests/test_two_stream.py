@@ -1,8 +1,10 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_closed_form_action
 
 from locksched.dp import solve
 from locksched.schedule import Action, Direction, cyclic_average, is_feasible
@@ -77,6 +79,13 @@ def test_closed_form_action_rejects_lambda_one():
 def test_closed_form_action_rejects_period_before_1():
     with pytest.raises(ValueError, match="^period must be >= 1, got 0$"):
         closed_form_action(TwoStreamParams(mu_d=1, mu_u=2, lambda_d=2, lambda_u=4), 0)
+
+
+@pytest.mark.parametrize("t", [2.0, True])
+def test_closed_form_action_rejects_a_non_int_period(t):
+    """A float or bool period is rejected by name, not evaluated as its value."""
+    with pytest.raises(ValueError, match="^t must be an int, got "):
+        closed_form_action(TwoStreamParams(mu_d=1, mu_u=2, lambda_d=2, lambda_u=4), t)
 
 
 def test_closed_form_action_periodicity():
@@ -170,3 +179,28 @@ def test_closed_form_equals_lower_bound_equals_dp(params):
     bound = lower_bound(params)
     assert cyclic_average(params.instance(), closed_form_schedule(params)) == bound
     assert solve(params.instance()).avg_cost == bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(_two_streams)
+def test_closed_form_equals_per_period_reference(params):
+    """The per-arrival kernel gives the per-period formula's action at every
+    period of two hyper-periods and one more, and its schedule is that
+    formula over one hyper-period."""
+    lam = hyper_period(params)
+    for t in range(1, 2 * lam + 2):
+        assert closed_form_action(params, t) is reference_closed_form_action(params, t)
+    expected = tuple(reference_closed_form_action(params, t) for t in range(1, lam + 1))
+    assert closed_form_schedule(params).actions == expected
+
+
+@pytest.mark.parametrize(
+    "params, t",
+    [(TwoStreamParams(1, 1, 1, 2), 1), (TwoStreamParams(1, 1, 3, 1), 0), (TwoStreamParams(1, 2, 2, 4), 0),
+     (TwoStreamParams(3, 1, 5, 2), -4)],
+)
+def test_closed_form_errors_equal_the_reference(params, t):
+    with pytest.raises(ValueError) as expected:
+        reference_closed_form_action(params, t)
+    with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+        closed_form_action(params, t)
