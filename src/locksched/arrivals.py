@@ -15,7 +15,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Iterable, List, NamedTuple, TextIO, Tuple, Union
 
-from .schedule import Direction
+from .schedule import Direction, _check_int
 
 CSV_HEADER = ("timestamp", "direction")
 # Token lookup for parsing: a dict read is far cheaper per row than Direction(token).
@@ -108,8 +108,7 @@ class MatchingInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arrival_minutes", tuple(self.arrival_minutes))
-        if type(self.T) is not int:
-            raise ValueError(f"T must be an int, got {self.T!r}")
+        _check_int("T", self.T)
         for t in self.arrival_minutes:
             if type(t) is not int:
                 raise ValueError(f"arrival minutes must be ints, got {t!r}")
@@ -213,8 +212,7 @@ def serialize_arrivals(dataset: ArrivalDataset) -> str:
 
 def extract_instance(dataset: ArrivalDataset, day: date, direction: Direction, n: int) -> MatchingInstance:
     """First min(n, available) arrivals of the day/direction; T = last one."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_int("n", n, 1)
     minutes = dataset.minutes_for(day, direction)
     if not minutes:
         raise NoArrivalsError(f"no {direction.value} arrivals on {day.isoformat()}")
@@ -232,11 +230,8 @@ def bucket_to_periods(
     ``Direction``.  The list starts as one shared ``(0, 0)`` per period, and
     the day's records are read once, each rebuilding its period's pair.
     """
-    for name, value in (("period_minutes", period_minutes), ("horizon_periods", horizon_periods)):
-        if type(value) is not int:  # bool is not an int here
-            raise ValueError(f"{name} must be an int, got {value!r}")
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    _check_int("period_minutes", period_minutes, 1)
+    _check_int("horizon_periods", horizon_periods, 1)
     down, up = Direction.DOWN, Direction.UP
     counts = [(0, 0)] * horizon_periods
     for ts, direction in dataset._day_records(day):

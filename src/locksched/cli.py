@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from datetime import date
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -28,11 +29,7 @@ from .experiment import (
 from .matching import stream_set_to_json
 from .policies import adv_fifo, alternating, fifo, realized_periodic
 from .rolling import chunk_to_json, generate
-from .schedule import (
-    Direction,
-    instance_from_json,
-    schedule_from_json,
-)
+from .schedule import Direction, RepeatedKeyError, _check_int, _unique_keys, instance_from_json, schedule_from_json
 from .two_stream import TwoStreamParams, closed_form_action, lambda_one_schedule
 
 
@@ -43,16 +40,26 @@ def _write(path: str, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _read(path: str, parse=partial(json.load, object_pairs_hook=_unique_keys)):
+    """``parse`` (by default, JSON with no repeated key) of input file ``path``
+    opened as UTF-8.  A byte that is not UTF-8, a JSON syntax error or a
+    repeated key is a ``ValueError`` that names the file; others pass as they are."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return parse(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError, RepeatedKeyError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_dataset(path: str):
-    with open(path, encoding="utf-8", newline="") as fh:
-        dataset = parse_arrivals(fh)
+    dataset = _read(path, parse_arrivals)
     if not dataset.records:
         raise ValueError(f"{path} holds no arrival records")
     return dataset
 
 
 def cmd_synth(args) -> int:
-    spec = json.loads(Path(args.streams).read_text(encoding="utf-8")) if args.streams else {
+    spec = _read(args.streams) if args.streams else {
         "D": [[63, 126], [126, 126]],
         "U": [[21, 126], [126, 126]],
     }
@@ -92,7 +99,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    instance = instance_from_json(Path(args.instance).read_text(encoding="utf-8"))
+    instance = _read(args.instance, lambda fh: instance_from_json(fh.read()))
     out = {}
     for mode in (CANONICAL, PAPER_LITERAL):
         result = dp_solve(instance, mode=mode, period_cap=args.dp_cap)
@@ -117,7 +124,7 @@ def cmd_evaluate(args) -> int:
         raise ValueError("--schedule is only used by the realized policy")
     if args.best_of_two and not {"fifo", "advfifo"} & set(wanted):
         raise ValueError("--best-of-two is only used by the fifo and advfifo policies")
-    schedule = schedule_from_json(Path(args.schedule).read_text(encoding="utf-8")) if args.schedule else None
+    schedule = _read(args.schedule, lambda fh: schedule_from_json(fh.read())) if args.schedule else None
     period = args.period_minutes
     horizon = day_periods(period)
     dataset = _load_dataset(args.arrivals)
@@ -144,7 +151,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_rolling(args) -> int:
-    instance = instance_from_json(Path(args.instance).read_text(encoding="utf-8"))
+    instance = _read(args.instance, lambda fh: instance_from_json(fh.read()))
     plan = generate(instance, args.start, args.chunks, args.epsilon, window=args.window)
     _write(args.out, "\n".join(chunk_to_json(chunk) for chunk in plan.chunks) + "\n")
     return 0
@@ -154,8 +161,7 @@ def cmd_policy(args) -> int:
     params = TwoStreamParams(
         mu_d=args.mu_d, mu_u=args.mu_u, lambda_d=args.lambda_d, lambda_u=args.lambda_u
     )
-    if args.t < 1:
-        raise ValueError(f"period must be >= 1, got {args.t}")
+    _check_int("period", args.t, 1)
     if params.lambda_d == 1 or params.lambda_u == 1:
         action = lambda_one_schedule(params).action_at(args.t)
     else:
@@ -169,7 +175,7 @@ def cmd_experiment(args) -> int:
     settings = {"k": args.k_list, "n": args.n_list, "period_minutes": args.period_minutes,
                 "dp_cap": args.dp_cap, "jobs": args.jobs}
     if args.config:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        raw = _read(args.config)
         if not isinstance(raw, dict):
             raise ValueError(f"--config {args.config} must hold a JSON object")
         unknown = sorted(set(raw) - set(settings))

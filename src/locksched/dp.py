@@ -78,6 +78,7 @@ from .schedule import (
     Direction,
     PeriodicInstance,
     Schedule,
+    _check_int,
     _cyclic_average,
     _schedule_dict,
     arrival_counts,
@@ -316,10 +317,7 @@ def solve(
     """Minimum long-run average waiting time and an achieving cyclic schedule."""
     if mode not in (CANONICAL, PAPER_LITERAL):
         raise ValueError(f"unknown mode {mode!r}")
-    if type(period_cap) is not int:  # bool is not an int here
-        raise ValueError(f"period_cap must be an int, got {period_cap!r}")
-    if period_cap < 1:
-        raise ValueError(f"period_cap must be >= 1, got {period_cap}")
+    _check_int("period_cap", period_cap, 1)
     lam = lcm_period(instance)
     T = 8 * lam
     if T > period_cap:

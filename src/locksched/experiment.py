@@ -35,6 +35,7 @@ from .schedule import (
     Direction,
     PeriodicInstance,
     StreamSpec,
+    _check_int,
     arrival_counts,
     simulate,
 )
@@ -90,10 +91,7 @@ class ExperimentConfig:
 
 def day_periods(period_minutes: int) -> int:
     """The number of periods of ``period_minutes`` that cover one day."""
-    if type(period_minutes) is not int:  # bool is not an int here
-        raise ValueError(f"period_minutes must be an int, got {period_minutes!r}")
-    if period_minutes < 1:
-        raise ValueError(f"period_minutes must be >= 1, got {period_minutes}")
+    _check_int("period_minutes", period_minutes, 1)
     return -(-DAY_MINUTES // period_minutes)
 
 
@@ -122,8 +120,7 @@ def _check_stream_pairs(direction: Direction, specs: object) -> None:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(type(x) is int for x in pair)):
             raise ValueError(f"stream {direction.value} {pair!r}: expected a [mu, lambda] pair of integers")
         mu, lam = pair
-        if lam < 1:
-            raise ValueError(f"stream {direction.value} {list(pair)}: lambda must be >= 1, got {lam}")
+        _check_int(f"stream {direction.value} {list(pair)}: lambda", lam, 1)
         if not 1 <= mu <= DAY_MINUTES:
             raise ValueError(f"stream {direction.value} {list(pair)}: mu must be in 1..{DAY_MINUTES}, got {mu}")
 
@@ -144,8 +141,7 @@ def synth_dataset(
     """
     if not 0 <= jitter_sigma < math.inf:  # also rejects NaN
         raise ValueError(f"jitter sigma must be >= 0 and finite, got {jitter_sigma}")
-    if days < 0:
-        raise ValueError(f"days must be >= 0, got {days}")
+    _check_int("days", days, 0)
     for direction, specs in streams_spec.items():
         _check_stream_pairs(direction, specs)
     rng = random.Random(seed)

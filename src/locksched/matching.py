@@ -43,7 +43,7 @@ import json
 import logging
 
 from .arrivals import MatchingInstance
-from .schedule import Direction
+from .schedule import Direction, _check_int
 
 
 _log = logging.getLogger(__name__)
@@ -69,8 +69,7 @@ class Stream:
             value = getattr(self, name)
             if not isinstance(value, Rational) or type(value) is bool:
                 raise ValueError(f"{name} must be a rational number, got {value!r}")
-        if type(self.count) is not int:
-            raise ValueError(f"count must be an int, got {self.count!r}")
+        _check_int("count", self.count)
         if self.lam <= 0:
             raise ValueError("lambda must be positive")
         if not 0 < self.mu <= self.lam:
@@ -86,8 +85,7 @@ class StreamSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "streams", tuple(self.streams))
-        if type(self.T) is not int:
-            raise ValueError(f"T must be an int, got {self.T!r}")
+        _check_int("T", self.T)
         for s in self.streams:
             if s.count * s.lam != self.T:
                 raise ValueError(f"count*lambda must equal T: {s.count}*{s.lam} != {self.T}")
@@ -349,6 +347,7 @@ def solve_matching(instance: MatchingInstance, k: int) -> MatchingSolution:
     less (counts, anchors) in canonical order, the first a full enumeration
     visits.  The fit logs one DEBUG record with its search counters.
     """
+    _check_int("k", k)
     n = instance.n
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n={n}, got {k}")
@@ -366,8 +365,7 @@ def best_fit(instance: MatchingInstance, k: int) -> MatchingSolution:
     must beat strictly, so the first budget reaching the least cost wins.
     The fit logs one DEBUG record with its search counters.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_int("k", k, 1)
     return _search(instance, range(1, min(k, instance.n) + 1))
 
 

@@ -20,6 +20,7 @@ from .schedule import (
     Direction,
     Schedule,
     SimulationResult,
+    _check_int,
     _simulation_result,
     simulate,
 )
@@ -51,6 +52,7 @@ def alternating(arrivals: Arrivals, horizon: int) -> PolicyRun:
     downstream-first phase, and the winner's per-period costs are the two
     interleaved columns.
     """
+    _check_int("horizon", horizon, 1)
     window = arrivals[:horizon]
     down, up = zip(*window) if window else ((), ())
     down_first_wait = sum(down[1::2]) + sum(up[::2])
@@ -74,6 +76,7 @@ def _fifo(policy: str, arrivals: Arrivals, horizon: int, alignment: Direction, l
     nothing arriving, so a waiting period keeps its preset wait action and
     cost 0 and adds no arrival.
     """
+    _check_int("horizon", horizon, 1)
     # Periods 1..horizon+1, so the lookahead can read one period past the end.
     padded = list(arrivals[: horizon + 1])
     padded += [(0, 0)] * (horizon + 1 - len(padded))

@@ -21,6 +21,7 @@ from .schedule import (
     Action,
     Direction,
     PeriodicInstance,
+    _check_int,
     arrival_counts,
     simulate,
 )
@@ -81,8 +82,7 @@ def _check_window(t_start: int, t_end: int) -> None:
         raise ValueError(f"empty window [{t_start}, {t_end}]")
     if t_end - t_start + 1 > DEFAULT_WINDOW_CAP:
         raise WindowCapExceededError(f"window of {t_end - t_start + 1} periods exceeds cap {DEFAULT_WINDOW_CAP}")
-    if t_start < 1:
-        raise ValueError(f"period must be >= 1, got {t_start}")
+    _check_int("period", t_start, 1)
 
 
 # The gap scan reads the window's arrivals in blocks of this many periods,
@@ -117,10 +117,8 @@ def next_chunk(
     """One step of the incremental scheme: the chunk from period ``start``,
     entered in orientation ``position`` (None = free), plus a handoff to the
     next chunk, which starts at ``end + 1``."""
-    if start < 1:
-        raise ValueError("start must be >= 1")
-    if window < 4:
-        raise ValueError("window must be >= 4")
+    _check_int("start", start, 1)
+    _check_int("window", window, 4)
     if not epsilon > 0:  # also rejects NaN
         raise ValueError("epsilon must be positive")
     t_end = start + window
@@ -210,8 +208,7 @@ def generate(
     leaves (or no chunk follows); otherwise its last period becomes the
     (possibly empty) lockage that flips the lock to the next chunk's entry.
     """
-    if n_chunks < 1:
-        raise ValueError("n_chunks must be >= 1")
+    _check_int("n_chunks", n_chunks, 1)
     if window is None:
         window = default_window(instance.k, epsilon)
     chunks: List[Chunk] = []

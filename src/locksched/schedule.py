@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, count, cycle, islice, repeat
-from typing import Callable, Iterable, List, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 
 class Direction(Enum):
@@ -48,6 +48,19 @@ class InfeasibleScheduleError(ValueError):
     """An action sequence violates the alternation constraint."""
 
 
+class RepeatedKeyError(ValueError):
+    """An object of a JSON input document gives one key twice."""
+
+
+def _check_int(name: str, value: object, minimum: Optional[int] = None) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an int (bool
+    is not one here) and, when ``minimum`` is given, at least ``minimum``."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class StreamSpec:
     """One periodic arrival stream in lock-period units."""
@@ -59,9 +72,8 @@ class StreamSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.direction, Direction):
             raise ValueError(f"direction must be a Direction, got {self.direction!r}")
-        for name in ("lam", "mu"):
-            if type(getattr(self, name)) is not int:  # bool is not an int here
-                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
+        _check_int("lam", self.lam)
+        _check_int("mu", self.mu)
         if self.lam < 1:
             raise ValueError(f"lambda must be >= 1, got {self.lam}")
         if not 1 <= self.mu <= self.lam:
@@ -89,8 +101,7 @@ class PeriodicInstance:
 
 def arrival_at(instance: PeriodicInstance, t: int) -> Tuple[int, int]:
     """Arrival counts (downstream, upstream) in period t >= 1."""
-    if t < 1:
-        raise ValueError(f"period must be >= 1, got {t}")
+    _check_int("period", t, 1)
     a_d = a_u = 0
     for s in instance.streams:
         if (t - s.mu) % s.lam == 0:
@@ -173,13 +184,8 @@ class SimulationResult:
 
 
 def _simulation_result(horizon: int, costs: Sequence[int], n_arrivals: int) -> SimulationResult:
-    """The result of a run over [1, horizon] with these per-period queue totals.
-
-    Rejects a horizon below 1 with ``simulate``'s message, so a policy that
-    scores its own trace rejects one as the simulator does.
-    """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    """The result of a run over [1, horizon], checked by the caller on entry,
+    with these per-period queue totals."""
     total = sum(costs)
     return SimulationResult(
         horizon=horizon,
@@ -218,8 +224,7 @@ def simulate(
     the loop deliberately avoids hashing ``Action`` members, whose
     ``__hash__`` is Python code.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    _check_int("horizon", horizon, 1)
     if not actions:
         raise ValueError("action sequence must be non-empty")
     if callable(arrivals):
@@ -378,38 +383,47 @@ def schedule_to_json(schedule: Schedule) -> str:
     return json.dumps(_schedule_dict(schedule))
 
 
-def _check_keys(data: dict, keys: Tuple[str, ...], where: str) -> None:
-    """Raise ``ValueError`` naming the first key of ``data`` not in ``keys``,
-    else the first of ``keys`` missing from ``data``."""
+def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:
+    """The JSON readers' ``object_pairs_hook``: the object's dict, or ``RepeatedKeyError``."""
+    data: dict = {}
+    for key, value in pairs:
+        if key in data:
+            raise RepeatedKeyError(f"repeated key {json.dumps(key)}")
+        data[key] = value
+    return data
+
+
+def _fields(data: object, where: str, keys: Tuple[str, ...]) -> List[object]:
+    """The values of ``keys`` in ``data``, in that order, when ``data`` is a
+    JSON object with exactly those keys; else ``ValueError`` naming the first
+    key of ``data`` not in ``keys``, or the first of ``keys`` it lacks."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {json.dumps(data)}")
     for key in data:
         if key not in keys:
             raise ValueError(f"{where}: unknown key {json.dumps(key)}")
     for key in keys:
         if key not in data:
             raise ValueError(f'{where}: missing key "{key}"')
+    return [data[key] for key in keys]
 
 
 def schedule_from_json(text: str) -> Schedule:
     """Parse ``{"period": T, "initial_alignment": "D"|"U", "actions": [...]}``.
 
     A bad document, or one with any other key, raises ``ValueError`` naming
-    the key.
+    the key; a key given twice raises ``RepeatedKeyError``.
     """
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError(f"schedule must be a JSON object, got {json.dumps(data)}")
-    _check_keys(data, ("period", "initial_alignment", "actions"), "schedule")
-    actions = data["actions"]
+    data = json.loads(text, object_pairs_hook=_unique_keys)
+    period, alignment, actions = _fields(data, "schedule", ("period", "initial_alignment", "actions"))
     if not isinstance(actions, list):
         raise ValueError(f'schedule key "actions" must be a list, got {json.dumps(actions)}')
     letters = [a.value for a in Action]
     for i, letter in enumerate(actions):
         if letter not in letters:
             raise ValueError(f'schedule key "actions": entry {i} must be "D", "U" or "W", got {json.dumps(letter)}')
-    alignment = data["initial_alignment"]
     if alignment not in [d.value for d in Direction]:
         raise ValueError(f'schedule key "initial_alignment" must be "D" or "U", got {json.dumps(alignment)}')
-    period = data["period"]
     if type(period) is not int:  # bool is not an int here
         raise ValueError(f'schedule key "period" must be an int, got {json.dumps(period)}')
     if period != len(actions):
@@ -423,27 +437,22 @@ def instance_from_json(text: str) -> PeriodicInstance:
     """Parse ``{"streams": [{"direction": ..., "lambda": ..., "mu": ...}, ...]}``.
 
     A bad document, or one with any other key, raises ``ValueError`` naming
-    the stream index and key.
+    the stream index and key; a key given twice raises ``RepeatedKeyError``.
     """
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError(f"instance must be a JSON object, got {json.dumps(data)}")
-    _check_keys(data, ("streams",), "instance")
-    if not isinstance(data["streams"], list):
-        raise ValueError(f'instance key "streams" must be a list, got {json.dumps(data["streams"])}')
+    (streams,) = _fields(json.loads(text, object_pairs_hook=_unique_keys), "instance", ("streams",))
+    if not isinstance(streams, list):
+        raise ValueError(f'instance key "streams" must be a list, got {json.dumps(streams)}')
     specs = []
-    for i, stream in enumerate(data["streams"]):
+    for i, stream in enumerate(streams):
         where = f"instance stream {i}"
-        if not isinstance(stream, dict):
-            raise ValueError(f"{where} must be a JSON object, got {json.dumps(stream)}")
-        _check_keys(stream, ("direction", "lambda", "mu"), where)
-        for key in ("lambda", "mu"):
-            if type(stream[key]) is not int:  # bool is not an int here
-                raise ValueError(f'{where}: key "{key}" must be an int, got {json.dumps(stream[key])}')
-        if stream["direction"] not in [d.value for d in Direction]:
-            raise ValueError(f'{where}: key "direction" must be "D" or "U", got {json.dumps(stream["direction"])}')
+        direction, lam, mu = _fields(stream, where, ("direction", "lambda", "mu"))
+        for key, value in (("lambda", lam), ("mu", mu)):
+            if type(value) is not int:  # bool is not an int here
+                raise ValueError(f'{where}: key "{key}" must be an int, got {json.dumps(value)}')
+        if direction not in [d.value for d in Direction]:
+            raise ValueError(f'{where}: key "direction" must be "D" or "U", got {json.dumps(direction)}')
         try:
-            specs.append(StreamSpec(Direction(stream["direction"]), stream["lambda"], stream["mu"]))
+            specs.append(StreamSpec(Direction(direction), lam, mu))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
     return PeriodicInstance(streams=tuple(specs))

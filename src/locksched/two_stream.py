@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from .schedule import Action, Direction, PeriodicInstance, Schedule, StreamSpec
+from .schedule import Action, Direction, PeriodicInstance, Schedule, StreamSpec, _check_int
 
 
 class LambdaOneError(ValueError):
@@ -35,8 +35,7 @@ class TwoStreamParams:
 
     def __post_init__(self) -> None:
         for name in ("mu_d", "mu_u", "lambda_d", "lambda_u"):
-            if type(getattr(self, name)) is not int:  # bool is not an int here
-                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
+            _check_int(name, getattr(self, name))
         if not 1 <= self.mu_d <= self.lambda_d:
             raise ValueError(f"need 1 <= mu_d <= lambda_d, got {self.mu_d}, {self.lambda_d}")
         if not 1 <= self.mu_u <= self.lambda_u:
@@ -91,8 +90,7 @@ def _closed_form_actions(params: TwoStreamParams, first: int, last: int) -> List
     """
     if params.lambda_d < 2 or params.lambda_u < 2:
         raise LambdaOneError("closed form requires both periodicities >= 2; use lambda_one_schedule")
-    if first < 1:
-        raise ValueError(f"period must be >= 1, got {first}")
+    _check_int("period", first, 1)
     d1 = params.primary
     mu1, lam1 = params.of(d1)
     mu2, lam2 = params.of(d1.flip())
@@ -120,8 +118,7 @@ def closed_form_action(params: TwoStreamParams, t: int) -> Action:
     arrived, and to preorient the lock one period before a primary arrival
     (see ``_closed_form_actions``).
     """
-    if type(t) is not int:  # bool is not an int here
-        raise ValueError(f"t must be an int, got {t!r}")
+    _check_int("t", t)
     return _closed_form_actions(params, t, t)[0]
 
 

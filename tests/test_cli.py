@@ -674,3 +674,58 @@ def test_main_builds_one_parser_and_leaks_no_flags(arrivals_csv, tmp_path, capsy
     small, default = shared[0][3]["small/fit.csv"], shared[3][3]["default/fit.csv"]
     assert {row[0] for row in small[1:]} == {"2"}
     assert {row[0] for row in default[1:]} == {"2", "3", "4"}
+
+
+# Every input file flag: (flag, the rest of a command that reads that file).
+_JSON_FLAGS = {
+    "schedule --instance": ["schedule", "--instance"],
+    "rolling --instance": ["rolling", "--epsilon", "1.0", "--instance"],
+    "evaluate --schedule": ["evaluate", "--arrivals", "missing.csv", "--policies", "realized", "--schedule"],
+    "experiment --config": ["experiment", "--arrivals", "missing.csv", "--config"],
+    "synth --streams": ["synth", "--streams"],
+}
+_CSV_FLAGS = {f"{command} --arrivals": [command, "--arrivals"] for command in ("fit", "evaluate", "experiment")}
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [*[(argv, b'{"k": }', "Expecting value: line 1 column 7 (char 6)") for argv in _JSON_FLAGS.values()],
+     *[(argv, b'{"k": "\xff"}', "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte")
+       for argv in _JSON_FLAGS.values()],
+     *[(argv, b"timestamp,direction\n\xff", "'utf-8' codec can't decode byte 0xff in position 20: invalid start byte")
+       for argv in _CSV_FLAGS.values()]],
+    ids=[*(f"{flag}-syntax" for flag in _JSON_FLAGS), *(f"{flag}-utf8" for flag in _JSON_FLAGS), *_CSV_FLAGS],
+)
+def test_unreadable_input_file_errors_name_the_file(tmp_path, capsys, monkeypatch, command, content, message):
+    """A file that is not UTF-8, or not JSON where JSON is read, exits 1
+    with the decoder's message behind the file's name."""
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    assert main([*command, str(path), "--out" if command[0] != "experiment" else "--out-dir", "out"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+_ONE_STREAM = '{"direction": "D", "lambda": 2, "mu": 1}'
+
+
+@pytest.mark.parametrize(
+    "command, document, key",
+    [(_JSON_FLAGS["schedule --instance"], f'{{"streams": [{_ONE_STREAM}], "streams": []}}', "streams"),
+     (_JSON_FLAGS["rolling --instance"], '{"streams": [{"direction": "D", "lambda": 2, "mu": 1, "mu": 2}]}', "mu"),
+     (_JSON_FLAGS["evaluate --schedule"],
+      '{"period": 2, "initial_alignment": "D", "actions": ["D", "U"], "period": 2}', "period"),
+     (_JSON_FLAGS["experiment --config"], '{"k": [2], "n": [6], "k": [3]}', "k"),
+     (_JSON_FLAGS["synth --streams"], '{"D": [[1, 60]], "U": [[2, 60]], "D": [[3, 60]]}', "D")],
+    ids=["instance", "instance-stream", "schedule", "config", "streams"],
+)
+def test_repeated_json_key_is_an_error_naming_file_and_key(tmp_path, capsys, monkeypatch, command, document, key):
+    """A key given twice in one object is not resolved to its last value:
+    every JSON input document rejects it, naming the file and the key."""
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "input.json"
+    path.write_text(document)
+    assert main([*command, str(path), "--out" if command[0] != "experiment" else "--out-dir", "out"]) == 1
+    assert capsys.readouterr().err == f'error: {path}: repeated key "{key}"\n'
+    assert not (tmp_path / "out").exists()

@@ -1,4 +1,5 @@
 import re
+from datetime import date, datetime
 from collections.abc import Iterator
 from fractions import Fraction
 from unittest import mock
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locksched import dp
+from locksched import arrivals, dp, experiment, matching, policies, rolling, two_stream
 from locksched import schedule as schedule_module
 from locksched.schedule import (
     Action,
@@ -441,3 +442,54 @@ def test_cyclic_average_runs_a_block_that_differs_only_at_the_wrap_once():
         value = cyclic_average(instance, result.schedule)
     assert value == reference_cyclic_average(instance, result.schedule) == result.avg_cost
     assert lam < sum(runs) < lam + 4 * schedule_module._CHUNK
+
+
+_INT_INST = _inst((Direction.DOWN, 2, 1), (Direction.UP, 3, 2))
+_INT_DAY = date(2019, 1, 2)
+_INT_DATA = arrivals.ArrivalDataset((arrivals.ArrivalRecord(datetime(2019, 1, 2, 0, 1), Direction.DOWN),))
+_INT_FIT = arrivals.MatchingInstance((2, 5, 9), 12)
+_INT_COUNTS = [(1, 0), (0, 1)]
+_INT_PAIR = dict(mu_d=1, mu_u=2, lambda_d=2, lambda_u=3)
+# (entry point and argument, the name its error gives, a call with the value)
+_INT_ARGS = [
+    ("bucket_to_periods-period_minutes", "period_minutes",
+     lambda v: arrivals.bucket_to_periods(_INT_DATA, _INT_DAY, v, 10)),
+    ("bucket_to_periods-horizon_periods", "horizon_periods",
+     lambda v: arrivals.bucket_to_periods(_INT_DATA, _INT_DAY, 21, v)),
+    ("day_periods", "period_minutes", lambda v: experiment.day_periods(v)),
+    ("dp.solve-period_cap", "period_cap", lambda v: dp.solve(_INT_INST, period_cap=v)),
+    ("StreamSpec-lam", "lam", lambda v: StreamSpec(Direction.DOWN, v, 1)),
+    ("StreamSpec-mu", "mu", lambda v: StreamSpec(Direction.DOWN, 2, v)),
+    *[(f"TwoStreamParams-{name}", name, lambda v, name=name: two_stream.TwoStreamParams(**{**_INT_PAIR, name: v}))
+      for name in _INT_PAIR],
+    ("closed_form_action-t", "t", lambda v: two_stream.closed_form_action(two_stream.TwoStreamParams(**_INT_PAIR), v)),
+    ("Stream-count", "count", lambda v: matching.Stream(Fraction(1), Fraction(2), v)),
+    ("StreamSet-T", "T", lambda v: matching.StreamSet((matching.Stream(Fraction(1), Fraction(2), 3),), v)),
+    ("MatchingInstance-T", "T", lambda v: arrivals.MatchingInstance((2, 5), v)),
+    ("arrival_at-t", "period", lambda v: arrival_at(_INT_INST, v)),
+    ("windowed_optimum-t_start", "period", lambda v: rolling.windowed_optimum(_INT_INST, v, 8)),
+    ("simulate-horizon", "horizon", lambda v: simulate(_INT_COUNTS, [D, U], v, Direction.DOWN)),
+    ("alternating-horizon", "horizon", lambda v: policies.alternating(_INT_COUNTS, v)),
+    ("fifo-horizon", "horizon", lambda v: policies.fifo(_INT_COUNTS, v)),
+    ("adv_fifo-horizon", "horizon", lambda v: policies.adv_fifo(_INT_COUNTS, v)),
+    ("realized_periodic-horizon", "horizon",
+     lambda v: policies.realized_periodic(Schedule((D, U), Direction.DOWN), _INT_COUNTS, v)),
+    ("extract_instance-n", "n", lambda v: arrivals.extract_instance(_INT_DATA, _INT_DAY, Direction.DOWN, v)),
+    ("best_fit-k", "k", lambda v: matching.best_fit(_INT_FIT, v)),
+    ("solve_matching-k", "k", lambda v: matching.solve_matching(_INT_FIT, v)),
+    ("synth_dataset-days", "days", lambda v: experiment.synth_dataset(0, v, {Direction.DOWN: [(1, 60)]})),
+    ("next_chunk-start", "start", lambda v: rolling.next_chunk(_INT_INST, v, 8, 1.0)),
+    ("next_chunk-window", "window", lambda v: rolling.next_chunk(_INT_INST, 1, v, 1.0)),
+    ("generate-n_chunks", "n_chunks", lambda v: rolling.generate(_INT_INST, 1, v, 1.0)),
+]
+
+
+@pytest.mark.parametrize("value", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize("name, call", [case[1:] for case in _INT_ARGS], ids=[case[0] for case in _INT_ARGS])
+def test_int_arguments_reject_bool_and_float_naming_the_argument(name, call, value):
+    """Every int argument and field is a real int: a bool or a float is a
+    ``ValueError`` that names it, not a one-stream fit, a one-arrival
+    instance or a ``TypeError`` from deep inside the call."""
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert str(exc.value) == f"{name} must be an int, got {value!r}"

@@ -88,3 +88,50 @@ def test_no_module_level_typing_alias_names_a_package_class():
         if names & classes
     ]
     assert aliases == []
+
+
+# The functions that may compare ``type(...)`` with ``int`` themselves:
+# ``_check_int``, the one int rule, and the checks whose wording tests pin
+# (``must be an integer``, ``must be ints``, ``pair of integers`` and the
+# JSON readers' ``got true``).  Every other int check calls ``_check_int``.
+OWN_INT_CHECKS = {
+    "arrivals.py": {"MatchingInstance.__post_init__"},
+    "experiment.py": {"ExperimentConfig.__post_init__", "_check_stream_pairs"},
+    "schedule.py": {"_check_int", "schedule_from_json", "instance_from_json"},
+}
+
+
+def _type_int_comparisons(path):
+    """(line, enclosing qualified name) per comparison of a ``type(...)``
+    call with ``int`` in the module at ``path``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Compare):
+                operands = [child.left, *child.comparators]
+                if any(isinstance(o, ast.Name) and o.id == "int" for o in operands) and any(
+                    isinstance(o, ast.Call) and isinstance(o.func, ast.Name) and o.func.id == "type" for o in operands
+                ):
+                    found.append((child.lineno, scope))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), "")
+    return found
+
+
+def test_int_checks_go_through_check_int():
+    """No function outside ``OWN_INT_CHECKS`` writes the int rule out by
+    hand, and each function listed there still does."""
+    found = {path.name: _type_int_comparisons(path) for path in sorted(PACKAGE.glob("*.py"))}
+    copies = [
+        f"{name}:{line}: {scope}"
+        for name, sites in found.items()
+        for line, scope in sites
+        if scope not in OWN_INT_CHECKS.get(name, ())
+    ]
+    assert copies == []
+    assert {name: {scope for _, scope in sites} for name, sites in found.items() if sites} == OWN_INT_CHECKS
