@@ -142,6 +142,9 @@ def synth_dataset(
     if not 0 <= jitter_sigma < math.inf:  # also rejects NaN
         raise ValueError(f"jitter sigma must be >= 0 and finite, got {jitter_sigma}")
     _check_int("days", days, 0)
+    for key in streams_spec:
+        if not isinstance(key, Direction):
+            raise ValueError(f"streams_spec keys must be Directions, got {key!r}")
     for direction, specs in streams_spec.items():
         _check_stream_pairs(direction, specs)
     rng = random.Random(seed)

@@ -78,6 +78,7 @@ def windowed_optimum(
 
 
 def _check_window(t_start: int, t_end: int) -> None:
+    _check_int("t_end", t_end)
     if t_start > t_end:
         raise ValueError(f"empty window [{t_start}, {t_end}]")
     if t_end - t_start + 1 > DEFAULT_WINDOW_CAP:

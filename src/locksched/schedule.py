@@ -126,6 +126,8 @@ def arrival_counts(instance: PeriodicInstance, first: int, last: int) -> List[Tu
     entry from its first arrival in the range, so the cost is one step per
     arrival, not one congruence test or one new pair per period and stream.
     """
+    _check_int("first", first)
+    _check_int("last", last)
     n = last - first + 1
     counts = [(0, 0)] * n
     for s in instance.streams:
@@ -153,6 +155,7 @@ class Schedule:
         return len(self.actions)
 
     def action_at(self, t: int) -> Action:
+        _check_int("t", t)
         return self.actions[(t - 1) % self.period]
 
 

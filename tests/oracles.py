@@ -8,11 +8,13 @@ scores it with ``fraction_assignment_cost``, and checks the integer one on
 fixed instances.  Those two, with the sorted ``Fraction`` points of
 ``matching_points``, are ``anchored_streams`` and ``assignment_cost`` as
 they were before both moved to integers.
-``oracle_min_cost_bijection`` does not use the sorted assignment at all.
-They are test-only, so scipy and numpy are test dependencies, not runtime
-ones.  ``reference_anchor_rows`` finds each anchored row's lower bound with
-one bisect per point, where ``matching._anchor_rows`` sweeps all rows of a
-count at once.
+``oracle_min_cost_bijection`` does not use the sorted assignment at all:
+it enumerates every bijection, or runs ``hungarian_min_cost``, Kuhn's
+Hungarian method in the shortest-augmenting-path form of Jonker and
+Volgenant, on an integer cost matrix.  Like every reference here it needs
+only the standard library.  ``reference_anchor_rows`` finds each anchored
+row's lower bound with one bisect per point, where ``matching._anchor_rows``
+sweeps all rows of a count at once.
 ``oracle_windowed_cost`` checks the rolling windows by simulating every
 process/wait sequence.  ``reference_generate`` is the two-pass plan assembly
 that ``rolling.generate`` replaced: it requests every chunk first, then fills
@@ -301,42 +303,87 @@ def reference_best_fit(instance: MatchingInstance, k: int) -> MatchingSolution:
     return best
 
 
+def hungarian_min_cost(cost: Sequence[Sequence[int]]) -> int:
+    """Minimum total of a perfect row-to-column assignment in the square
+    integer matrix ``cost``, in O(n^3).
+
+    Rows enter one at a time.  Each entry grows a shortest-path tree over
+    the columns in reduced costs ``cost[i][j] - u[i] - v[j]``, which the row
+    and column potentials ``u`` and ``v`` keep non-negative, until it reaches
+    a free column, then flips the matching along that path.  Rows and
+    columns are 1-based so that column 0 can stand for the entering row.
+    """
+    n = len(cost)
+    u, v = [0] * (n + 1), [0] * (n + 1)
+    row_of = [0] * (n + 1)  # the row assigned to each column; 0 if none
+    for i in range(1, n + 1):
+        row_of[0] = i
+        col = 0
+        slack = [math.inf] * (n + 1)
+        via = [0] * (n + 1)
+        done = [False] * (n + 1)
+        while row_of[col]:
+            done[col] = True
+            row = row_of[col]
+            costs, u_row = cost[row - 1], u[row]
+            delta, nearest = math.inf, 0
+            for j in range(1, n + 1):
+                if not done[j]:
+                    reduced = costs[j - 1] - u_row - v[j]
+                    if reduced < slack[j]:
+                        slack[j], via[j] = reduced, col
+                    if slack[j] < delta:
+                        delta, nearest = slack[j], j
+            for j in range(n + 1):
+                if done[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            col = nearest
+        while col:
+            row_of[col] = row_of[via[col]]
+            col = via[col]
+    return sum(cost[row_of[j] - 1][j - 1] for j in range(1, n + 1))
+
+
 def oracle_min_cost_bijection(
     instance: MatchingInstance, streams: StreamSet, mode: str = "auto"
 ) -> Fraction:
     """Exact minimum L1 cost over all point-to-arrival bijections.
 
-    Independent of the sorted assignment: either factorial enumeration
-    (n <= 9) or an exact integer-scaled Hungarian assignment (n <= 50).
+    Independent of the sorted assignment.  ``factorial`` (n <= 9) sums every
+    permutation of the ``matching_points`` against the arrivals, in integers
+    scaled by the lcm of the gaps' denominators.  ``hungarian`` (n <= 50) never
+    sorts: it scales time by the lcm L of every mu and lambda denominator,
+    writes stream i's points as mu_i * L + ell * lam_i * L in integers from
+    their numerators, and solves the n x n matrix of |point - arrival * L|
+    with ``hungarian_min_cost``.
     """
     if streams.n != instance.n:
         raise CountMismatchError(f"streams provide {streams.n} points for {instance.n} arrivals")
     n = instance.n
-    times = [t for t, _ in matching_points(streams)]
     if mode == "auto":
         mode = "factorial" if n <= 9 else "hungarian"
     if mode == "factorial":
         if n > 9:
             raise OracleSizeError(f"factorial oracle limited to n <= 9, got {n}")
-        best = None
-        for perm in permutations(range(n)):
-            cost = sum(abs(times[perm[j]] - instance.arrival_minutes[j]) for j in range(n))
-            if best is None or cost < best:
-                best = cost
-        return Fraction(best)
+        times = [t for t, _ in matching_points(streams)]
+        gaps = [[abs(t - a) for t in times] for a in instance.arrival_minutes]
+        den = math.lcm(*(g.denominator for row in gaps for g in row))
+        scaled = [[int(g * den) for g in row] for row in gaps]
+        return Fraction(min(sum(map(list.__getitem__, scaled, perm)) for perm in permutations(range(n))), den)
     if mode == "hungarian":
         if n > 50:
             raise OracleSizeError(f"hungarian oracle limited to n <= 50, got {n}")
-        from scipy.optimize import linear_sum_assignment
-        import numpy as np
-
-        den = math.lcm(*(t.denominator for t in times))
-        scaled = [int(t * den) for t in times]
-        cost_matrix = np.array(
-            [[abs(p - a * den) for p in scaled] for a in instance.arrival_minutes], dtype=np.int64
-        )
-        rows, cols = linear_sum_assignment(cost_matrix)
-        return Fraction(int(cost_matrix[rows, cols].sum()), den)
+        scale = math.lcm(*(x.denominator for s in streams.streams for x in (s.mu, s.lam)))
+        points = [
+            s.mu.numerator * (scale // s.mu.denominator) + ell * s.lam.numerator * (scale // s.lam.denominator)
+            for s in streams.streams
+            for ell in range(s.count)
+        ]
+        cost = [[abs(p - a * scale) for p in points] for a in instance.arrival_minutes]
+        return Fraction(hungarian_min_cost(cost), scale)
     raise ValueError(f"unknown oracle mode {mode!r}")
 
 

@@ -218,6 +218,13 @@ def test_synth_rejects_bad_stream_pairs_before_generating(monkeypatch, pairs, me
         synth_dataset(0, 2, spec)
 
 
+def test_synth_rejects_a_key_that_is_not_a_direction_before_any_pair():
+    with pytest.raises(ValueError, match="streams_spec keys must be Directions, got 'D'"):
+        synth_dataset(0, 1, {"D": [(1, 60)]})
+    with pytest.raises(ValueError, match="streams_spec keys must be Directions, got 'U'"):
+        synth_dataset(0, 1, {Direction.DOWN: [(0, 60)], "U": [(1, 60)]})
+
+
 def test_synth_rejects_negative_days_and_allows_none():
     with pytest.raises(ValueError, match="days must be >= 0, got -1"):
         synth_dataset(0, -1, TWO_STREAM_SPEC)

@@ -205,6 +205,12 @@ def test_simulate_schedule_partial_cycle_matches_per_step_replay():
     assert cyclic == replay
 
 
+def test_action_at_repeats_the_schedule_at_every_int_period():
+    """Periods 0 and below run the cycle backwards, as periods 1.. run it forwards."""
+    sched = Schedule((W, D, U), Direction.DOWN)
+    assert [sched.action_at(t) for t in range(-5, 7)] == [W, D, U] * 4
+
+
 def test_cyclic_average_rejects_all_wait_schedule():
     with pytest.raises(ValueError, match="all-wait"):
         cyclic_average(_inst((Direction.DOWN, 2, 1)), Schedule((W, W), Direction.DOWN))
@@ -468,6 +474,10 @@ _INT_ARGS = [
     ("MatchingInstance-T", "T", lambda v: arrivals.MatchingInstance((2, 5), v)),
     ("arrival_at-t", "period", lambda v: arrival_at(_INT_INST, v)),
     ("windowed_optimum-t_start", "period", lambda v: rolling.windowed_optimum(_INT_INST, v, 8)),
+    ("windowed_optimum-t_end", "t_end", lambda v: rolling.windowed_optimum(_INT_INST, 1, v)),
+    ("arrival_counts-first", "first", lambda v: arrival_counts(_INT_INST, v, 4)),
+    ("arrival_counts-last", "last", lambda v: arrival_counts(_INT_INST, 1, v)),
+    ("action_at-t", "t", lambda v: Schedule((D, U), Direction.DOWN).action_at(v)),
     ("simulate-horizon", "horizon", lambda v: simulate(_INT_COUNTS, [D, U], v, Direction.DOWN)),
     ("alternating-horizon", "horizon", lambda v: policies.alternating(_INT_COUNTS, v)),
     ("fifo-horizon", "horizon", lambda v: policies.fifo(_INT_COUNTS, v)),

@@ -1,5 +1,6 @@
-"""The runtime package imports nothing outside the standard library, and
-each package and test module uses every name it imports."""
+"""The runtime package imports nothing outside the standard library; the
+test modules import nothing else but pytest, hypothesis, the package and
+each other; and each package and test module uses every name it imports."""
 
 import ast
 import sys
@@ -39,17 +40,29 @@ def _scan(path):
 
 
 SCANS = {path: _scan(path) for path in sorted(PACKAGE.glob("*.py"))}
+TEST_SCANS = {path: _scan(path) for path in sorted(Path(__file__).resolve().parent.glob("*.py"))}
+
+
+def _foreign_imports(scans, allowed=frozenset()):
+    return [
+        f"{path.name}:{line}: {module}"
+        for path, (imports, *_) in scans.items()
+        for line, module, _ in imports
+        if module is not None and module not in sys.stdlib_module_names and module not in allowed
+    ]
 
 
 def test_package_imports_only_the_standard_library():
     assert SCANS
-    foreign = [
-        f"{path.name}:{line}: {module}"
-        for path, (imports, *_) in SCANS.items()
-        for line, module, _ in imports
-        if module is not None and module not in sys.stdlib_module_names
-    ]
-    assert foreign == []
+    assert _foreign_imports(SCANS) == []
+
+
+def test_test_modules_import_only_the_standard_library_test_tools_and_the_package():
+    """The suite needs nothing but pytest and hypothesis installed.  The walk
+    sees imports inside functions too, so an oracle cannot reach for a
+    solver package on the side."""
+    siblings = {path.stem for path in TEST_SCANS}
+    assert _foreign_imports(TEST_SCANS, {"pytest", "hypothesis", "locksched", *siblings}) == []
 
 
 def _unused_imports(scans):
@@ -67,9 +80,8 @@ def test_package_modules_use_every_import():
 
 
 def test_test_modules_use_every_import():
-    scans = {path: _scan(path) for path in sorted(Path(__file__).resolve().parent.glob("*.py"))}
-    assert scans
-    assert _unused_imports(scans) == []
+    assert TEST_SCANS
+    assert _unused_imports(TEST_SCANS) == []
 
 
 def test_no_module_level_typing_alias_names_a_package_class():
