@@ -38,6 +38,8 @@ _SHAPE_ERROR = (
 
 
 class MalformedRowError(ValueError):
+    """An arrivals CSV row that cannot be read; ``line_number`` is its file line."""
+
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
@@ -48,6 +50,9 @@ class NoArrivalsError(ValueError):
 
 
 class ArrivalRecord(NamedTuple):
+    """One arrival.  Immutable and hashable, it unpacks as ``ts, d = record``
+    and compares equal to the plain tuple ``(timestamp, direction)``."""
+
     timestamp: datetime  # truncated to the minute
     direction: Direction
 
@@ -63,6 +68,12 @@ class ArrivalRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class ArrivalDataset:
+    """Arrival records, sorted by timestamp on construction.
+
+    Minutes are wall-clock minutes and each day must be one contiguous slice
+    of the sorted records, so a timezone-aware timestamp raises ``ValueError``.
+    """
+
     records: Tuple[ArrivalRecord, ...]
 
     def __post_init__(self) -> None:
@@ -129,7 +140,10 @@ def parse_arrivals(source: Union[TextIO, Iterable[str]]) -> ArrivalDataset:
     UTC offset ``+HH:MM`` or ``-HH:MM``; every Python version reads the same
     forms.  Timestamps keep their wall-clock minutes, a fraction of a
     second (after ``.`` or ``,``) is dropped, and a trailing ``Z`` reads as
-    ``+00:00``.  A file may use one UTC offset throughout, or none;
+    ``+00:00``.  Any other form, such as a bare date, a week date, a
+    basic-format date or time, an hour alone or an offset as ``+HHMM``,
+    ``+HH`` or with seconds, raises ``MalformedRowError`` quoting the
+    timestamp.  A file may use one UTC offset throughout, or none;
     mixing offsets, or offset and naive timestamps, raises
     ``MalformedRowError``, as does a row the ``csv`` module cannot read,
     such as one opening a quote it never closes.

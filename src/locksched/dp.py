@@ -100,6 +100,8 @@ _log = logging.getLogger(__name__)
 
 
 class PeriodCapExceededError(ValueError):
+    """The DP horizon 8 * lcm, ``required``, exceeds ``cap`` periods."""
+
     def __init__(self, required: int, cap: int):
         super().__init__(
             f"DP horizon 8*lcm = {required} exceeds the cap of {cap} periods; "
@@ -110,6 +112,8 @@ class PeriodCapExceededError(ValueError):
 
 
 class LockState(NamedTuple):
+    """A DP state: the lock's alignment and its two 0/1 wait counters."""
+
     alignment: Direction
     own_waits: int  # waits on the current side since the last switch
     other_waits: int  # waits on the opposite side during its last visit
@@ -303,6 +307,9 @@ def _normalised(values: Sequence[float]) -> Tuple[float, Tuple[float, ...]]:
 
 @dataclass(frozen=True)
 class OptimalResult:
+    """A ``solve`` result: ``avg_cost`` = ``total_cost`` / ``period`` and a
+    schedule of ``period`` = 8 * Lambda periods that starts in ``initial_state``."""
+
     avg_cost: Fraction
     total_cost: int
     period: int
@@ -314,7 +321,13 @@ class OptimalResult:
 def solve(
     instance: PeriodicInstance, mode: str = CANONICAL, period_cap: int = DEFAULT_PERIOD_CAP
 ) -> OptimalResult:
-    """Minimum long-run average waiting time and an achieving cyclic schedule."""
+    """Minimum long-run average waiting time and an achieving cyclic schedule.
+
+    The 8 * Lambda horizon is checked against ``period_cap`` before any
+    per-period work.  Each solve logs one DEBUG record on the ``locksched.dp``
+    logger with attributes ``mode``, ``lcm`` (Lambda), ``period``,
+    ``initial_state``, ``total_cost`` and ``lane_steps``, the lane steps run.
+    """
     if mode not in (CANONICAL, PAPER_LITERAL):
         raise ValueError(f"unknown mode {mode!r}")
     _check_int("period_cap", period_cap, 1)

@@ -136,8 +136,9 @@ def synth_dataset(
     ``streams_spec`` maps each direction to (mu, lambda) pairs in minutes,
     integers with 1 <= mu <= 1440 and lambda >= 1; jittered times are clamped
     to [1, 1440].  A sigma of zero yields exactly periodic data.  The days run
-    from 2019-01-02.  A sigma that is negative, not finite, or so large that
-    a draw overflows raises ``ValueError``.
+    from 2019-01-02, and a seed gives the same records.  A sigma that is
+    negative, not finite, or so large that a draw overflows raises
+    ``ValueError``.
     """
     if not 0 <= jitter_sigma < math.inf:  # also rejects NaN
         raise ValueError(f"jitter sigma must be >= 0 and finite, got {jitter_sigma}")
@@ -427,7 +428,11 @@ def run_experiment(
     """Both reports from one set of fits, so no cell is fitted twice.
 
     Returns the rows of ``run_fit_experiment`` and ``run_schedule_experiment``
-    and the sum of their skipped counts.
+    and the sum of their skipped counts.  Each skipped (day, direction, k, n)
+    of either report logs one DEBUG record on the ``locksched.experiment``
+    logger with attributes ``report``, ``day``, ``direction``, ``k``, ``n``
+    and ``reason``, which is no arrivals or the period cap with the required
+    T; ``direction`` is None for a period-cap skip.
     """
     fits = _fit_all(dataset, config)
     fit_rows, fit_skipped = _fit_rows(dataset, config, fits)

@@ -58,7 +58,11 @@ class CountMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class Stream:
-    """One fitted stream: matching points at mu, mu+lam, ..., mu+(count-1)*lam."""
+    """One fitted stream: matching points at mu, mu+lam, ..., mu+(count-1)*lam.
+
+    ``mu`` and ``lam`` must be rationals: a float or bool raises ``ValueError``
+    naming it.
+    """
 
     mu: Fraction
     lam: Fraction
@@ -80,6 +84,9 @@ class Stream:
 
 @dataclass(frozen=True)
 class StreamSet:
+    """Fitted streams over the horizon [1, T], each with count * lam = T;
+    ``n`` is their total count."""
+
     streams: Tuple[Stream, ...]
     T: int
 
@@ -97,6 +104,9 @@ class StreamSet:
 
 @dataclass(frozen=True)
 class MatchingSolution:
+    """A fit: its streams, the stream point matched to each arrival and the
+    exact L1 cost."""
+
     streams: StreamSet
     # assignment[j] = (stream index, occurrence index) matched to the j-th arrival
     assignment: Tuple[Tuple[int, int], ...]
@@ -345,7 +355,9 @@ def solve_matching(instance: MatchingInstance, k: int) -> MatchingSolution:
     where every anchored point is whole; one incumbent, the best fit so far,
     is carried to each composition's scale.  A tie replaces it only with a
     less (counts, anchors) in canonical order, the first a full enumeration
-    visits.  The fit logs one DEBUG record with its search counters.
+    visits.  The fit logs one DEBUG record on the ``locksched.matching``
+    logger with the search's counters as attributes: ``compositions_pruned``,
+    ``prefixes_pruned`` and ``candidates_scored``.
     """
     _check_int("k", k)
     n = instance.n
@@ -363,7 +375,10 @@ def best_fit(instance: MatchingInstance, k: int) -> MatchingSolution:
     non-increasing envelope over stream budgets 1..k.  The budgets are
     searched in one pass, smallest first, against one incumbent that each
     must beat strictly, so the first budget reaching the least cost wins.
-    The fit logs one DEBUG record with its search counters.
+    The fit logs one DEBUG record on the ``locksched.matching`` logger with
+    attributes ``compositions_pruned``, ``prefixes_pruned`` (the last
+    stream's rows jumped over included) and ``candidates_scored``, each
+    summed over the budgets.
     """
     _check_int("k", k, 1)
     return _search(instance, range(1, min(k, instance.n) + 1))

@@ -30,6 +30,9 @@ Arrivals = Sequence[Tuple[int, int]]
 
 @dataclass(frozen=True)
 class PolicyRun:
+    """A policy's name, its action trace from ``initial_alignment`` and the
+    trace's result."""
+
     policy: str
     actions: Tuple[Action, ...]
     initial_alignment: Direction

@@ -52,6 +52,9 @@ def default_window(k: int, epsilon: float) -> int:
 
 @dataclass(frozen=True)
 class Chunk:
+    """One chunk of a rolling plan, periods ``start``..``end``, and the lock
+    position ``next_position`` it hands to the next chunk."""
+
     start: int
     end: int
     actions: Tuple[Action, ...]  # covers [start, end]; the free tail holds Wait placeholders
@@ -117,7 +120,8 @@ def next_chunk(
 ) -> Chunk:
     """One step of the incremental scheme: the chunk from period ``start``,
     entered in orientation ``position`` (None = free), plus a handoff to the
-    next chunk, which starts at ``end + 1``."""
+    next chunk, which starts at ``end + 1``.  A window whose exact optimum
+    costs at most 2k/epsilon is cheap."""
     _check_int("start", start, 1)
     _check_int("window", window, 4)
     if not epsilon > 0:  # also rejects NaN
@@ -190,6 +194,8 @@ def _alignment_after(actions: Sequence[Action], entry: Direction) -> Direction:
 
 @dataclass(frozen=True)
 class GeneratedPlan:
+    """A rolling plan: one feasible action sequence and the chunks it joins."""
+
     actions: Tuple[Action, ...]
     initial_alignment: Direction
     chunks: Tuple[Chunk, ...]

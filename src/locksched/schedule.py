@@ -18,6 +18,8 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 
 class Direction(Enum):
+    """A side of the lock: downstream (``"D"``) or upstream (``"U"``)."""
+
     DOWN = "D"
     UP = "U"
 
@@ -26,6 +28,8 @@ class Direction(Enum):
 
 
 class Action(Enum):
+    """One period's action: serve the Down side, serve the Up side, or wait."""
+
     PROCESS_DOWN = "D"
     PROCESS_UP = "U"
     WAIT = "W"
@@ -179,6 +183,9 @@ def is_feasible(schedule: Schedule) -> bool:
 
 @dataclass(frozen=True)
 class SimulationResult:
+    """A run over periods 1..horizon: each period's queue total after its
+    action, their sum, the arrivals read and the exact wait per vessel."""
+
     horizon: int
     per_period_cost: Tuple[int, ...]
     total_wait: int

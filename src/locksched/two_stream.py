@@ -28,6 +28,9 @@ class LambdaOneError(ValueError):
 
 @dataclass(frozen=True)
 class TwoStreamParams:
+    """One Down stream (``mu_d``, ``lambda_d``) and one Up stream (``mu_u``,
+    ``lambda_u``), ints with 1 <= mu <= lambda."""
+
     mu_d: int
     mu_u: int
     lambda_d: int
@@ -62,6 +65,7 @@ class TwoStreamParams:
 
 
 def hyper_period(params: TwoStreamParams) -> int:
+    """The lcm of the two periodicities."""
     return math.lcm(params.lambda_d, params.lambda_u)
 
 
