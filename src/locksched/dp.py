@@ -16,16 +16,17 @@ up to a constant; Baccelli, Cohen, Olsder and Quadrat 1992).  ``solve``
 therefore cuts each turn into a short head and the rest (a turn of
 Lambda <= _HEAD periods is one piece) and runs each piece once per distinct
 normalised start (v - min v), shared by all eight lanes and all eight
-turns.  The eight lanes usually coalesce within the first head, and
-later turns usually start where the first one ended, so the work is about
-Lambda + 9 * _HEAD lane steps where one full lane alone takes 8 * Lambda.
-A lane's chain of (piece, normalised start) keys stops at its first
-repeated key: every later key and each lap's rise are then known, so the
-end value and the key list are extended without further lookups.  Each
-distinct (piece, end state) pair of the winning lane is decoded once, each
-step's predecessor read from one table by its choice bits, and the decoded
-pieces are joined into the 8 * Lambda schedule in one list, already rotated
-to start at period 1, that becomes one tuple.
+turns.  Each run is memoised under its (piece, normalised start) key with
+its choice bits, the rise of the minimum over the piece and the next
+piece's normalised start, so a lane is a walk of lookups whose value is the
+sum of the rises plus the last normalised start.  The eight lanes usually
+coalesce within the first head, and later turns usually start where the
+first one ended, so the work is about Lambda + 9 * _HEAD lane steps where
+one full lane alone takes 8 * Lambda.  Each distinct (piece, end state)
+pair of the winning lane is decoded once, each step's predecessor read from
+one table by its choice bits, and the decoded pieces are joined into the
+8 * Lambda schedule in one list, already rotated to start at period 1, that
+becomes one tuple.
 
 Two transition-cost conventions are provided.  The canonical convention
 weights an arrival i periods before its service by i (so arrivals served in
@@ -36,8 +37,8 @@ pattern delayed by one period (each mu becomes mu mod lambda + 1).  Every
 reconstructed schedule is verified against simulation of the pattern solved
 (``cyclic_average``: a warm-up to the schedule's second service, then one
 hyper-period when the schedule repeats every Lambda periods, else one joint
-cycle, in which each stretch that repeats the one a hyper-period before it
-is reused instead of run).
+cycle, in which each chunk that starts in the same state with the same
+actions as the chunk a hyper-period before it is reused instead of run).
 
 The forward pass (``lane``) reads per-period (down, up) arrival counts
 behind a three-period lead-in, all read by ``schedule.arrival_counts`` over
@@ -69,7 +70,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import cycle, islice
+from itertools import islice
 from operator import add
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -348,36 +349,24 @@ def solve(
     turn = counts[1:] + counts[3:4]
     pieces = [piece for piece in (turn[: _HEAD + 3], turn[_HEAD:]) if len(piece) > 3]
 
-    n_keys = 8 * len(pieces)
-    runs = {}  # (piece, normalised start) -> lane over that piece
-    chains = []  # per start state, the keys of its n_keys pieces in order
+    # A lane walks its keys by lookups: its values are always base plus the
+    # normalised start of its next piece, base rising by each piece's rise.
+    runs = {}  # (piece, normalised start) -> (choice bits, rise, next normalised start)
+    chains = []  # per start state, the keys of its 8 * len(pieces) pieces in order
     totals = []
     for s0_id in range(8):
-        values = start_values(s0_id)
+        base, start = _normalised(start_values(s0_id))
         keys = []
-        lows = []  # per key, the minimum of the values entering it
-        for k in range(n_keys):
-            low, start = _normalised(values)
+        for k in range(8 * len(pieces)):
             key = k % len(pieces), start
-            if key in keys:
-                # Each key fixes the next one and the rise in the minimum
-                # over its piece, so from the key's first meeting at i the
-                # chain repeats with period k - i, each lap low - lows[i]
-                # higher.
-                i = keys.index(key)
-                laps, j = divmod(n_keys - 1 - i, k - i)
-                end = runs[keys[i + j]][0][s0_id] + lows[i + j] + laps * (low - lows[i])
-                keys.extend(islice(cycle(keys[i:]), n_keys - k))
-                break
             if key not in runs:
-                runs[key] = lane(start, pieces[key[0]])
+                values, back = lane(start, pieces[key[0]])
+                runs[key] = (back, *_normalised(values))
+            _, rise, start = runs[key]
+            base += rise
             keys.append(key)
-            lows.append(low)
-            values = [v + low for v in runs[key][0]]
-        else:
-            end = values[s0_id]
         chains.append(keys)
-        totals.append(end)
+        totals.append(base + start[s0_id])
     total = min(totals)
     s0_id = totals.index(total)
     lane_steps = sum(len(pieces[piece]) - 3 for piece, _ in runs)
@@ -389,7 +378,7 @@ def solve(
     s_id = s0_id
     for key in reversed(chains[s0_id]):
         if (key, s_id) not in decoded:
-            decoded[key, s_id] = decode_lane(runs[key][1], s_id)
+            decoded[key, s_id] = decode_lane(runs[key][0], s_id)
         s_id, piece_actions = decoded[key, s_id]
         parts.append(piece_actions)
     assert s_id == s0_id

@@ -39,6 +39,7 @@ class WindowCapExceededError(ValueError):
 
 def default_window(k: int, epsilon: float) -> int:
     """40*k^2/eps rounded up to an even integer, floored at 4."""
+    _check_int("k", k, 1)
     if not epsilon > 0:  # also rejects NaN
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     quotient = 40 * k * k / epsilon

@@ -297,10 +297,11 @@ def cyclic_average(instance: PeriodicInstance, schedule: Schedule) -> Fraction:
     every Lambda periods (as the DP's schedules usually do), else one joint
     cycle.  The horizon covers the first processing action of the second
     repetition, or of the second Lambda-block, the last period at which an
-    alignment error can first show.  Within the horizon, a stretch that
-    repeats the state and actions of the one a hyper-period before it is
-    reused instead of run (``_cyclic_cost``).  Raises ValueError for an all-wait
-    schedule: every instance has arrivals, so its queues grow without bound.
+    alignment error can first show.  The horizon is cut into chunks, and a
+    chunk that starts in the same state with the same actions as the chunk a
+    hyper-period before it is reused instead of run (``_cyclic_cost``).
+    Raises ValueError for an all-wait schedule: every instance has arrivals,
+    so its queues grow without bound.
     """
     return _cyclic_average(arrival_counts(instance, 1, lcm_period(instance)), schedule)
 
@@ -336,32 +337,28 @@ def _cyclic_cost(
 
     The recurrence's costs over a stretch depend only on its start state,
     its actions and its arrivals, and the arrivals repeat every Lambda =
-    len(pattern) periods.  So a Lambda-block that starts in the same state
-    with the same actions as the block before it costs what that block cost
-    and ends in the same state, without being run.  Any other block is cut
-    into chunks of ``_CHUNK`` periods, and each chunk is reused in the same
-    way from the chunk one block before it, or else run.  A DP schedule
-    that departs from a Lambda-periodic one only near its wrap-around is
-    then run for about one block and a few chunks, not for all 8 * Lambda
-    periods.  Every chunk that could first show an alignment error is run,
-    so errors name the same period as one run of ``simulate`` would.
+    len(pattern) periods.  Each Lambda-block is cut into chunks of
+    ``_CHUNK`` periods, and a chunk that starts in the same state with the
+    same actions as the chunk one block before it costs what that chunk
+    cost and ends in the same state, without being run; any other chunk is
+    run.  A DP schedule that departs from a Lambda-periodic one only near
+    its wrap-around is then run for about one block and a few chunks, not
+    for all 8 * Lambda periods.  Every chunk that could first show an
+    alignment error is run, so errors name the same period as one run of
+    ``simulate`` would.
 
-    No stretch that starts before ``first``, the schedule's second service,
+    No chunk that starts before ``first``, the schedule's second service,
     is reused, so each reused cost counts whole: over the hyper-period
-    before such a stretch the lock either serves once, which flips its
+    before such a chunk the lock either serves once, which flips its
     alignment, or only waits, which adds arrivals to its queues.
     """
     lam = len(pattern)
     trace = actions * (horizon // len(actions)) + actions[: horizon % len(actions)]
     total = 0
     previous: List[Tuple[QueueState, QueueState, int]] = []  # per chunk of the block before: start and end state, cost
-    # ``trace`` ends at the horizon, so a block or chunk that the horizon
-    # cuts short never equals the whole one a block before, and is run.
+    # ``trace`` ends at the horizon, so a chunk that the horizon cuts short
+    # never equals the whole one a block before, and is run.
     for block in range(0, horizon, lam):
-        if previous and previous[0][0] == state and trace[block : block + lam] == trace[block - lam : block]:
-            total += sum(cost for _, _, cost in previous)
-            state = previous[-1][1]
-            continue
         current = []
         for k, start in enumerate(range(block, min(block + lam, horizon), _CHUNK)):
             end = min(start + _CHUNK, block + lam)

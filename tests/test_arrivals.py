@@ -103,6 +103,12 @@ def test_parse_rejects_bad_timestamp():
     for stamp in ("not-a-time", "2019-01-02T09:30:00.5.5"):
         with pytest.raises(MalformedRowError, match=f"bad timestamp {stamp!r}: .*{stamp!r}"):
             _parse(f"timestamp,direction\n{stamp},D\n")
+    # A well-shaped stamp that fromisoformat rejects keeps fromisoformat's
+    # reason, which quotes the stamp as written, not as rewritten for it.
+    for stamp in ("2019-02-30T10:00", "2019-01-02T24:00", "2019-0a-02T10:00:00.5Z"):
+        with pytest.raises(MalformedRowError, match=f"^line 2: bad timestamp {re.escape(repr(stamp))}: ") as exc:
+            _parse(f"timestamp,direction\n{stamp},D\n")
+        assert "+00:00" not in str(exc.value)
 
 
 # fromisoformat reads any character after the date as the separator, and

@@ -488,16 +488,17 @@ def test_solve_memo_paths_equal_nine_lane_reference(monkeypatch, head):
 @pytest.mark.parametrize(
     "specs, calls",
     [
-        (((Direction.DOWN, 4, 1), (Direction.UP, 3, 2)), 24),  # Lambda = 12
-        (((Direction.DOWN, 4, 1), (Direction.UP, 3, 2), (Direction.UP, 5, 5)), 32),  # Lambda = 60
+        (((Direction.DOWN, 4, 1), (Direction.UP, 3, 2)), 17),  # Lambda = 12
+        (((Direction.DOWN, 4, 1), (Direction.UP, 3, 2), (Direction.UP, 5, 5)), 18),  # Lambda = 60
+        *[(specs, None) for specs, _, _ in MEMO_CASES],
     ],
 )
 def test_solve_runs_no_empty_piece(monkeypatch, specs, calls, mode):
     """A turn of Lambda <= _HEAD periods is one piece, so no lane runs over
-    an empty rest, and each of the eight lanes normalises its start three
-    times, once per turn until its chain meets a repeated key (24 in all),
-    not once per head and once per empty rest; a longer turn has two pieces,
-    and each lane normalises four times (32)."""
+    an empty rest.  ``solve`` normalises each of the eight lane starts once
+    and each lane run's end once, to key the next piece, so 8 plus the lanes
+    run: 17 at Lambda = 12, whose one-piece turns take nine lanes, and 18 at
+    Lambda = 60, whose two pieces take ten."""
     seen = []
     normalised = dp._normalised
     run_lane = dp.lane
@@ -514,7 +515,9 @@ def test_solve_runs_no_empty_piece(monkeypatch, specs, calls, mode):
     monkeypatch.setattr(dp, "_normalised", counting)
     monkeypatch.setattr(dp, "lane", counted_lane)
     inst = _inst(*specs)
-    assert (lcm_period(inst) <= dp._HEAD) == (calls == 24)
     solve(inst, mode)
-    assert len(seen) == calls
+    assert len(seen) == 8 + len(steps)
+    if calls is not None:
+        assert (lcm_period(inst) <= dp._HEAD) == (calls == 17)
+        assert len(seen) == calls
     assert min(steps) > 0

@@ -416,9 +416,9 @@ def test_cyclic_average_of_repeated_blocks_equals_two_cycle_reference(case):
 @settings(max_examples=400, deadline=None)
 @given(_block_schedules(), st.integers(1, 4))
 def test_cyclic_average_reusing_short_chunks_equals_two_cycle_reference(case, chunk):
-    """With chunks of one to four periods, chunks and blocks that repeat
-    the ones a hyper-period before are reused even at small Lambda, and the
-    value and any error (type, text and period) stay the reference's."""
+    """With chunks of one to four periods, chunks that repeat the ones a
+    hyper-period before are reused even at small Lambda, and the value and
+    any error (type, text and period) stay the reference's."""
     instance, schedule = case
     with mock.patch.object(schedule_module, "_CHUNK", chunk):
         assert _outcome(cyclic_average, instance, schedule) == _outcome(reference_cyclic_average, instance, schedule)
@@ -491,6 +491,7 @@ _INT_ARGS = [
     ("next_chunk-start", "start", lambda v: rolling.next_chunk(_INT_INST, v, 8, 1.0)),
     ("next_chunk-window", "window", lambda v: rolling.next_chunk(_INT_INST, 1, v, 1.0)),
     ("generate-n_chunks", "n_chunks", lambda v: rolling.generate(_INT_INST, 1, v, 1.0)),
+    ("default_window-k", "k", lambda v: rolling.default_window(v, 0.5)),
 ]
 
 
