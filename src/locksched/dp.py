@@ -12,21 +12,22 @@ start with the least value wins, and only its lane is decoded.
 
 A lane's step compares only sums v[p] + c, so lanes started from v and from
 v + K make the same choices and end K apart (min-plus values become periodic
-up to a constant; Baccelli, Cohen, Olsder and Quadrat 1992).  ``solve``
-therefore cuts each turn into a short head and the rest (a turn of
-Lambda <= _HEAD periods is one piece) and runs each piece once per distinct
-normalised start (v - min v), shared by all eight lanes and all eight
-turns.  Each run is memoised under its (piece, normalised start) key with
-its choice bits, the rise of the minimum over the piece and the next
-piece's normalised start, so a lane is a walk of lookups whose value is the
-sum of the rises plus the last normalised start.  The eight lanes usually
-coalesce within the first head, and later turns usually start where the
-first one ended, so the work is about Lambda + 9 * _HEAD lane steps where
-one full lane alone takes 8 * Lambda.  Each distinct (piece, end state)
-pair of the winning lane is decoded once, each step's predecessor read from
-one table by its choice bits, and the decoded pieces are joined into the
-8 * Lambda schedule in one list, already rotated to start at period 1, that
-becomes one tuple.
+up to a constant; Baccelli, Cohen, Olsder and Quadrat 1992).  One walker
+(``_walk``) serves both solves: it runs a lane through a list of pieces,
+each piece once per distinct normalised start (v - min v), and memoises
+each run under its (piece, normalised start) key with its choice bits, the
+rise of the minimum over the piece and the next piece's normalised start,
+so a lane is a walk of lookups whose value is the sum of the rises plus the
+last normalised start.  Each distinct (piece, end state) pair of the
+walked path is decoded once (``_decode_walk``), each step's predecessor
+read from one table by its choice bits.  ``solve`` cuts each turn into a
+short head and the rest (a turn of Lambda <= _HEAD periods is one piece),
+and its eight lanes walk them over eight turns through one memo.  The
+lanes usually coalesce within the first head, and later turns usually
+start where the first one ended, so the work is about Lambda + 9 * _HEAD
+lane steps where one full lane alone takes 8 * Lambda.  The winning lane's
+decoded pieces are joined into the 8 * Lambda schedule in one list,
+already rotated to start at period 1, that becomes one tuple.
 
 Two transition-cost conventions are provided.  The canonical convention
 weights an arrival i periods before its service by i (so arrivals served in
@@ -61,7 +62,13 @@ A free entry starts the one lane in both entry states at once, Down at 0 and
 Up at 1/2.  A lane is min-plus linear in its start, so it ends at the lower
 of the two entries' own lanes; the half makes every comparison between a
 Down-origin and an Up-origin path strict, so the winning path keeps its own
-entry's choice bits, and a tie between the entries goes Down.
+entry's choice bits, and a tie between the entries goes Down.  A window
+whose counts repeat every Lambda periods and that spans at least 3P
+periods, P = Lambda * ceil(_HEAD / Lambda), walks a first piece behind its
+three empty lead-in periods, identical middle pieces of P periods and the
+remainder; the middle pieces share a memo entry whenever they meet the
+same normalised start, which they usually do from the second one on.
+Shorter windows, and windows given no Lambda, run as one piece.
 """
 
 from __future__ import annotations
@@ -70,7 +77,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from operator import add
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -280,7 +287,9 @@ def _terminal_charges(last: Sequence[Tuple[int, int]]) -> List[int]:
     ]
 
 
-def solve_window(counts: List[Tuple[int, int]], position: Optional[Direction]) -> WindowSolution:
+def solve_window(
+    counts: List[Tuple[int, int]], position: Optional[Direction], lcm: Optional[int] = None
+) -> WindowSolution:
     """Exact minimum waiting within a window of per-period (down, up) ``counts``.
 
     Queues are empty entering the window, and arrivals still queued after it
@@ -289,14 +298,49 @@ def solve_window(counts: List[Tuple[int, int]], position: Optional[Direction]) -
     orientation and DOWN on a tie.  A free entry runs one lane from Down at 0
     and Up at 1/2 and truncates the end value; the half is exact because lane
     values stay far below 2**53 (windows are capped at 200,000 periods).
+
+    ``lcm``, when given, is a period Lambda with which the counts repeat;
+    ``ValueError`` names it when they do not.  A window of at least 3P
+    periods, P = Lambda * ceil(_HEAD / Lambda), is then cut into a first
+    piece of P periods, identical middle pieces of P periods and the
+    remainder, and its lane walks them through the memo that ``solve``
+    uses.  A shorter window, or one with no ``lcm``, is one piece.  Each
+    solve logs one DEBUG record on the ``locksched.dp`` logger with
+    attributes ``periods``, the window's length, and ``lane_steps``, the
+    lane steps run.
     """
+    n = len(counts)
     counts = [(0, 0)] * 3 + counts
+    if lcm is not None:
+        _check_int("lcm", lcm, 1)
+        if counts[3 + lcm :] != counts[3:-lcm]:
+            raise ValueError(f"window counts do not repeat every lcm = {lcm} periods")
     charges = _terminal_charges(counts[-3:])
     entries = {Direction.DOWN: 0, Direction.UP: 0.5} if position is None else {position: 0}
     start = [entries.get(alignment, _INF) if own == other == 0 else _INF for alignment, own, other in ALL_STATES]
-    values, back = lane(start, counts)
-    cost, final = min(zip(map(add, values, charges), range(8)))
-    start_id, actions = decode_lane(back, final)
+    # P (0 with no Lambda) is a multiple of Lambda and at least three
+    # periods long, so every middle piece, with the three lead-in periods
+    # before it, holds the same counts as the first one.
+    size = lcm * -(-max(_HEAD, 3) // lcm) if lcm is not None else 0
+    if size and n >= 3 * size:
+        middle, rest = divmod(n - size, size)
+        pieces = [counts[: size + 3], counts[size : 2 * size + 3], counts[n - rest :]]
+        runs = {}
+        base, end, keys = _walk(pieces, runs, start, [0] + [1] * middle + [2] * (rest > 0))
+        cost, final = min(zip((base + v + charge for v, charge in zip(end, charges)), range(8)))
+        start_id, parts = _decode_walk(runs, keys, final)
+        actions = tuple(chain.from_iterable(reversed(parts)))
+        lane_steps = sum(len(pieces[piece]) - 3 for piece, _ in runs)
+    else:
+        # One piece: the lane itself, with no memo to fill.
+        values, back = lane(start, counts)
+        cost, final = min(zip(map(add, values, charges), range(8)))
+        start_id, actions = decode_lane(back, final)
+        lane_steps = n
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug(
+            "window of %d periods, %d lane steps", n, lane_steps, extra={"periods": n, "lane_steps": lane_steps}
+        )
     return WindowSolution(cost=int(cost), actions=actions, entry_alignment=ALL_STATES[start_id].alignment)
 
 
@@ -304,6 +348,49 @@ def _normalised(values: Sequence[float]) -> Tuple[float, Tuple[float, ...]]:
     """(min of ``values``, ``values`` minus it): a lane start's memo key."""
     low = min(values)
     return low, tuple(v - low for v in values)
+
+
+def _walk(
+    pieces: Sequence[Sequence[Tuple[int, int]]], runs: dict, values: Sequence[float], order: Sequence[int]
+) -> Tuple[float, Tuple[float, ...], List[Tuple[int, Tuple[float, ...]]]]:
+    """One lane from the eight state values ``values`` through ``pieces[i]``
+    for each i of ``order``, each piece a ``lane`` counts list with its own
+    three lead-in periods.
+
+    A piece runs only the first time it meets a normalised start: the memo
+    ``runs`` maps (piece, normalised start) to the run's choice bits, the
+    rise of the minimum over the piece and the next piece's normalised
+    start.  Returns the lane's base (the start's minimum plus each piece's
+    rise), its end values minus the base, and the keys walked.
+    """
+    base, start = _normalised(values)
+    keys = []
+    for piece in order:
+        key = piece, start
+        if key not in runs:
+            end, back = lane(start, pieces[piece])
+            runs[key] = (back, *_normalised(end))
+        _, rise, start = runs[key]
+        base += rise
+        keys.append(key)
+    return base, start, keys
+
+
+def _decode_walk(
+    runs: dict, keys: Sequence[Tuple[int, Tuple[float, ...]]], final: int
+) -> Tuple[int, List[Tuple[Action, ...]]]:
+    """The start state id of a walk's path to state id ``final``, and the
+    path's actions per piece, last piece first.  Each distinct (key, end
+    state) pair is decoded once."""
+    decoded = {}  # (key, end state) -> (start state, actions)
+    parts = []
+    s_id = final
+    for key in reversed(keys):
+        if (key, s_id) not in decoded:
+            decoded[key, s_id] = decode_lane(runs[key][0], s_id)
+        s_id, piece_actions = decoded[key, s_id]
+        parts.append(piece_actions)
+    return s_id, parts
 
 
 @dataclass(frozen=True)
@@ -349,38 +436,17 @@ def solve(
     turn = counts[1:] + counts[3:4]
     pieces = [piece for piece in (turn[: _HEAD + 3], turn[_HEAD:]) if len(piece) > 3]
 
-    # A lane walks its keys by lookups: its values are always base plus the
-    # normalised start of its next piece, base rising by each piece's rise.
-    runs = {}  # (piece, normalised start) -> (choice bits, rise, next normalised start)
-    chains = []  # per start state, the keys of its 8 * len(pieces) pieces in order
-    totals = []
-    for s0_id in range(8):
-        base, start = _normalised(start_values(s0_id))
-        keys = []
-        for k in range(8 * len(pieces)):
-            key = k % len(pieces), start
-            if key not in runs:
-                values, back = lane(start, pieces[key[0]])
-                runs[key] = (back, *_normalised(values))
-            _, rise, start = runs[key]
-            base += rise
-            keys.append(key)
-        chains.append(keys)
-        totals.append(base + start[s0_id])
+    # Each of the eight lanes walks the turn's pieces eight times, sharing
+    # one memo.
+    runs = {}
+    order = list(range(len(pieces))) * 8
+    walks = [_walk(pieces, runs, start_values(s0_id), order) for s0_id in range(8)]
+    totals = [base + end[s0_id] for s0_id, (base, end, _) in enumerate(walks)]
     total = min(totals)
     s0_id = totals.index(total)
     lane_steps = sum(len(pieces[piece]) - 3 for piece, _ in runs)
 
-    # Decode the winning chain backwards from s0, once per distinct
-    # (piece key, end state) pair.
-    decoded = {}  # (piece key, end state) -> (start state, actions)
-    parts = []
-    s_id = s0_id
-    for key in reversed(chains[s0_id]):
-        if (key, s_id) not in decoded:
-            decoded[key, s_id] = decode_lane(runs[key][0], s_id)
-        s_id, piece_actions = decoded[key, s_id]
-        parts.append(piece_actions)
+    s_id, parts = _decode_walk(runs, walks[s0_id][2], s0_id)
     assert s_id == s0_id
     # The turn's last action, at t = 1, is the schedule's first: it leads
     # the list, and its second copy at the end of the lane is dropped.

@@ -23,6 +23,7 @@ from .schedule import (
     PeriodicInstance,
     _check_int,
     arrival_counts,
+    lcm_period,
     simulate,
 )
 
@@ -75,10 +76,11 @@ def windowed_optimum(
     """Exact minimum in-window waiting over single-wait action sequences.
 
     ``position`` fixes the lock's orientation entering t_start; None means
-    free, taking the better of the two orientations.
+    free, taking the better of the two orientations.  The window's counts
+    repeat every hyper-period, which ``solve_window`` reuses.
     """
     _check_window(t_start, t_end)
-    return solve_window(arrival_counts(instance, t_start, t_end), position)
+    return solve_window(arrival_counts(instance, t_start, t_end), position, lcm_period(instance))
 
 
 def _check_window(t_start: int, t_end: int) -> None:
@@ -95,20 +97,31 @@ def _check_window(t_start: int, t_end: int) -> None:
 _SCAN_BLOCK = 64
 
 
-def _scan_for_gap(instance: PeriodicInstance, t: int, last: int) -> Tuple[List[Tuple[int, int]], Optional[int]]:
+def _scan_for_gap(
+    instance: PeriodicInstance, t: int, last: int, lcm: int
+) -> Tuple[List[Tuple[int, int]], Optional[int]]:
     """Arrival counts of periods t.. and the offset of the first two-period
     gap, read until the gap or period ``last``; (the counts up to ``last``,
-    None) when there is no gap."""
+    None) when there is no gap.
+
+    The arrivals repeat every ``lcm`` periods, and so do the gaps: a gap
+    anywhere starts at one of periods t..t + lcm - 1.  The scan stops at
+    period t + lcm, and when it has found no gap by then, the rest of the
+    window is read in one call.
+    """
     empty = (0, 0)
     counts: List[Tuple[int, int]] = []
     block = _SCAN_BLOCK
+    stop = min(last, t + lcm)
     while True:
         scanned = max(len(counts) - 1, 0)
         first = t + len(counts)
-        counts += arrival_counts(instance, first, min(last, first + block - 1))
+        counts += arrival_counts(instance, first, min(stop, first + block - 1))
         gap = next((i for i in range(scanned, len(counts) - 1) if counts[i] == empty == counts[i + 1]), None)
-        if gap is not None or t + len(counts) > last:
+        if gap is not None:
             return counts, gap
+        if t + len(counts) > stop:
+            return counts + arrival_counts(instance, stop + 1, last), None
         block *= 2
 
 
@@ -128,9 +141,10 @@ def next_chunk(
     if not epsilon > 0:  # also rejects NaN
         raise ValueError("epsilon must be positive")
     t_end = start + window
+    lcm = lcm_period(instance)
     # A gap head longer than the window cap is rejected anyway, so the scan
     # never reads past the cap, however large the window.
-    counts, gap = _scan_for_gap(instance, start, min(t_end, start + DEFAULT_WINDOW_CAP - 1))
+    counts, gap = _scan_for_gap(instance, start, min(t_end, start + DEFAULT_WINDOW_CAP - 1), lcm)
 
     # Case: a 2-period no-arrival gap lets the next chunk start free of charge.
     if gap is not None:
@@ -162,7 +176,7 @@ def next_chunk(
         case, cost, next_position = CASE_GAP, run.total_wait, None
     else:
         _check_window(start, t_end)
-        sol = solve_window(counts, position)
+        sol = solve_window(counts, position, lcm)
         if sol.cost <= 2 * instance.k / epsilon:
             # Case: cheap window; keep periods start..start + window // 2 + 1
             # and hand off the lock position.

@@ -129,16 +129,22 @@ def arrival_counts(instance: PeriodicInstance, first: int, last: int) -> List[Tu
     ``(0, 0)`` per period, and each stream rebuilds the pair of every lam-th
     entry from its first arrival in the range, so the cost is one step per
     arrival, not one congruence test or one new pair per period and stream.
+    A range of at least two hyper-periods is built for its first
+    hyper-period only, which is then repeated to the range's length.
     """
     _check_int("first", first)
     _check_int("last", last)
     n = last - first + 1
-    counts = [(0, 0)] * n
+    lam = lcm_period(instance)
+    built = lam if n >= 2 * lam else n
+    counts = [(0, 0)] * built
     for s in instance.streams:
         a_d, a_u = (1, 0) if s.direction is Direction.DOWN else (0, 1)
-        for i in range((s.mu - first) % s.lam, n, s.lam):
+        for i in range((s.mu - first) % s.lam, built, s.lam):
             d, u = counts[i]
             counts[i] = (d + a_d, u + a_u)
+    if built < n:
+        counts = (counts * -(-n // lam))[:n]
     return counts
 
 

@@ -1,11 +1,18 @@
 import json
+import logging
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_windowed_cost, reference_generate, reference_solve_window, reference_terminal_charges
+from oracles import (
+    oracle_windowed_cost,
+    reference_arrival_counts,
+    reference_generate,
+    reference_solve_window,
+    reference_terminal_charges,
+)
 
 from locksched import dp
 from locksched.rolling import (
@@ -27,6 +34,7 @@ from locksched.schedule import (
     StreamSpec,
     arrival_at,
     arrival_counts,
+    lcm_period,
     simulate,
 )
 from locksched.dp import _terminal_charges, solve, solve_window
@@ -163,12 +171,88 @@ def test_free_window_runs_one_lane(monkeypatch):
     starts = []
 
     def counted_lane(start, steps):
-        starts.append(start)
+        starts.append((start, steps))
         return run_lane(start, steps)
 
     monkeypatch.setattr(dp, "lane", counted_lane)
-    windowed_optimum(_inst((Direction.DOWN, 3, 1), (Direction.UP, 4, 2)), 1, 30)
+    inst = _inst((Direction.DOWN, 3, 1), (Direction.UP, 4, 2))
+    windowed_optimum(inst, 1, 30)
     assert len(starts) == 1
+    # A window of 400 periods at Lambda = 12 walks a first piece, ten middle
+    # pieces of P = 36 periods and a remainder of 4, and runs each (piece,
+    # normalised start) once, both entries in one lane.
+    starts.clear()
+    windowed_optimum(inst, 1, 400)
+    down, up = (dp.ALL_STATES.index(dp.LockState(entry, 0, 0)) for entry in Direction)
+    assert (starts[0][0][down], starts[0][0][up]) == (0, 0.5)
+    runs = [(tuple(steps), tuple(start)) for start, steps in starts]
+    assert len(set(runs)) == len(runs) == 3
+
+
+def _piece_length(lam):
+    """P, the length of a memoised window's middle pieces at hyper-period ``lam``."""
+    return lam * -(-dp._HEAD // lam)
+
+
+@st.composite
+def _periodic_windows(draw):
+    """(instance, start, periods): an instance of Lambda <= 60 and a window
+    of 1 to 8 * Lambda + 2P periods from a random start, or of 3P - 1, 3P,
+    4P (remainder zero), 4P + 1 or 5P + Lambda periods."""
+    lam = draw(st.integers(1, 60))
+    divisors = [d for d in range(1, lam + 1) if lam % d == 0]
+    specs = []
+    for _ in range(draw(st.integers(1, 3))):
+        stream_lam = draw(st.sampled_from(divisors))
+        specs.append((draw(st.sampled_from(Direction)), stream_lam, draw(st.integers(1, stream_lam))))
+    inst = _inst(*specs)
+    lam = lcm_period(inst)
+    size = _piece_length(lam)
+    special = (3 * size - 1, 3 * size, 4 * size, 4 * size + 1, 5 * size + lam)
+    periods = draw(st.one_of(st.integers(1, 8 * lam + 2 * size), st.sampled_from(special)))
+    return inst, draw(st.integers(1, 200)), periods
+
+
+@settings(max_examples=200, deadline=None)
+@given(_periodic_windows(), st.sampled_from((None, Direction.DOWN, Direction.UP)))
+def test_memoised_solve_window_equals_one_piece_and_reference(window, position):
+    """Cutting a window into pieces that repeat every hyper-period changes
+    nothing: cost, actions and entry equal the one-piece lane's and the
+    two-lane reference's, below 3P and from 3P on, with and without a
+    remainder, from every entry."""
+    inst, start, periods = window
+    counts = arrival_counts(inst, start, start + periods - 1)
+    memoised = solve_window(counts, position, lcm_period(inst))
+    assert memoised == solve_window(counts, position) == reference_solve_window(counts, position)
+
+
+def test_solve_window_logs_periods_and_lane_steps(caplog):
+    """One DEBUG record per window solve.  The dense rolling plan's window of
+    361 periods at Lambda = 30 runs a first piece of P = 60 periods, one
+    middle piece (its four repeats are lookups) and a remainder of 1; a
+    window shorter than 3P is one piece, run whole."""
+    caplog.set_level(logging.DEBUG, logger="locksched.dp")
+    dense = _inst((Direction.DOWN, 2, 1), (Direction.UP, 3, 2), (Direction.UP, 5, 4))
+    windowed_optimum(dense, 1, 361)
+    windowed_optimum(dense, 1, 179)
+    memoised, one_piece = caplog.records
+    assert memoised.levelno == logging.DEBUG and memoised.name == "locksched.dp"
+    assert (memoised.periods, memoised.lane_steps) == (361, 121)
+    assert memoised.lane_steps < memoised.periods
+    assert (one_piece.periods, one_piece.lane_steps) == (179, 179)
+    assert memoised.getMessage() == "window of 361 periods, 121 lane steps"
+
+
+def test_solve_window_rejects_an_lcm_the_counts_do_not_repeat_with():
+    """A wrong hyper-period fails loudly instead of reusing pieces that
+    differ; a multiple of the right one is accepted."""
+    counts = arrival_counts(_inst((Direction.DOWN, 3, 1), (Direction.UP, 4, 2)), 1, 200)  # Lambda = 12
+    for wrong in (8, 18, 199):
+        with pytest.raises(ValueError, match=rf"^window counts do not repeat every lcm = {wrong} periods$"):
+            solve_window(counts, None, wrong)
+    with pytest.raises(ValueError, match=r"^lcm must be >= 1, got 0$"):
+        solve_window(counts, None, 0)
+    assert solve_window(counts, None, 24) == solve_window(counts, None, 12) == solve_window(counts, None)
 
 
 def test_windowed_optimum_cap():
@@ -281,6 +365,26 @@ def test_generate_equals_two_pass_reference(inst, start, window, n_chunks, epsil
     reference does, over gap, cheap and full chunks and both tail lengths."""
     plan = generate(inst, start, n_chunks, epsilon, window=window)
     assert plan == reference_generate(inst, start, n_chunks, epsilon, window=window)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _small_instances(),
+    st.integers(1, 200),
+    st.integers(0, 150),
+    st.integers(1, 4),
+    st.sampled_from((0.25, 1.0, 50.0)),
+)
+def test_generate_with_memoised_windows_equals_reference(inst, start, extra, n_chunks, epsilon):
+    """Windows of at least 3P periods, whose lanes walk the memo, give the
+    two-pass reference's plan and the plan of one-piece windows (a head so
+    long that P exceeds every window)."""
+    window = 3 * _piece_length(lcm_period(inst)) - 1 + extra
+    plan = generate(inst, start, n_chunks, epsilon, window=window)
+    assert plan == reference_generate(inst, start, n_chunks, epsilon, window=window)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dp, "_HEAD", 10**6)
+        assert plan == generate(inst, start, n_chunks, epsilon, window=window)
 
 
 def _plan_cost_and_bound(inst, plan, epsilon):
@@ -416,3 +520,53 @@ def test_gap_scan_finds_the_first_gap_across_blocks(gap_at):
         assert (chunk.case, chunk.end) == (CASE_GAP, gap_at + 1)
     else:
         assert chunk.case != CASE_GAP
+
+
+def _full_scan_case_and_end(inst, start, window, epsilon, position):
+    """The chunk's case and end from one scan of the whole window's counts,
+    read one ``arrival_at`` call per period, and a one-piece window solve."""
+    counts = reference_arrival_counts(inst, start, start + window)
+    gap = next((i for i in range(len(counts) - 1) if counts[i] == (0, 0) == counts[i + 1]), None)
+    if gap is not None:
+        return CASE_GAP, start + gap + 1
+    if solve_window(counts, position).cost <= 2 * inst.k / epsilon:
+        return CASE_CHEAP, start + window // 2 + 1
+    return CASE_FULL, start + window + 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _small_instances(),
+    st.integers(1, 300),
+    st.integers(1, 60),
+    st.sampled_from((0.25, 1.0, 10.0)),
+    st.sampled_from((None, Direction.DOWN, Direction.UP)),
+)
+def test_gap_scan_up_to_a_hyper_period_equals_full_window_scan(inst, start, extra, epsilon, position):
+    """Gaps repeat every Lambda, so a scan that stops at period start + Lambda
+    finds the window's first gap, or that it has none, on windows longer
+    than Lambda + 1."""
+    window = max(lcm_period(inst) + 1 + extra, 4)
+    chunk = next_chunk(inst, start, window, epsilon, position)
+    assert (chunk.case, chunk.end) == _full_scan_case_and_end(inst, start, window, epsilon, position)
+
+
+@pytest.mark.parametrize(
+    "start, offset",
+    [(50, 0), (1, 49), (60, 90), (51, 99), (52, None)],
+    ids=["at-start", "before-lambda", "past-lambda", "ends-at-start-plus-lambda", "absent"],
+)
+def test_gap_scan_finds_the_gap_within_one_hyper_period(start, offset):
+    """A 100-period hyper-period with arrivals in every period but 50 and 51
+    (and, for the absent case, in every period).  The first gap from
+    ``start`` lies at ``offset``: in the first hyper-period, in the second,
+    or ending exactly at period start + Lambda, the last the scan reads."""
+    lam = 100
+    gap = () if offset is None else (50, 51)
+    inst = _inst(*[(Direction.DOWN, lam, mu) for mu in range(1, lam + 1) if mu not in gap])
+    chunk = next_chunk(inst, start, 280, 1.0)
+    assert (chunk.case, chunk.end) == _full_scan_case_and_end(inst, start, 280, 1.0, None)
+    if offset is None:
+        assert chunk.case != CASE_GAP
+    else:
+        assert (chunk.case, chunk.end) == (CASE_GAP, start + offset + 1)

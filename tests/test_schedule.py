@@ -356,6 +356,17 @@ def test_arrival_pattern_equals_reference(instance, first, length):
     assert arrival_counts(instance, 1, lam) == reference_arrival_counts(instance, 1, lam)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_instances(6), st.integers(-80, 0), st.data())
+def test_arrival_counts_over_hyper_periods_equal_reference(instance, first, data):
+    """A range of 2 * Lambda to 6 * Lambda + 5 periods from a period <= 0 is
+    built as its first hyper-period repeated, and equals one ``arrival_at``
+    call per period of the pattern."""
+    lam = lcm_period(instance)
+    last = first + data.draw(st.integers(2 * lam, 6 * lam + 5)) - 1
+    assert arrival_counts(instance, first, last) == reference_arrival_counts(instance, first, last)
+
+
 # Lambda = 3 with arrivals on both sides: (kind, schedule) pairs covering each
 # way through ``cyclic_average``'s horizon choice.
 _BLOCK_INSTANCE = _inst((Direction.DOWN, 3, 1), (Direction.UP, 3, 2))
@@ -464,6 +475,7 @@ _INT_ARGS = [
      lambda v: arrivals.bucket_to_periods(_INT_DATA, _INT_DAY, 21, v)),
     ("day_periods", "period_minutes", lambda v: experiment.day_periods(v)),
     ("dp.solve-period_cap", "period_cap", lambda v: dp.solve(_INT_INST, period_cap=v)),
+    ("solve_window-lcm", "lcm", lambda v: dp.solve_window(list(_INT_COUNTS), None, v)),
     ("StreamSpec-lam", "lam", lambda v: StreamSpec(Direction.DOWN, v, 1)),
     ("StreamSpec-mu", "mu", lambda v: StreamSpec(Direction.DOWN, 2, v)),
     *[(f"TwoStreamParams-{name}", name, lambda v, name=name: two_stream.TwoStreamParams(**{**_INT_PAIR, name: v}))
